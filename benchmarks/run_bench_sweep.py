@@ -5,7 +5,10 @@ Runs the paper's §3.1 workload end to end under the observability layer:
 1. compile the 741 small-signal circuit with the paper's symbols
    (``go_Q14``, ``Ccomp``) through :func:`repro.awesymbolic`;
 2. sweep ``dominant_pole_hz`` over a ``(go_Q14, Ccomp)`` grid with the
-   batched sharded runtime, collecting :class:`RuntimeStats`;
+   batched sharded runtime, collecting :class:`RuntimeStats`, and time a
+   serial 512x512 sweep of the same surface — 64 chunks of the sweep's
+   chunked streaming, where the 64x64 grid is a single chunk, so only
+   this figure sees cache effects;
 3. time the same sweep once per execution backend (serial / thread /
    process / native), after an unmeasured warm-up pass so pool spawn,
    the per-worker program cache, and the native kernel build are
@@ -16,11 +19,11 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    end-to-end gains are bounded by the Padé/metric stages, so the
    kernel-level figures are recorded separately;
 5. op-profile the compiled moment program over the same grid batch;
-6. write ``BENCH_sweep.json`` — points/sec overall, per backend (with a
-   moments/pade/metric stage breakdown), and per kernel, compile and
-   evaluate seconds, the top-3 hot ops with symbolic provenance, and
-   the full stats/metrics snapshots — and, with ``--trace``, a
-   Chrome/Perfetto trace of the whole run.
+6. write ``BENCH_sweep.json`` — points/sec overall, per backend and on
+   the 512x512 grid (each with a per-stage breakdown), and per kernel,
+   compile and evaluate seconds, the top-3 hot ops with symbolic
+   provenance, and the full stats/metrics snapshots — and, with
+   ``--trace``, a Chrome/Perfetto trace of the whole run.
 
 ``benchmarks/check_bench_regression.py`` compares this payload against
 the committed baseline and fails CI on a >25 % throughput regression.
@@ -53,28 +56,36 @@ from repro.runtime import RuntimeStats
 from repro.runtime.batched import grid_columns
 
 GRID_N = 64
+LARGE_GRID_N = 512
 SHARDS = 8
 BACKENDS = ("serial", "thread", "process", "native")
-STAGES = (("moments", "evaluate_seconds"), ("pade", "pade_seconds"),
-          ("metric", "metric_seconds"))
+STAGES = (("columns", "columns_seconds"), ("moments", "evaluate_seconds"),
+          ("health", "health_seconds"), ("pade", "pade_seconds"),
+          ("metric", "metric_seconds"), ("finalize", "finalize_seconds"))
 
 
 def stage_breakdown(stats: RuntimeStats) -> dict:
     """Per-stage seconds and throughput for one measured sweep.
 
-    The three stages cover the whole pipeline: moment-program
-    evaluation, the (batched) Padé solve, and the metric reduction plus
-    any per-point fallback work.  Stage seconds are summed across
+    The stages partition the sweep up to dispatch glue: column
+    building, moment-program evaluation, the health summaries, the
+    (batched) Padé solve, the metric reduction plus any per-point
+    fallback work, and the splice/finalize step; ``coverage`` is their
+    share of ``total_seconds``.  Shard stage seconds are summed across
     shards, so per-stage points/s is the *aggregate* rate the stage
     sustained, comparable across backends with equal worker counts.
     """
     out = {}
+    named = 0.0
     for name, attr in STAGES:
         seconds = getattr(stats, attr)
+        named += seconds
         out[name] = {
             "seconds": seconds,
             "points_per_second": (stats.points / seconds) if seconds else None,
         }
+    out["coverage"] = named / stats.total_seconds if stats.total_seconds \
+        else None
     return out
 
 
@@ -115,6 +126,29 @@ def bench_backends(model, grids, reference, shards: int,
             "stages": stage_breakdown(stats),
         }
     return out
+
+
+def bench_large_grid(model, grids, repeats: int = 3) -> dict:
+    """Serial sweep of a grid of many chunks (best of ``repeats``).
+
+    The 64x64 workload is exactly one chunk, so the per-backend figures
+    cannot see whether chunks stay cache-resident; on this grid, sweeping
+    without chunks would stream the whole-grid working set through
+    L3/DRAM.
+    """
+    model.sweep(grids, dominant_pole_hz, backend="serial")  # warm-up
+    stats = None
+    for _ in range(repeats):
+        trial = RuntimeStats()
+        model.sweep(grids, dominant_pole_hz, backend="serial", stats=trial)
+        if stats is None or trial.points_per_second > stats.points_per_second:
+            stats = trial
+    return {
+        "points": stats.points,
+        "points_per_second": stats.points_per_second,
+        "total_seconds": stats.total_seconds,
+        "stages": stage_breakdown(stats),
+    }
 
 
 def bench_kernels(model, grids, repeats: int = 5) -> dict:
@@ -183,6 +217,13 @@ def bench_kernels(model, grids, repeats: int = 5) -> dict:
     return out
 
 
+def surface_grids(go_nom: float, grid_n: int) -> dict:
+    return {
+        "go_Q14": np.linspace(0.5, 4.0, grid_n) * go_nom,
+        "Ccomp": np.linspace(10e-12, 60e-12, grid_n),
+    }
+
+
 def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
     ss = small_signal_741()
     res = awesymbolic(ss.circuit, "out", symbols=["go_Q14", "Ccomp"],
@@ -190,18 +231,17 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
     model = res.model
 
     go_nom = res.partition.symbolic[0].symbol.nominal
-    grids = {
-        "go_Q14": np.linspace(0.5, 4.0, grid_n) * go_nom,
-        "Ccomp": np.linspace(10e-12, 60e-12, grid_n),
-    }
+    grids = surface_grids(go_nom, grid_n)
 
     stats = RuntimeStats()
     z = model.sweep(grids, dominant_pole_hz, shards=shards, stats=stats)
     finite = int(np.isfinite(np.asarray(z)).sum())
 
     backends = bench_backends(model, grids, z, shards)
+    large = bench_large_grid(model, surface_grids(go_nom, LARGE_GRID_N))
     kernels = bench_kernels(model, grids)
     throughputs = {
+        f"grid{LARGE_GRID_N}:serial": large["points_per_second"],
         "kernel:ufunc": kernels["ufunc"]["points_per_second"],
     }
     if kernels["native"].get("available"):
@@ -222,6 +262,8 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
         "shards": shards,
         "cpu_count": os.cpu_count(),
         "backends": backends,
+        "large_grid": {"grid": {"go_Q14": LARGE_GRID_N,
+                                "Ccomp": LARGE_GRID_N}, **large},
         "kernels": kernels,
         "throughputs": throughputs,
         "n_ops": model.n_ops,
@@ -240,6 +282,12 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
         "stats": stats.to_dict(),
         "metrics": obs_metrics.registry().snapshot(),
     }
+
+
+def stage_text(stages: dict) -> str:
+    text = " ".join(f"{s}={e['seconds']:.3f}s" for s, e in stages.items()
+                    if s != "coverage")
+    return f"{text} (coverage {stages['coverage'] * 100.0:.0f}%)"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -269,11 +317,12 @@ def main(argv: list[str] | None = None) -> int:
           f"compile {payload['compile_seconds']:.3f} s, "
           f"evaluate {payload['evaluate_seconds']:.3f} s")
     for name, b in payload["backends"].items():
-        stages = " ".join(
-            f"{s}={e['seconds']:.3f}s"
-            for s, e in (b.get("stages") or {}).items())
         print(f"  backend {name:<8} {b['points_per_second']:>12.0f} points/s"
-              f"  ({b['workers']} workers)  {stages}")
+              f"  ({b['workers']} workers)  {stage_text(b['stages'])}")
+    large = payload["large_grid"]
+    print(f"  grid {large['grid']['go_Q14']}^2 serial "
+          f"{large['points_per_second']:>10.0f} points/s"
+          f"  {stage_text(large['stages'])}")
     kernels = payload["kernels"]
     print(f"  kernel  ufunc    "
           f"{kernels['ufunc']['points_per_second']:>12.0f} points/s")

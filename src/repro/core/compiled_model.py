@@ -212,9 +212,11 @@ class CompiledAWEModel:
         """Evaluate ``metric`` over the cartesian product of element-value grids.
 
         Runs through the batched runtime (:func:`repro.runtime.batched_sweep`)
-        by default: the compiled moment program evaluates the whole grid in
-        one array call, with closed-form order-1/2 Padé vectorized and a
-        per-point fallback only at degenerate/unstable points.  Pass
+        by default: the flattened grid streams through cache-resident
+        chunks of :data:`repro.runtime.CANCEL_CHUNK_POINTS` points, each
+        one array call of the compiled moment program, with the Padé
+        solve vectorized and a per-point fallback only at
+        degenerate/unstable points.  Pass
         ``vectorized=False`` to force the legacy per-point loop
         (:meth:`sweep_per_point`) — differential tests hold the two paths
         tolerance-identical, NaN placement included.
@@ -228,8 +230,8 @@ class CompiledAWEModel:
             require_stable: demand stable poles, retrying lower orders.
             vectorized: use the batched runtime (default) or the per-point
                 oracle.
-            shards: split the flattened grid into this many chunks
-                (batched path only; default one per worker).
+            shards: split the flattened grid into this many contiguous
+                ranges (batched path only; default one per worker).
             max_workers: thread-pool width for shard execution (default
                 serial).
             stats: optional :class:`repro.runtime.RuntimeStats` filled
@@ -247,8 +249,10 @@ class CompiledAWEModel:
                 (:class:`repro.runtime.CancelToken`); a fired token
                 drains the sweep with partial results and
                 ``diagnostics.cancelled`` set (batched path only).
-            chunk_points: cancellation granularity in grid points
-                (batched path only; see :func:`repro.runtime.batched_sweep`).
+            chunk_points: points per streamed chunk, with or without a
+                token — also the cancellation granularity (batched path
+                only; default :data:`repro.runtime.CANCEL_CHUNK_POINTS`;
+                see :func:`repro.runtime.batched_sweep`).
 
         Points where the Padé degenerates yield NaN rather than aborting
         the sweep (lenient mode), with a structured record in the

@@ -158,9 +158,11 @@ class LoadedModel:
               chunk_points: int | None = None) -> np.ndarray:
         """Batched metric sweep over element-value grids.
 
-        Same semantics as :meth:`CompiledAWEModel.sweep` — a loaded model
-        is a full citizen of the batched runtime, so saved programs can
-        drive design-space exploration without re-deriving anything.
+        Same semantics as :meth:`CompiledAWEModel.sweep`, streamed
+        through the same cache-resident chunks (``chunk_points`` points
+        each, token or not) — a loaded model is a full citizen of the
+        batched runtime, so saved programs can drive design-space
+        exploration without re-deriving anything.
         """
         from ..runtime.batched import batched_sweep  # lazy: avoids cycle
 

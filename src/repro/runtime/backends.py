@@ -218,7 +218,8 @@ class ProcessShardRunner:
     def __init__(self, model, columns: Sequence, n_points: int,
                  metric: Callable, order: int, require_stable: bool,
                  strict: bool, workers: int,
-                 n_shards: int | None = None) -> None:
+                 n_shards: int | None = None,
+                 chunk_points: int | None = None) -> None:
         _check_metric_picklable(metric)
         self._workers = max(1, int(workers))
         # first-attempt batching: run_shards submits every shard's
@@ -234,6 +235,7 @@ class ProcessShardRunner:
         self._require_stable = bool(require_stable)
         self._strict = bool(strict)
         self._n_points = int(n_points)
+        self._chunk_points = chunk_points
 
         cm = model.compiled_moments
         fn = cm.fn
@@ -333,7 +335,7 @@ class ProcessShardRunner:
             require_stable=self._require_stable, strict=self._strict,
             obs={"trace": True} if _trace.enabled() else None,
             inline_arrays=inline_arrays,
-            kernel=self._kernel)
+            kernel=self._kernel, chunk_points=self._chunk_points)
         _metrics.registry().counter(
             "repro_backend_worker_shards_total",
             "shard attempts dispatched to worker processes").inc()

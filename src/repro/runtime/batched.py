@@ -9,7 +9,7 @@ gap.  A batched sweep:
 1. maps every grid axis through the element→symbol value transforms and
    flattens the cartesian product into positional argument columns;
 2. evaluates the *fused* multi-output moment tape (schema 2, see
-   :func:`repro.symbolic.tape.fuse_moments`) once per shard — one
+   :func:`repro.symbolic.tape.fuse_moments`) once per chunk — one
    register-machine pass emits every moment, sharing subexpressions
    across outputs and performing the determinant unscaling inside the
    kernel with the same IEEE operations as the numpy ladder;
@@ -27,8 +27,11 @@ gap.  A batched sweep:
    batched linalg legitimately reorders reductions and is held to the
    ``ToleranceLadder.exact`` band instead (``docs/runtime.md``).
 
-Shards split the flattened grid into contiguous chunks evaluated
-independently (optionally on a thread pool), and a
+Shards split the flattened grid into contiguous ranges evaluated
+independently (optionally on a thread pool or in worker processes), and
+every shard streams its range through cache-resident chunks of
+:data:`CANCEL_CHUNK_POINTS` points (:func:`_stream_shard`), so the moment
+kernel's live buffers stay in the per-core L2 cache at any grid size.  A
 :class:`~repro.runtime.stats.RuntimeStats` records per-stage cost.
 
 Failure handling is quarantine-based (see :mod:`repro.runtime.resilience`
@@ -77,12 +80,17 @@ __all__ = [
 
 logger = logging.getLogger("repro.runtime.batched")
 
-#: default sub-chunk size (points) for cancellable shard execution: the
-#: granularity at which a shard observes its cancel token, i.e. the upper
-#: bound on wasted work after a deadline/timeout/interrupt fires.  Small
-#: enough to stop within milliseconds at kernel throughput, large enough
-#: that per-chunk dispatch overhead stays invisible.
-CANCEL_CHUNK_POINTS = 2048
+#: default chunk size (points) of every sweep.  Each shard streams its
+#: range through chunks of at most this many points, running moments →
+#: health → Padé → metric per chunk, so every live buffer of the fused
+#: moment kernel stays cache-resident: the 741's ~50 buffers take
+#: ~50 × 4096 × 8 B ≈ 1.6 MB, inside a 2 MB per-core L2, where whole-grid
+#: buffers would stream every op through L3/DRAM.  Of 2048..65536 on the
+#: 512×512 741 surface, 4096 is the smallest size on the fastest plateau
+#: (``docs/runtime.md``).  It is also the granularity at which a shard
+#: observes its cancel token, i.e. the bound on wasted work after a
+#: deadline/timeout/interrupt.
+CANCEL_CHUNK_POINTS = 4096
 
 #: scalar metric -> vectorized implementation ``(poles, residues) -> values``
 #: where ``poles``/``residues`` are ``(order, n_points)`` complex arrays.
@@ -454,7 +462,11 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
         count = valid.sum(axis=0)
         a = np.exp(logs.sum(axis=0) / np.maximum(count, 1))
         a = np.where((count > 0) & np.isfinite(a) & (a != 0.0), a, 1.0)
-        s = m * a ** np.arange(m.shape[0], dtype=float)[:, None]
+        # one 1-D power per row: numpy picks the loop of a broadcast
+        # (rows, n) power by n, and lanes of 10..~2600-point arrays came
+        # out an ulp apart from longer ones — a lane's value must not
+        # depend on the size of the chunk or shard it lands in
+        s = m * np.stack([np.power(a, float(k)) for k in range(m.shape[0])])
         # Hankel solve for b1..bq: sum_j b_j m'_{k-j} = -m'_k, k = q..2q-1
         A = np.empty((n, q, q))
         for r in range(q):
@@ -548,14 +560,15 @@ def _fused_companion(cm):
 def _chunk_moments(model, columns: Sequence, n_points: int,
                    stats: RuntimeStats, diag: SweepDiagnostics,
                    offset: int, kernel: str | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray]:
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the compiled moment program once over a flattened chunk.
 
-    Returns ``(moments, singular)`` where ``singular`` marks points whose
-    symbolic system determinant is exactly zero.  In strict mode any such
-    point raises :class:`PartitionError` (the pre-quarantine behavior);
-    in lenient mode those points are quarantined with stage ``"moments"``
-    and their moment columns are NaN.
+    Returns ``(moments, singular, det)`` where ``singular`` marks points
+    whose symbolic system determinant ``det`` is exactly zero.  In strict
+    mode any such point raises :class:`PartitionError` (the
+    pre-quarantine behavior); in lenient mode those points are
+    quarantined with stage ``"moments"`` and their moment columns are
+    NaN.
 
     When a fused tape is available the whole slab (moments + det) comes
     from one pass; its unscaling ladder performs exactly the same IEEE
@@ -607,10 +620,9 @@ def _chunk_moments(model, columns: Sequence, n_points: int,
                         scale = scale * safe_det
             elif singular.any():
                 moments[:, singular] = np.nan
-    diag.y0_det_abs.add(np.abs(det))
     if _faults.ACTIVE is not None:
         _faults.fault_point("sweep.moments", moments=moments, offset=offset)
-    return moments, singular
+    return moments, singular, det
 
 
 def _hankel_cond2(moments: np.ndarray) -> np.ndarray:
@@ -635,35 +647,33 @@ def _hankel_cond2(moments: np.ndarray) -> np.ndarray:
         return np.where(sigma2_sq > 0.0, cond, np.inf)
 
 
-def _chunk_health(moments: np.ndarray, order: int,
+def _chunk_health(moments: np.ndarray, det: np.ndarray, order: int,
                   diag: SweepDiagnostics) -> None:
-    """Record moment-decay and Hankel-condition summaries for a chunk."""
+    """Record determinant, moment-decay and Hankel-condition summaries
+    for a chunk."""
+    diag.y0_det_abs.add(np.abs(det))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diag.moment_decay.add(np.abs(moments[0] / moments[1]))
     if order == 2 and moments.shape[0] >= 3:
         diag.hankel_condition.add(_hankel_cond2(moments))
 
 
-def _sweep_chunk(model, columns: Sequence, n_points: int,
+def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
                  metric: Callable[[ReducedOrderModel], float], order: int,
-                 require_stable: bool, offset: int = 0,
-                 diag: SweepDiagnostics | None = None,
-                 kernel: str | None = None,
-                 ) -> tuple[np.ndarray, RuntimeStats, SweepDiagnostics]:
-    """Evaluate one flattened chunk.
+                 require_stable: bool, offset: int,
+                 stats: RuntimeStats, diag: SweepDiagnostics,
+                 kernel: str | None = None) -> None:
+    """Evaluate one flattened chunk into ``out``, a complex view of
+    ``len(out)`` points whose every entry the call overwrites.
 
-    Returns ``(values, partial stats, partial diagnostics)``; quarantine
-    indices inside the diagnostics are global (``offset`` + local).
+    Stage times and counters accumulate into ``stats``; quarantine
+    indices recorded in ``diag`` are global (``offset`` + local).
     """
-    stats = RuntimeStats()
-    diag = diag if diag is not None else SweepDiagnostics()
-    out = np.full(n_points, np.nan, dtype=complex)
-    if n_points == 0:
-        return out, stats, diag
-    moments, singular = _chunk_moments(model, columns, n_points, stats,
-                                       diag, offset, kernel=kernel)
-    _chunk_health(moments, order, diag)
-    alive = ~singular
+    n_points = len(out)
+    moments, singular, det = _chunk_moments(model, columns, n_points, stats,
+                                            diag, offset, kernel=kernel)
+    with stats.stage("health"):
+        _chunk_health(moments, det, order, diag)
 
     with stats.stage("pade"):
         if order <= 2:
@@ -672,11 +682,23 @@ def _sweep_chunk(model, columns: Sequence, n_points: int,
             poles, residues, ok = vector_poles_residues_general(moments, order)
         if require_stable:
             ok &= np.all(poles.real < 0.0, axis=0)
-        ok &= alive
+        ok &= ~singular
+    stats.points += n_points
+    diag.points += n_points
+    vectorized = VECTOR_METRICS.get(metric)
+    if vectorized is not None and ok.all():
+        # the usual chunk: every lane passed the closed form, so the
+        # metric takes the whole slab — no gather of poles/residues and
+        # no scatter of values (a full gather keeps the memory layout,
+        # so axis-0 reductions add in the same order either way)
+        with stats.stage("metric"):
+            out[:] = vectorized(poles, residues)
+        stats.vectorized_points += n_points
+        return
+    out[:] = np.nan
     good = np.flatnonzero(ok)
-    fallback = np.flatnonzero(~ok & alive)
+    fallback = np.flatnonzero(~ok & ~singular)
     with stats.stage("metric"):
-        vectorized = VECTOR_METRICS.get(metric)
         if vectorized is not None and len(good):
             out[good] = vectorized(poles[:, good], residues[:, good])
         else:
@@ -703,8 +725,61 @@ def _sweep_chunk(model, columns: Sequence, n_points: int,
             except ApproximationError as exc:
                 diag.quarantine_error(offset + int(i), "metric", exc)
     stats.fallback_points += len(fallback)
-    stats.points += n_points
-    diag.points += n_points
+
+
+def _stream_shard(model, columns: Sequence, n_points: int,
+                  metric: Callable[[ReducedOrderModel], float], order: int,
+                  require_stable: bool, *, offset: int = 0,
+                  strict: bool = False, kernel: str | None = None,
+                  chunk_points: int | None = None,
+                  cancel: CancelToken | None = None, shard: int = 0,
+                  out: np.ndarray | None = None,
+                  ) -> tuple[np.ndarray, RuntimeStats, SweepDiagnostics]:
+    """Stream one shard's points through cache-resident chunks.
+
+    The one chunk loop of every backend: in-process shards
+    (serial/thread/native) and process-backend workers both evaluate
+    their range here.  ``columns`` are the shard's own argument columns
+    (arrays of ``n_points`` or scalars) and ``offset`` is the shard's
+    first global flat index.  Each chunk of at most ``chunk_points``
+    (default :data:`CANCEL_CHUNK_POINTS`) points runs moments → health →
+    Padé → metric while its buffers are cache-resident.  Chunk
+    boundaries only split elementwise work, so values do not depend on
+    the chunk size — except that an order > 2 chunk holding an exactly
+    singular Hankel lane retreats to the per-point path as a whole
+    (:func:`vector_poles_residues_general`).  Results land in ``out`` (a
+    complex view of ``n_points``, e.g. a worker's shared-memory slice)
+    or a fresh array.
+
+    ``cancel`` is observed between chunks, bounding post-cancel work to
+    one chunk.  Drain keeps *chunk* granularity: a token firing
+    mid-range keeps every chunk already evaluated, NaN-fills the tail,
+    and records the drained slice as a ``"cancelled"`` shard incident.
+    Only a token that fired before the first chunk raises (whole-shard
+    drain, handled by the resilience layer).
+
+    Returns ``(values, stats, diagnostics)`` for the shard.
+    """
+    step = max(1, int(chunk_points if chunk_points is not None
+                      else CANCEL_CHUNK_POINTS))
+    out = np.empty(n_points, dtype=complex) if out is None else out
+    stats = RuntimeStats()
+    diag = SweepDiagnostics(strict=strict)
+    for a in range(0, n_points, step):
+        if cancel is not None and cancel.cancelled:
+            if a == 0:
+                cancel.raise_if_cancelled("shard")
+            # keep finished chunks, drain the rest of the range
+            out[a:] = np.nan
+            diag.shard_failures.append(ShardFailure(
+                shard=shard, lo=offset + a, hi=offset + n_points,
+                attempts=1, error="CancelledSweep", message=cancel.reason,
+                resolution="cancelled"))
+            break
+        b = min(a + step, n_points)
+        cols = [c[a:b] if isinstance(c, np.ndarray) else c for c in columns]
+        _sweep_chunk(model, cols, out[a:b], metric, order, require_stable,
+                     offset + a, stats, diag, kernel=kernel)
     return out, stats, diag
 
 
@@ -802,12 +877,14 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             ``diagnostics.cancelled`` is set — the sweep returns
             normally rather than raising, so partial results and the
             diagnostics report survive the interruption.
-        chunk_points: cancellation granularity — each shard evaluates
-            its range in sub-chunks of at most this many points and
-            checks its token between them (default
-            :data:`CANCEL_CHUNK_POINTS` when a token is in play, one
-            single chunk otherwise, which is bit-identical to the
-            pre-cancellation behavior).
+        chunk_points: chunk size — every shard, on every backend and
+            with or without a token, streams its range through chunks
+            of at most this many points and checks its token between
+            them (default :data:`CANCEL_CHUNK_POINTS`, sized so the
+            moment kernel's buffers stay cache-resident).  Values do
+            not depend on it, as a chunk boundary only splits
+            elementwise work (one order > 2 exception is described in
+            ``docs/runtime.md``, "Chunked streaming").
 
     Returns:
         A :class:`~repro.diagnostics.SweepResult` — a plain ndarray with
@@ -833,10 +910,11 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             raise ApproximationError(
                 f"model compiled with {n_moments} moments; "
                 f"order {q} needs {2 * q}")
-        if paired:
-            names, shape, columns = sample_columns(model, grids)
-        else:
-            names, shape, columns = grid_columns(model, grids)
+        with stats.stage("columns"):
+            if paired:
+                names, shape, columns = sample_columns(model, grids)
+            else:
+                names, shape, columns = grid_columns(model, grids)
         n_points = int(math.prod(shape))
         stats.n_ops = model.compiled_moments.n_ops
         stats.compile_seconds = getattr(model, "compile_seconds", 0.0)
@@ -880,59 +958,15 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         def eval_range(lo: int, hi: int,
                        token: CancelToken | None, shard: int = 0,
                        ) -> tuple[np.ndarray, RuntimeStats, SweepDiagnostics]:
-            """Evaluate ``[lo, hi)`` in cancellable sub-chunks.
-
-            With no token the whole range is one chunk — the exact
-            pre-cancellation code path.  With a token the range splits
-            at ``chunk_points`` boundaries and the token is observed
-            between chunks, bounding post-cancel work to one chunk.
-
-            Drain keeps *chunk* granularity: a token firing mid-range
-            keeps every chunk already evaluated, NaN-fills the tail,
-            and records the drained slice as a ``"cancelled"`` shard
-            incident.  Only a token that fired before the first chunk
-            raises (whole-shard drain, handled by the resilience
-            layer).
-            """
-            step = max(1, hi - lo)  # hi == lo: range(lo, hi, 0) raises
-            if token is not None:
-                step = max(1, int(chunk_points if chunk_points is not None
-                                  else CANCEL_CHUNK_POINTS))
-            values_parts: list[np.ndarray] = []
-            acc_stats: RuntimeStats | None = None
-            acc_diag: SweepDiagnostics | None = None
-            for a in range(lo, hi, step):
-                if token is not None and token.cancelled:
-                    if not values_parts:
-                        token.raise_if_cancelled("shard")
-                    # keep finished chunks, drain the rest of the range
-                    values_parts.append(
-                        np.full(hi - a, np.nan, dtype=complex))
-                    acc_diag.shard_failures.append(ShardFailure(
-                        shard=shard, lo=int(a), hi=int(hi), attempts=1,
-                        error="CancelledSweep", message=token.reason,
-                        resolution="cancelled"))
-                    break
-                b = min(a + step, hi)
-                cols = [c[a:b] if isinstance(c, np.ndarray) else c
-                        for c in columns]
-                values, part_stats, part_diag = _sweep_chunk(
-                    model, cols, b - a, metric, q, require_stable,
-                    offset=int(a),
-                    diag=SweepDiagnostics(strict=config.strict),
-                    kernel=kernel_hint)
-                values_parts.append(values)
-                if acc_stats is None:
-                    acc_stats, acc_diag = part_stats, part_diag
-                else:
-                    acc_stats.merge(part_stats)
-                    acc_diag.merge(part_diag)
-            if acc_stats is None:  # empty range
-                return (np.empty(0, dtype=complex), RuntimeStats(),
-                        SweepDiagnostics(strict=config.strict))
-            values = (values_parts[0] if len(values_parts) == 1
-                      else np.concatenate(values_parts))
-            return values, acc_stats, acc_diag
+            """Stream ``[lo, hi)`` through :func:`_stream_shard`'s
+            cache-resident chunks (every sweep chunks, token or not)."""
+            cols = [c[lo:hi] if isinstance(c, np.ndarray) else c
+                    for c in columns]
+            return _stream_shard(model, cols, hi - lo, metric, q,
+                                 require_stable, offset=lo,
+                                 strict=config.strict, kernel=kernel_hint,
+                                 chunk_points=chunk_points, cancel=token,
+                                 shard=shard)
 
         def run_shard(lo: int, hi: int, shard: int = 0, attempt: int = 0,
                       cancel: CancelToken | None = None,
@@ -961,7 +995,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         if backend_name == "process" and n_points:
             runner = ProcessShardRunner(model, columns, n_points, metric,
                                         q, require_stable, config.strict,
-                                        workers, n_shards=len(bounds) - 1)
+                                        workers, n_shards=len(bounds) - 1,
+                                        chunk_points=chunk_points)
             stats.spawn_seconds = runner.spawn_seconds
             try:
                 results = run_shards(run_shard, bounds, workers=workers,
@@ -976,28 +1011,31 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
                                  config=config, diagnostics=diagnostics,
                                  cancel=cancel)
 
-        parts = []
-        for (lo, hi), result in zip(zip(bounds[:-1], bounds[1:]), results):
-            if result is None:  # abandoned shard: NaN slice, recorded above
-                parts.append(np.full(int(hi - lo), np.nan, dtype=complex))
-                continue
-            values, partial, chunk_diag = result
-            parts.append(values)
-            stats.merge(partial)
-            diagnostics.merge(chunk_diag)
-        out = np.concatenate(parts) if parts else np.empty(0, dtype=complex)
+        with stats.stage("finalize"):
+            parts = []
+            for (lo, hi), result in zip(zip(bounds[:-1], bounds[1:]),
+                                        results):
+                if result is None:  # abandoned shard: NaN slice, recorded
+                    parts.append(np.full(int(hi - lo), np.nan,
+                                         dtype=complex))
+                    continue
+                values, partial, chunk_diag = result
+                parts.append(values)
+                stats.merge(partial)
+                diagnostics.merge(chunk_diag)
+            out = parts[0] if len(parts) == 1 else np.concatenate(parts)
 
-        stats.shards = n_shards
-        stats.workers = workers
-        stats.nan_points = int(np.isnan(out.real).sum())
-        stats.quarantined_points = len(diagnostics.quarantined)
-        diagnostics.cancelled = bool(
-            (cancel is not None and cancel.cancelled)
-            or any(f.resolution == "cancelled"
-                   for f in diagnostics.shard_failures))
-        _finalize_diagnostics(diagnostics, grids, names, shape, out,
-                              paired=paired)
-        out = _collapse_dtype(out.reshape(shape))
+            stats.shards = n_shards
+            stats.workers = workers
+            stats.quarantined_points = len(diagnostics.quarantined)
+            diagnostics.cancelled = bool(
+                (cancel is not None and cancel.cancelled)
+                or any(f.resolution == "cancelled"
+                       for f in diagnostics.shard_failures))
+            _finalize_diagnostics(diagnostics, grids, names, shape, out,
+                                  paired=paired)
+            stats.nan_points = diagnostics.nan_points
+            out = _collapse_dtype(out.reshape(shape))
     stats.publish()
     diagnostics.publish()
     return SweepResult(out, diagnostics)

@@ -92,6 +92,8 @@ class ShardJob:
     inline_arrays: tuple | None = None
     #: evaluator hint forwarded to ``eval_batch`` (e.g. ``"native"``)
     kernel: str | None = None
+    #: the sweep's ``chunk_points`` (``None``: the runtime default)
+    chunk_points: int | None = None
 
 
 class _WorkerModel:
@@ -189,22 +191,26 @@ def run_worker_shards(jobs: tuple) -> list:
 
 
 def _evaluate_shard(job: ShardJob) -> tuple:
-    """The untraced shard evaluation (inline or shm → chunk eval)."""
-    from ..diagnostics import SweepDiagnostics
-    from .batched import _sweep_chunk
+    """The untraced shard evaluation: inline or shm columns streamed
+    through the sweep's chunk loop."""
+    from .batched import _stream_shard
 
     t0 = time.perf_counter()
     model = _program(job.spec)
+
+    def stream(columns, out=None):
+        return _stream_shard(
+            model, columns, job.hi - job.lo, job.metric, job.order,
+            job.require_stable, offset=job.lo, strict=job.strict,
+            kernel=job.kernel, chunk_points=job.chunk_points, shard=job.shard,
+            out=out)
 
     if job.shm_out is None:
         # inline path: columns arrived pre-sliced in the job itself
         columns = list(job.scalars)
         for row, pos in enumerate(job.array_positions):
             columns[pos] = job.inline_arrays[row]
-        values, stats, diag = _sweep_chunk(
-            model, columns, job.hi - job.lo, job.metric, job.order,
-            job.require_stable, offset=job.lo,
-            diag=SweepDiagnostics(strict=job.strict), kernel=job.kernel)
+        values, stats, diag = stream(columns)
         stats.worker_busy[f"pid-{os.getpid()}"] = time.perf_counter() - t0
         return ("vals", job.lo, job.hi, stats, diag, values)
 
@@ -221,11 +227,9 @@ def _evaluate_shard(job: ShardJob) -> tuple:
         out = np.ndarray((job.n_points,), dtype=np.complex128,
                          buffer=shm_out.buf)
         try:
-            values, stats, diag = _sweep_chunk(
-                model, columns, job.hi - job.lo, job.metric, job.order,
-                job.require_stable, offset=job.lo,
-                diag=SweepDiagnostics(strict=job.strict), kernel=job.kernel)
-            out[job.lo:job.hi] = values
+            # chunks write straight into this shard's slice of the slab;
+            # keep no reference to the returned view (see finally)
+            stats, diag = stream(columns, out=out[job.lo:job.hi])[1:]
         finally:
             # every view of the shm buffers must be gone before close()
             del out, columns

@@ -47,14 +47,22 @@ class RuntimeStats:
         n_ops: arithmetic op count of the compiled moment program.
         compile_seconds: time spent compiling the symbolic model
             (amortized setup, not per-sweep; copied from the model).
+        columns_seconds: building the flattened argument columns from
+            the grids (meshgrid + element→symbol transforms).
         evaluate_seconds: evaluating the compiled moment program over the
             grid (the paper's "reduced set of operations").
+        health_seconds: per-chunk health summaries (determinant, moment
+            decay, Hankel condition) for the diagnostics report.
         pade_seconds: vectorized pole/residue extraction.
         metric_seconds: metric evaluation plus per-point fallback work.
-        total_seconds: wall-clock for the whole sweep call.  Stage times
-            are summed across shards, so with parallel workers their sum
-            can exceed ``total_seconds``; :attr:`parallel_efficiency`
-            normalizes that sum into a utilization figure.
+        finalize_seconds: splicing shard results, the NaN count, the
+            complex→float collapse and the diagnostics finalize.
+        total_seconds: wall-clock for the whole sweep call.  The named
+            stages above partition it, up to dispatch glue.  Per-shard
+            stage times (evaluate, health, pade, metric) are summed
+            across shards, so with parallel workers their sum can exceed
+            ``total_seconds``; :attr:`parallel_efficiency` normalizes
+            that sum into a utilization figure.
     """
 
     points: int = 0
@@ -66,9 +74,12 @@ class RuntimeStats:
     workers: int = 1
     n_ops: int = 0
     compile_seconds: float = 0.0
+    columns_seconds: float = 0.0
     evaluate_seconds: float = 0.0
+    health_seconds: float = 0.0
     pade_seconds: float = 0.0
     metric_seconds: float = 0.0
+    finalize_seconds: float = 0.0
     total_seconds: float = 0.0
     backend: str = "serial"
     spawn_seconds: float = 0.0
@@ -121,16 +132,17 @@ class RuntimeStats:
     def parallel_efficiency(self) -> float:
         """Stage busy-time over available worker-time, in ``[0, 1]``.
 
-        Stage times (``evaluate + pade + metric``) are summed across
-        shards, so with parallel workers their sum can exceed
-        ``total_seconds``; dividing by ``workers * total_seconds``
+        Shard stage times (``evaluate + health + pade + metric``) are
+        summed across shards, so with parallel workers their sum can
+        exceed ``total_seconds``; dividing by ``workers * total_seconds``
         normalizes that into a utilization figure (1.0 = every worker
         busy in measured stages for the whole sweep; serial sweeps
-        report the fraction of the wall spent inside measured stages).
+        report the fraction of the wall spent inside shard stages).
         """
         if self.total_seconds <= 0.0:
             return 0.0
-        busy = self.evaluate_seconds + self.pade_seconds + self.metric_seconds
+        busy = (self.evaluate_seconds + self.health_seconds
+                + self.pade_seconds + self.metric_seconds)
         return min(1.0, busy / (max(1, self.workers) * self.total_seconds))
 
     # ------------------------------------------------------------------
@@ -183,7 +195,8 @@ class RuntimeStats:
                     ).inc(self.fallback_points)
         reg.counter("repro_sweep_nan_points_total",
                     "NaN results").inc(self.nan_points)
-        for name in ("compile", "evaluate", "pade", "metric", "total"):
+        for name in ("compile", "columns", "evaluate", "health", "pade",
+                     "metric", "finalize", "total"):
             reg.histogram(f"repro_sweep_{name}_seconds",
                           f"per-sweep {name} stage wall time"
                           ).observe(getattr(self, f"{name}_seconds"))
@@ -208,9 +221,12 @@ class RuntimeStats:
             f"[{self.backend}]",
             f"  compile  {self.compile_seconds * 1e3:9.3f} ms "
             f"(one-time, {self.n_ops} ops/point program)",
-            f"  evaluate {self.evaluate_seconds * 1e3:9.3f} ms   "
-            f"pade {self.pade_seconds * 1e3:9.3f} ms   "
-            f"metric {self.metric_seconds * 1e3:9.3f} ms",
+            f"  columns  {self.columns_seconds * 1e3:9.3f} ms   "
+            f"evaluate {self.evaluate_seconds * 1e3:9.3f} ms   "
+            f"health {self.health_seconds * 1e3:9.3f} ms",
+            f"  pade     {self.pade_seconds * 1e3:9.3f} ms   "
+            f"metric   {self.metric_seconds * 1e3:9.3f} ms   "
+            f"finalize {self.finalize_seconds * 1e3:9.3f} ms",
             f"  total    {self.total_seconds * 1e3:9.3f} ms "
             f"({self.points_per_second:,.0f} points/s, "
             f"{self.parallel_efficiency * 100.0:.0f}% parallel efficiency)",

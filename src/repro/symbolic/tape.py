@@ -857,7 +857,9 @@ class TapeModel:
               backend: str | None = None, cancel=None,
               chunk_points: int | None = None):
         """Batched metric sweep — same contract as
-        :meth:`~repro.core.compiled_model.CompiledAWEModel.sweep`."""
+        :meth:`~repro.core.compiled_model.CompiledAWEModel.sweep`,
+        streamed through cache-resident chunks of ``chunk_points`` points
+        (token or not)."""
         from ..runtime.batched import batched_sweep  # lazy: avoids cycle
 
         return batched_sweep(self, grids, metric, order=order,

@@ -21,6 +21,7 @@ from repro.circuits.library import fig1_circuit
 from repro.errors import CancelledSweep
 from repro.runtime import (CANCEL_CHUNK_POINTS, CancelToken, Deadline,
                           ResilienceConfig)
+from repro.runtime.resilience import run_shards
 from repro.testing import FaultInjector
 
 
@@ -227,6 +228,62 @@ class TestRetryBudget:
             z = model.sweep(grids(12), metric, shards=4, max_workers=2,
                             resilience=config)
         assert np.isfinite(np.asarray(z)).all()
+
+
+class TestShardSignature:
+    """``run_shards`` passes tokens only to shard functions that take a
+    ``cancel`` keyword, and inspects each function's signature once per
+    code object rather than once per sweep."""
+
+    @staticmethod
+    def plain_shard():
+        def run(lo, hi, shard, attempt):
+            return (lo, hi)
+        return run
+
+    @staticmethod
+    def cancel_shard(seen):
+        def run(lo, hi, shard=0, attempt=0, cancel=None):
+            seen.append(cancel)
+            return (lo, hi)
+        return run
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_without_cancel_keyword(self, workers):
+        token = CancelToken()
+        for _ in range(2):  # the second call answers from the cache
+            out = run_shards(self.plain_shard(), [0, 3, 7], workers=workers,
+                             cancel=token)
+            assert out == [(0, 3), (3, 7)]
+
+    def test_shard_with_cancel_keyword_gets_a_token(self):
+        seen: list = []
+        token = CancelToken()
+        run_shards(self.cancel_shard(seen), [0, 3, 7], cancel=token)
+        assert seen == [token, token]
+        seen.clear()
+        run_shards(self.cancel_shard(seen), [0, 3, 7], workers=2,
+                   cancel=token)
+        # pooled attempts get per-attempt child tokens of the sweep's
+        assert len(seen) == 2 and all(t is not None and t is not token
+                                      for t in seen)
+
+    def test_signature_inspected_once_per_code_object(self, monkeypatch):
+        import inspect
+
+        from repro.runtime import resilience
+
+        run_shards(self.plain_shard(), [0, 1])  # warm the cache
+        calls = []
+        signature = inspect.signature
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return signature(fn, *args, **kwargs)
+
+        monkeypatch.setattr(resilience.inspect, "signature", counting)
+        run_shards(self.plain_shard(), [0, 1, 2], workers=2)
+        assert calls == []
 
 
 def test_chunk_constant_is_sane():

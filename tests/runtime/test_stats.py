@@ -64,7 +64,8 @@ class TestReporting:
                              total_seconds=1.0)
         text = stats.summary()
         for token in ("42 points", "40 vectorized", "2 fallback", "1 NaN",
-                      "3 shard", "2 worker", "99 ops", "compile"):
+                      "3 shard", "2 worker", "99 ops", "compile", "columns",
+                      "evaluate", "health", "pade", "metric", "finalize"):
             assert token in text, token
 
 
@@ -81,6 +82,12 @@ class TestDerived:
     def test_parallel_efficiency_normalizes_by_workers(self):
         stats = RuntimeStats(workers=4, total_seconds=1.0,
                              evaluate_seconds=2.0)
+        assert stats.parallel_efficiency == pytest.approx(0.5)
+
+    def test_parallel_efficiency_counts_health_as_shard_work(self):
+        stats = RuntimeStats(workers=1, total_seconds=2.0,
+                             evaluate_seconds=0.5, health_seconds=0.5,
+                             columns_seconds=0.5, finalize_seconds=0.5)
         assert stats.parallel_efficiency == pytest.approx(0.5)
 
     def test_parallel_efficiency_clamped_to_one(self):
@@ -109,8 +116,10 @@ class TestSerialization:
                              fallback_points=6, nan_points=1,
                              quarantined_points=1, shards=4, workers=2,
                              n_ops=53, compile_seconds=0.01,
-                             evaluate_seconds=0.02, pade_seconds=0.03,
-                             metric_seconds=0.04, total_seconds=0.1)
+                             columns_seconds=0.005, evaluate_seconds=0.02,
+                             health_seconds=0.006, pade_seconds=0.03,
+                             metric_seconds=0.04, finalize_seconds=0.007,
+                             total_seconds=0.1)
         back = RuntimeStats.from_dict(stats.to_dict())
         assert back == stats
 
@@ -138,7 +147,9 @@ class TestSerialization:
         stats.publish(registry=reg)
         assert reg.get("repro_sweep_points_total").value == 100
         assert reg.get("repro_sweep_runs_total").value == 1
-        assert reg.get("repro_sweep_evaluate_seconds").count == 1
+        for stage in ("columns", "evaluate", "health", "pade", "metric",
+                      "finalize", "total"):
+            assert reg.get(f"repro_sweep_{stage}_seconds").count == 1
         stats.publish(registry=reg)
         assert reg.get("repro_sweep_points_total").value == 200
 
