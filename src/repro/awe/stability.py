@@ -69,7 +69,7 @@ def rom_from_moments(moments, order: int,
     """Reduced-order model from already-computed numeric moments.
 
     The shared per-point evaluation tail of every compiled-model path
-    (:meth:`CompiledAWEModel.rom`, :meth:`LoadedModel.rom`, and the
+    (:meth:`CompiledAWEModel.rom`, :meth:`TapeModel.rom`, and the
     batched runtime's fallback): orders 1-2 take the closed-form
     pure-Python Padé, anything degenerate/unstable or higher-order goes
     through the general scaled Hankel solve with stable order fallback.

@@ -11,8 +11,9 @@ Commands:
   sweep in one invocation (routed through the program cache).
 * ``trace`` — run the compile pipeline (and optionally a sweep) under
   the tracer and write a Chrome/Perfetto trace JSON.
-* ``profile`` — op-level profile of a saved model's compiled moment
-  program: top-k hot ops with symbolic provenance.
+* ``profile`` — op-level profile of a saved model's (or ``.tape``
+  artifact's) compiled moment program: top-k hot ops with symbolic
+  provenance.
 * ``doctor`` — health-check a sweep (quarantine list, conditioning
   summaries) and/or a program-cache directory.  Exit status encodes
   severity: 0 healthy, 1 warnings, 2 corrupt cache entries.
@@ -237,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", parents=[obs_parent],
                               help="evaluate a saved compiled model "
                                    "(no circuit needed)")
-    evaluate.add_argument("model", type=Path, help="saved model JSON")
+    evaluate.add_argument("model", type=Path,
+                          help="saved model JSON or .tape artifact")
     evaluate.add_argument("--at", action="append", default=[],
                           metavar="NAME=VALUE",
                           help="element value override (repeatable)")
@@ -273,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile = sub.add_parser("profile", parents=[obs_parent],
                              help="op-level profile of a saved model's "
                                   "compiled moment program")
-    profile.add_argument("model", type=Path, help="saved model JSON")
+    profile.add_argument("model", type=Path,
+                         help="saved model JSON or .tape artifact")
     profile.add_argument("--sweep", action="append", default=[],
                          metavar="NAME=START:STOP:N",
                          help="grid batch to profile over (repeatable)")
@@ -288,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="health-check a sweep and/or a program "
                                  "cache directory")
     doctor.add_argument("model", type=Path, nargs="?", default=None,
-                        help="saved model JSON to sweep-check")
+                        help="saved model JSON or .tape artifact to "
+                             "sweep-check")
     doctor.add_argument("--sweep", action="append", default=[],
                         metavar="NAME=START:STOP:N",
                         help="grid to exercise the model over (repeatable)")

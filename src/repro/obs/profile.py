@@ -3,11 +3,14 @@
 The paper's per-iteration cost is a short compiled op sequence; this
 module answers *which ops* that cost goes to.  Given a compiled function
 exposing ``instrumented()`` (see
-:meth:`repro.symbolic.compile.CompiledFunction.instrumented` — an
-exploded one-assignment-per-op variant that records a timestamp after
-every op), :func:`profile_program` samples the program over grid-batch
-arguments and aggregates per-op wall time, keeping each op's symbolic
-provenance (the expression it computes) for the hot-op report.
+:meth:`repro.symbolic.compile.CompiledFunction.instrumented` — the
+program's op tape exploded into one statement per tape op, each followed
+by a timestamp), :func:`profile_program` samples the program over
+grid-batch arguments and aggregates per-op wall time, keeping each op's
+symbolic provenance (the expression it computes) for the hot-op report.
+Every compiled program carries its tape, so any program profiles —
+freshly compiled, loaded from saved-model JSON, or rebuilt from a
+``.tape`` artifact.
 
 The profiler stays dependency-free: it only needs the duck-typed
 ``instrumented()`` / ``eval_raw()`` surface, so :mod:`repro.obs` never
@@ -31,8 +34,8 @@ class OpCost:
         kind: op kind (``add``/``mul``/``div``/``pow``/``sqrt``/...).
         expr: symbolic provenance — the (truncated) expression this op
             computes, rendered over the model's symbol names.
-        ops: arithmetic operation count of the node (an n-ary add is one
-            program op but ``n - 1`` arithmetic ops).
+        ops: arithmetic operation count of the op (1 for a tape op, so
+            the entries' ops sum to the program's ``n_ops``).
         seconds: total wall time attributed to this op.
         fraction: ``seconds`` over the total attributed time.
     """

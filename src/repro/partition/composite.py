@@ -22,6 +22,7 @@ exactness claim, enforced in our integration tests).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -171,15 +172,36 @@ class CompiledMoments:
         return out
 
     def __call__(self, values: Mapping | Sequence[float]) -> np.ndarray:
+        """Moments as an array, broadcast over array-valued symbols.
+
+        Unscales with the same ladder as :meth:`scalars` (``scale *=
+        det``), so a point's moments equal :meth:`scalars` bit for bit.
+        """
         raw = [np.asarray(v, dtype=float) for v in self.fn(values)]
         # outputs independent of some symbols come back as scalars even on
         # vectorized sweeps; broadcast everything to the common grid shape
         shape = np.broadcast_shapes(*(v.shape for v in raw))
         det = np.broadcast_to(raw[-1], shape)
-        nums = np.stack([np.broadcast_to(v, shape) for v in raw[:-1]])
-        exps = np.arange(1, self.order + 2,
-                         dtype=float).reshape((-1,) + (1,) * len(shape))
-        return nums / det ** exps
+        out = np.empty((len(raw) - 1,) + shape)
+        scale = det
+        for k, num in enumerate(raw[:-1]):
+            if k:
+                scale = scale * det
+            out[k] = num / scale
+        return out
+
+    @cached_property
+    def fused(self) -> CompiledFunction:
+        """The fused (schema-2) program: every moment plus the determinant
+        in one register-machine pass, unscaled inside the program with
+        the :meth:`scalars` ladder (see
+        :func:`~repro.symbolic.tape.fuse_moments`).  Built once per
+        compiled moment program; the batched sweep evaluates this."""
+        from ..symbolic.tape import fuse_moments
+
+        if self.fn.tape.fused is not None:
+            return self.fn
+        return fuse_moments(self.fn.tape).build_function()
 
 
 @dataclass(frozen=True)

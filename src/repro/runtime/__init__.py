@@ -17,8 +17,8 @@ provides:
   (``serial`` / ``thread`` / ``process`` / ``native``); the process
   backend ships compiled programs as content-addressed op-tape artifacts
   to spawned workers (inline pickles for small sweeps, shared memory for
-  bulk ones), and the native backend evaluates through a compiled C or
-  numba kernel generated from the same tape, falling back to the ufunc
+  bulk ones), and the native backend evaluates through a compiled C
+  kernel generated from the same tape, falling back to the ufunc
   kernel when no toolchain is available (see ``docs/runtime.md`` and
   ``docs/artifacts.md``).
 

@@ -11,7 +11,7 @@ attempt runs:
   workers, for when the Python-level part of the program dominates and
   the GIL serializes threads;
 * ``native`` — in-process like serial/thread, but moment evaluation
-  runs through the compiled (C / numba) op-tape kernel
+  runs through the compiled C op-tape kernel
   (:mod:`repro.runtime.native`) instead of ~``n_ops`` separate numpy
   calls; degrades to the ufunc kernel with a logged warning when no
   native toolchain is available.
@@ -239,10 +239,10 @@ class ProcessShardRunner:
 
         cm = model.compiled_moments
         fn = cm.fn
-        # spec construction is warm-path free: the tape is lowered once
-        # per program (memoized on fn), spooled once per content hash,
-        # and the resulting ~200-byte spec is cached on the function —
-        # repeat sweeps ship a pointer, not the program
+        # spec construction is warm-path free: every program carries its
+        # tape, spooled once per content hash, and the resulting
+        # ~200-byte spec is cached on the function — repeat sweeps ship
+        # a pointer, not the program
         spec = getattr(fn, "_proc_spec", None)
         if spec is None or spec.order != cm.order:
             from ..symbolic.tape import tape_for

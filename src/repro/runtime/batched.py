@@ -12,7 +12,8 @@ gap.  A batched sweep:
    :func:`repro.symbolic.tape.fuse_moments`) once per chunk — one
    register-machine pass emits every moment, sharing subexpressions
    across outputs and performing the determinant unscaling inside the
-   kernel with the same IEEE operations as the numpy ladder;
+   kernel with the same IEEE operations as the scalar ladder of
+   :meth:`~repro.partition.composite.CompiledMoments.scalars`;
 3. extracts poles and residues with vectorized closed forms — exact
    array transcriptions of :func:`repro.awe.pade.fast_poles_residues`
    for orders 1-2, stacked Hankel solves plus batched companion-matrix
@@ -245,7 +246,8 @@ def _v_gain_bandwidth_product(poles: np.ndarray, residues: np.ndarray,
 # ----------------------------------------------------------------------
 def _slot_table(model) -> Mapping[str, tuple]:
     """``element name -> (symbol position, value transform)`` for either a
-    :class:`CompiledAWEModel` or a deserialized :class:`LoadedModel`."""
+    :class:`CompiledAWEModel` or a loaded
+    :class:`~repro.symbolic.tape.TapeModel`."""
     slots = getattr(model, "element_slots", None)
     if slots is None:  # pragma: no cover - both classes expose element_slots
         raise ApproximationError(
@@ -524,84 +526,37 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
 # ----------------------------------------------------------------------
 _SINGULAR_MSG = "global symbolic system singular at this point"
 
-_FUSED_UNSET = object()
-
-
-def _fused_companion(cm):
-    """The fused (schema-2) twin of a compiled moment program, or ``None``.
-
-    A fused tape evaluates every moment *and* the determinant unscaling
-    in one register-machine pass (:func:`repro.symbolic.tape.fuse_moments`),
-    so a chunk costs one kernel dispatch instead of one per output plus a
-    numpy division ladder.  The fused function is derived lazily from the
-    program's own tape and cached on the :class:`CompiledFunction`; when
-    no tape can be built (e.g. a program lowered from source without
-    expression roots) the sweep keeps the unfused path.
-    """
-    fn = cm.fn
-    cached = getattr(fn, "_fused_fn", _FUSED_UNSET)
-    if cached is not _FUSED_UNSET:
-        return cached
-    if getattr(fn, "moments_fused", False):
-        fn._fused_fn = fn
-        return fn
-    fused = None
-    try:
-        from ..symbolic.tape import fuse_moments, tape_for
-        fused = fuse_moments(tape_for(fn)).build_function()
-    except Exception as exc:
-        logger.info("fused moment tape unavailable (%s); sweeping with "
-                    "per-output evaluation", exc)
-        fused = None
-    fn._fused_fn = fused
-    return fused
-
 
 def _chunk_moments(model, columns: Sequence, n_points: int,
                    stats: RuntimeStats, diag: SweepDiagnostics,
                    offset: int, kernel: str | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the compiled moment program once over a flattened chunk.
+    """Run the fused moment program once over a flattened chunk.
 
-    Returns ``(moments, singular, det)`` where ``singular`` marks points
-    whose symbolic system determinant ``det`` is exactly zero.  In strict
-    mode any such point raises :class:`PartitionError` (the
-    pre-quarantine behavior); in lenient mode those points are
-    quarantined with stage ``"moments"`` and their moment columns are
-    NaN.
-
-    When a fused tape is available the whole slab (moments + det) comes
-    from one pass; its unscaling ladder performs exactly the same IEEE
-    operations as the numpy ladder below, so non-singular columns are
-    bit-identical either way (singular columns are NaN-masked in both).
+    One register-machine pass of the fused (schema-2) tape
+    (:attr:`~repro.partition.composite.CompiledMoments.fused`) emits every
+    moment *and* the determinant.  Returns ``(moments, singular, det)``
+    where ``singular`` marks points whose symbolic system determinant
+    ``det`` is exactly zero.  In strict mode any such point raises
+    :class:`PartitionError` (the pre-quarantine behavior); in lenient
+    mode those points are quarantined with stage ``"moments"`` and their
+    moment columns are NaN.
     """
-    cm = model.compiled_moments
-    fused_fn = _fused_companion(cm)
+    fn = model.compiled_moments.fused
     with stats.stage("evaluate"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            moments = det = None
-            if fused_fn is not None:
-                try:
-                    raw = [np.broadcast_to(np.asarray(v, dtype=float),
-                                           (n_points,))
-                           for v in fused_fn.eval_batch(columns, n_points,
-                                                        kernel=kernel)]
-                except ZeroDivisionError:
-                    # all-scalar (no-grid) chunks evaluate in pure Python,
-                    # where a zero determinant raises instead of yielding
-                    # inf/NaN; the unfused ladder below handles it
-                    raw = None
-                if raw is not None:
-                    det = raw[-1]
-                    moments = np.empty((len(raw) - 1, n_points))
-                    for k in range(len(raw) - 1):
-                        moments[k] = raw[k]
-            if moments is None:
-                raw = [np.broadcast_to(np.asarray(v, dtype=float),
-                                       (n_points,))
-                       for v in cm.fn.eval_batch(columns, n_points,
-                                                 kernel=kernel)]
-                det = raw[-1]
+            try:
+                raw = fn.eval_batch(columns, n_points, kernel=kernel)
+            except ZeroDivisionError:
+                # a batch-invariant zero divisor (an all-scalar chunk at a
+                # singular point) raises in Python-float arithmetic; numpy
+                # scalars carry the same IEEE operations to inf/NaN
+                raw = fn.eval_raw(*(np.float64(c) for c in columns))
+            det = np.broadcast_to(np.asarray(raw[-1], dtype=float),
+                                  (n_points,))
+            moments = np.empty((len(raw) - 1, n_points))
+            for k in range(len(raw) - 1):
+                moments[k] = raw[k]
             singular = det == 0.0
             if singular.any():
                 if diag.strict:
@@ -610,15 +565,6 @@ def _chunk_moments(model, columns: Sequence, n_points: int,
                     diag.quarantine(QuarantinedPoint(
                         index=offset + int(i), stage="moments",
                         error="PartitionError", message=_SINGULAR_MSG))
-            if moments is None:
-                safe_det = np.where(singular, np.nan, det)
-                moments = np.empty((len(raw) - 1, n_points))
-                scale = safe_det.copy()
-                for k in range(len(raw) - 1):
-                    moments[k] = raw[k] / scale
-                    if k < len(raw) - 2:
-                        scale = scale * safe_det
-            elif singular.any():
                 moments[:, singular] = np.nan
     if _faults.ACTIVE is not None:
         _faults.fault_point("sweep.moments", moments=moments, offset=offset)
@@ -843,7 +789,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
 
     Args:
         model: a :class:`~repro.core.compiled_model.CompiledAWEModel` or
-            deserialized :class:`~repro.core.serialize.LoadedModel`.
+            a loaded :class:`~repro.symbolic.tape.TapeModel` (``.tape``
+            artifact or saved-model JSON).
         grids: ``{element_name: 1-D value array}``; output has one axis
             per grid in the given order.
         metric: scalar metric of a reduced-order model.  Metrics listed
@@ -924,7 +871,7 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         if backend_name == "serial":
             workers = 1
         # the native backend evaluates moments through the compiled
-        # (C / numba) tape kernel; shard topology is in-process like
+        # C tape kernel; shard topology is in-process like
         # serial/thread, and eval_batch degrades to the ufunc kernel
         # (with a logged warning) when no native kernel can be built
         kernel_hint = "native" if backend_name == "native" else None

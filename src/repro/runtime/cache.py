@@ -59,12 +59,12 @@ from ..core.awesymbolic import (AWESymbolicResult, CompileSession,
                                 awesymbolic)
 from ..core.compiled_model import CompiledAWEModel
 from ..partition.ports import NumericBlockExpansion
-from ..core.serialize import (FORMAT_VERSION, LoadedModel, model_from_dict,
-                              model_to_dict)
+from ..core.serialize import FORMAT_VERSION, model_from_dict, model_to_dict
 from ..errors import SymbolicError
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import trace as _trace
+from ..symbolic.tape import TapeModel
 from ..testing import faults as _faults
 
 __all__ = [
@@ -475,8 +475,10 @@ class ProgramCache:
                 self._quarantine_file(path, status)
         return report
 
-    def load_model(self, key: str) -> LoadedModel | None:
-        """Circuit-free evaluatable model from the disk layer (None on miss)."""
+    def load_model(self, key: str) -> TapeModel | None:
+        """Circuit-free evaluatable model from the disk layer (None on miss):
+        the saved polynomials compiled once into a
+        :class:`~repro.symbolic.tape.TapeModel`."""
         payload = self.load_disk(key)
         if payload is None:
             return None

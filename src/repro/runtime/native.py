@@ -2,17 +2,14 @@
 
 The ufunc kernel evaluates a moment program as ~300 separate numpy calls
 per chunk; at sweep-sized chunks that is dominated by per-call dispatch,
-not arithmetic.  This module compiles the *op tape* of a program into a
-single native function — one fused loop over the batch — through either
-of two toolchains:
-
-* **numba** ``@njit`` over a generated per-point loop (used when numba
-  is importable; ``fastmath`` stays off so operations remain IEEE);
-* **generated C** built with the system compiler (``cc``/``gcc``/
-  ``clang``) as a shared object and bound via :mod:`ctypes`.  Constants
-  are emitted as C99 hex float literals (exact), and the build forbids
-  FMA contraction (``-ffp-contract=off -fno-fast-math``) so every op is
-  a single correctly-rounded IEEE operation.
+not arithmetic.  This module generates C for one fused loop over the
+batch from a program's *op tape* — the same tape every other evaluator
+of the program is generated from (:mod:`repro.symbolic.tape`) — builds
+it with the system compiler (``cc``/``gcc``/``clang``) as a shared
+object and binds it via :mod:`ctypes`.  Constants are emitted as C99 hex
+float literals (exact), and the build forbids FMA contraction
+(``-ffp-contract=off -fno-fast-math``) so every op is a single
+correctly-rounded IEEE operation.
 
 Only tapes whose ops are pure rational arithmetic (+, *, /, integer
 pow) are eligible — ``sqrt``/``log`` switch to complex arithmetic on
@@ -25,23 +22,21 @@ kernel" (with a logged warning), never as an error.
 
 Kernels are **range-based**: the generated function evaluates the
 half-open slice ``[lo, hi)`` of the batch, which makes multi-threaded
-execution a pure dispatch concern.  The C flavor releases the GIL inside
-``ctypes``, so a chunk-threaded wrapper splits large batches across a
+execution a pure dispatch concern.  ``ctypes`` releases the GIL around
+the call, so a chunk-threaded wrapper splits large batches across a
 persistent thread pool (disjoint output slabs — results are invariant to
-the thread count, still byte-identical to ``eval_raw``); the numba
-flavor compiles a ``prange`` loop under ``parallel=True`` when more than
-one thread is configured.  Batches below ``_THREAD_MIN_POINTS`` stay on
-the calling thread — at that size dispatch overhead exceeds the
-arithmetic.
+the thread count, still byte-identical to ``eval_raw``).  Batches below
+``_THREAD_MIN_POINTS`` stay on the calling thread — at that size
+dispatch overhead exceeds the arithmetic.
 
 Environment knobs:
 
-* ``REPRO_NATIVE`` — ``numba`` / ``c`` force one toolchain, ``off``
-  disables native kernels entirely.
+* ``REPRO_NATIVE`` — ``off`` disables native kernels entirely (any other
+  value is ignored: C is the only flavor).
 * ``REPRO_NATIVE_CACHE`` — directory for compiled ``.so`` artifacts
   (default: a per-user tmp directory).  Objects are content-addressed
   by tape hash + mask + compiler, so warm starts skip the compiler.
-* ``REPRO_NATIVE_THREADS`` — worker threads for the parallel flavor
+* ``REPRO_NATIVE_THREADS`` — worker threads for the threaded kernel
   (default: the machine's CPU count; ``1`` forces serial execution).
   Read at kernel-build time.
 """
@@ -343,120 +338,6 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool]):
 
 
 # ----------------------------------------------------------------------
-# numba path
-# ----------------------------------------------------------------------
-def generate_numba_source(tape: OpTape, mask: Sequence[bool],
-                          fn_name: str = "_tape_kernel",
-                          parallel: bool = False) -> str:
-    """Python source of a per-point loop suitable for ``numba.njit``.
-
-    Signature: ``fn(lo, hi, n, scalars, c0, ..., cK, out)`` evaluating
-    the half-open row range ``[lo, hi)`` of an ``n``-point batch, with
-    ``scalars`` a float64 vector indexed by input position, one array
-    per masked column, and ``out`` a ``(n_outputs, n)`` array filled in
-    place.  With ``parallel=True`` the loop is a ``prange`` for
-    ``numba.njit(parallel=True)`` — iterations are independent and write
-    disjoint columns, so scheduling cannot change the results.
-    """
-    vec = _check_eligible(tape, mask)
-    base = tape.n_inputs + tape.n_consts
-    col_of = {}
-    for pos, m in enumerate(mask):
-        if m:
-            col_of[pos] = len(col_of)
-
-    def ref(r: int, in_loop: bool) -> str:
-        if r < tape.n_inputs:
-            if vec[r]:
-                return f"c{col_of[r]}[i]"
-            return f"scalars[{r}]"
-        if r < base:
-            return f"k{r - tape.n_inputs}"
-        return f"r{r - base}"
-
-    hoisted = [f"    k{j} = {float(c)!r}"
-               for j, c in enumerate(tape.consts)]
-    body: list[str] = []
-    for i, (opc, a, b) in enumerate(tape.ops):
-        opc, a, b = int(opc), int(a), int(b)
-        r = base + i
-        in_loop = vec[r]
-        indent = "    " if not in_loop else "        "
-        ra = ref(a, in_loop)
-        if opc == OP_ADD:
-            text = f"{ra} + {ref(b, in_loop)}"
-        elif opc == OP_MUL:
-            text = f"{ra}*{ref(b, in_loop)}"
-        elif opc == OP_DIV:
-            text = f"{ra} / {ref(b, in_loop)}"
-        else:
-            text = f"{ra}**{b}"
-        (hoisted if not in_loop else body).append(f"{indent}r{i} = {text}")
-    stores = [f"        out[{k}, i] = {ref(o, True)}"
-              for k, o in enumerate(tape.outputs)]
-    cargs = ", ".join(f"c{i}" for i in range(len(col_of)))
-    sep = ", " if cargs else ""
-    loop = "prange" if parallel else "range"
-    return "\n".join([
-        f"def {fn_name}(lo, hi, n, scalars{sep}{cargs}, out):",
-        *hoisted,
-        f"    for i in {loop}(lo, hi):",
-        *body,
-        *stores,
-    ]) + "\n"
-
-
-def _build_numba_kernel(tape: OpTape, mask: Sequence[bool]):
-    try:
-        import numba
-    except ImportError:
-        raise NativeUnavailable("numba is not installed")
-    threads = _native_threads()
-    jitted = None
-    parallel = False
-    source = ""
-    if threads > 1:
-        source = generate_numba_source(tape, mask, parallel=True)
-        namespace: dict = {"prange": numba.prange}
-        exec(compile(source, "<awesymbolic-native-numba>", "exec"), namespace)
-        try:
-            jitted = numba.njit(fastmath=False,
-                                parallel=True)(namespace["_tape_kernel"])
-            parallel = True
-        except Exception:
-            jitted = None  # fall back to the serial jit below
-    if jitted is None:
-        source = generate_numba_source(tape, mask)
-        namespace = {}
-        exec(compile(source, "<awesymbolic-native-numba>", "exec"), namespace)
-        try:
-            jitted = numba.njit(fastmath=False)(namespace["_tape_kernel"])
-        except Exception as exc:
-            raise NativeUnavailable(f"numba.njit failed: {exc}")
-
-    n_inputs = tape.n_inputs
-    n_out = len(tape.outputs)
-
-    def kernel(args, n_points: int):
-        scalars = np.zeros(max(1, n_inputs))
-        cols = []
-        for pos, a in enumerate(args):
-            if mask[pos]:
-                cols.append(np.ascontiguousarray(a, dtype=np.float64))
-            else:
-                scalars[pos] = float(a)
-        out = np.empty((n_out, n_points))
-        jitted(0, n_points, n_points, scalars, *cols, out)
-        return tuple(out)
-
-    kernel.flavor = "numba"
-    kernel.source = source
-    kernel.parallel = parallel
-    kernel.threads = threads if parallel else 1
-    return kernel
-
-
-# ----------------------------------------------------------------------
 # probe + entry points
 # ----------------------------------------------------------------------
 def _probe_args(fn, mask: Sequence[bool]):
@@ -502,30 +383,16 @@ def disabled() -> bool:
     return os.environ.get("REPRO_NATIVE", "").strip().lower() == "off"
 
 
-def build_native_kernel(tape: OpTape, mask: Sequence[bool], *,
-                        flavors: Sequence[str] | None = None):
-    """Build a native kernel for ``tape`` under ``mask`` (no probe).
+def build_native_kernel(tape: OpTape, mask: Sequence[bool]):
+    """Build the C kernel for ``tape`` under ``mask`` (no probe).
 
-    Tries each requested flavor in order; raises
-    :class:`NativeUnavailable` with the last failure when none builds.
+    Raises:
+        NativeUnavailable: ``REPRO_NATIVE=off``, an ineligible tape, no
+            C compiler, or a failed build.
     """
-    mode = os.environ.get("REPRO_NATIVE", "").strip().lower()
-    if mode == "off":
+    if disabled():
         raise NativeUnavailable("disabled via REPRO_NATIVE=off")
-    if flavors is None:
-        if mode in ("numba", "c"):
-            flavors = (mode,)
-        else:
-            flavors = ("numba", "c")
-    last: Exception | None = None
-    for flavor in flavors:
-        builder = (_build_numba_kernel if flavor == "numba"
-                   else _build_c_kernel)
-        try:
-            return builder(tape, mask)
-        except NativeUnavailable as exc:
-            last = exc
-    raise NativeUnavailable(str(last) if last else "no native toolchain")
+    return _build_c_kernel(tape, mask)
 
 
 def native_kernel_for(fn, mask: Sequence[bool]):

@@ -13,8 +13,8 @@ function so pool startup stays cheap.  The contract with
   keyed by the spec's content hash; repeat shards of the same sweep
   (and later sweeps of the same model) hit the warm cache without
   touching the filesystem.  Vector kernels regenerate on demand from
-  the tape itself (``CompiledFunction.kernel_source`` consults
-  ``fn.tape``), so no kernel source travels either;
+  the tape itself (every evaluator is generated from ``fn.tape``), so
+  no kernel source travels either;
 * **small sweeps ship inline**: the parent slices each shard's grid
   columns into the job pickle and the worker returns its values in a
   ``("vals", lo, hi, stats, diag, values)`` marker — a couple of KB

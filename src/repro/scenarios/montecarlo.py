@@ -289,8 +289,8 @@ def monte_carlo(model, distributions: Mapping[str, Distribution],
     """Monte Carlo a metric over sampled element values.
 
     Args:
-        model: compiled model (:class:`CompiledAWEModel` or
-            :class:`LoadedModel`).
+        model: compiled model (:class:`CompiledAWEModel` or a loaded
+            :class:`~repro.symbolic.tape.TapeModel`).
         distributions: ``{element name: Distribution}`` in natural units.
         metric: scalar metric of a reduced-order model (anything the
             batched sweep accepts, including :data:`VECTOR_METRICS`

@@ -178,7 +178,7 @@ def compiled_transient(model, waveform: Waveform | None = None,
 
     Args:
         model: :class:`~repro.core.compiled_model.CompiledAWEModel` or a
-            deserialized :class:`~repro.core.serialize.LoadedModel`.
+            loaded :class:`~repro.symbolic.tape.TapeModel`.
         waveform: input (default: unit step).
         t: explicit time grid; when None, ``n_points`` linear points over
             ``t_stop`` (default: the model's settle-time hint plus the

@@ -17,8 +17,9 @@ surface is:
 * :class:`~repro.symbolic.matrix.PolyMatrix` — small dense symbolic
   matrices with division-free determinant / adjugate / Cramer solve
 * :class:`~repro.symbolic.tape.OpTape` / :class:`~repro.symbolic.tape.TapeModel`
-  — portable, versioned, integrity-hashed op-tape artifacts of compiled
-  programs (save/load, cross-process wire format, native-kernel input)
+  — the op tape every compiled program is generated from, which is also
+  its portable, versioned, integrity-hashed artifact (save/load,
+  cross-process wire format, native-kernel input)
 """
 
 from .symbols import Symbol, SymbolSpace

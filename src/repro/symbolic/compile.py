@@ -3,8 +3,12 @@
 This is the paper's punchline: once the symbolic moments / poles / metrics
 are known, evaluating the model at new symbol values should cost a *reduced
 set of operations* — a straight-line program — rather than a fresh circuit
-analysis.  :func:`compile_exprs` emits one Python assignment per shared DAG
-node (hash-consing already did the CSE) and ``exec``-compiles the result.
+analysis.  :func:`compile_exprs` lowers the post-CSE DAG (hash-consing
+already did the CSE) to an op tape (:mod:`repro.symbolic.tape`) and
+``exec``-compiles the program generated from it.  The op tape is the only
+lowering: the scalar program, the in-place ufunc kernels, the native C
+kernel and the profiler's instrumented program are all generated from the
+tape, so they agree bit for bit by construction.
 
 Generated functions accept positional symbol values aligned with the
 :class:`~repro.symbolic.symbols.SymbolSpace` and are numpy-vectorized: pass
@@ -27,7 +31,7 @@ import numpy as np
 from ..errors import SymbolicError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .cse import topological, use_counts
+from .cse import topological
 from .expr import Expr, ExprBuilder
 from .poly import Poly
 from .rational import Rational
@@ -118,17 +122,6 @@ def _guarded_log():
     return _log
 
 
-#: shared default namespace (kept for compatibility; programs compiled via
-#: :func:`compile_exprs` get their own namespace from `runtime_namespace`)
-_RUNTIME = {
-    "_sqrt": _safe_sqrt,
-    "_log": _safe_log,
-    "_exp": np.exp,
-    "_abs": np.abs,
-    "__builtins__": {},
-}
-
-
 def runtime_namespace() -> dict:
     """Fresh ``exec`` namespace for one compiled program.
 
@@ -146,7 +139,7 @@ def runtime_namespace() -> dict:
 
 
 def vector_namespace() -> dict:
-    """Namespace for the in-place ufunc kernels of `generate_vector_source`."""
+    """Namespace for the in-place ufunc kernels of ``OpTape.kernel_source``."""
     ns = runtime_namespace()
     ns.update({
         "_empty": np.empty,
@@ -163,7 +156,7 @@ def vector_namespace() -> dict:
 #: numpy falls back to for exponents other than 2).  The chain is also
 #: what keeps every evaluation path bit-identical: numpy's SIMD ``pow``
 #: is not bit-compatible with libm ``pow``, so any exponent left as
-#: ``**`` disqualifies the program from the native (C/numba) kernels.
+#: ``**`` disqualifies the program from the native C kernel.
 #: Moment programs stay well inside this bound.
 _POW_UNROLL_MAX = 12
 
@@ -193,69 +186,42 @@ def tree_op_count(roots: Sequence[Expr]) -> int:
     """
     memo: dict[int, int] = {}
     for node in topological(roots):
-        memo[id(node)] = _node_ops(node) + sum(memo[id(c)]
-                                               for c in node.children)
+        total = _node_ops(node)
+        for c in node.children:
+            total += memo[id(c)]
+        memo[id(node)] = total
     return sum(memo[id(r)] for r in roots)
-
-
-def _render_expr(node: Expr, sym_names: Mapping[str, str],
-                 max_len: int = 60) -> str:
-    """Short human-readable rendering of a node (symbolic provenance)."""
-    def go(n: Expr, depth: int) -> str:
-        if n.kind == "const":
-            return f"{n.payload:.4g}" if isinstance(n.payload, float) \
-                else repr(n.payload)
-        if n.kind == "sym":
-            return sym_names.get(n.payload, n.payload)
-        if depth <= 0:
-            return "..."
-        if n.kind == "add":
-            return " + ".join(go(c, depth - 1) for c in n.children)
-        if n.kind == "mul":
-            return "*".join(f"({go(c, depth - 1)})" if c.kind == "add"
-                            else go(c, depth - 1) for c in n.children)
-        if n.kind == "div":
-            a, b = n.children
-            return f"({go(a, depth - 1)})/({go(b, depth - 1)})"
-        if n.kind == "pow":
-            return f"({go(n.children[0], depth - 1)})**{n.payload}"
-        return f"{n.kind}({go(n.children[0], depth - 1)})"
-
-    text = go(node, 3)
-    if len(text) > max_len:
-        text = text[:max_len - 3] + "..."
-    return text
 
 
 class CompiledFunction:
     """A compiled straight-line evaluator for one or more expressions.
 
+    Every compiled function is generated from its op tape: the scalar
+    program here, and on demand the in-place ufunc kernels, the native
+    kernel and the profiler's instrumented program.
+
     Attributes:
         space: symbol space defining the positional argument order.
+        tape: the :class:`~repro.symbolic.tape.OpTape` the program was
+            generated from.
         source: the generated Python source (useful for inspection/tests).
         n_ops: arithmetic operation count of the straight-line program.
         output_names: labels for the outputs, parallel to the return tuple.
-        roots: the expression DAG roots (kept for the op-level profiler).
     """
 
-    def __init__(self, space: SymbolSpace, source: str, fn, n_ops: int,
-                 output_names: tuple[str, ...],
-                 roots: tuple[Expr, ...] = ()) -> None:
+    def __init__(self, space: SymbolSpace, tape, source: str, fn) -> None:
         self.space = space
+        self.tape = tape
         self.source = source
         self._fn = fn
-        self.n_ops = n_ops
-        self.output_names = output_names
-        self.roots = roots
+        self.n_ops = tape.n_ops
+        self.output_names = tape.output_names
         self._instrumented = None
-        # vectorized in-place kernels, keyed by the array-argument mask
-        self._kernels: dict[tuple[bool, ...], object] = {}
-        self._kernel_sources: dict[tuple[bool, ...], tuple[str, int, int]] = {}
-        # portable op-tape twin of this program (set lazily by tape_for,
-        # or at construction when rebuilt from an artifact)
-        self.tape = None
-        # native (C / numba) kernels by mask; masks that failed to build
-        # are remembered so the warning logs once and later batches go
+        # vectorized in-place kernels, keyed by (array-argument mask,
+        # aliasing): 1-point batches run the kernel without aliasing
+        self._kernels: dict[tuple, object] = {}
+        # native (C) kernels by mask; masks that failed to build are
+        # remembered so the warning logs once and later batches go
         # straight to the ufunc kernel
         self._native_kernels: dict[tuple[bool, ...], object] = {}
         self._native_failed: set[tuple[bool, ...]] = set()
@@ -295,16 +261,20 @@ class CompiledFunction:
 
         ``args`` is positional like :meth:`eval_raw`, where each entry is
         either a scalar or a flat float64 column of length ``n_points``.
-        The first call per array-argument pattern generates and caches a
-        liveness-buffered ufunc kernel (:func:`generate_vector_source`);
-        anything the kernel cannot specialize on (complex columns, odd
-        shapes, a function built without DAG roots or tape) falls back to
-        :meth:`eval_raw`, which is always value-identical.
+        The first call per array-argument pattern and batch kind generates
+        and caches a liveness-buffered ufunc kernel from the tape
+        (:meth:`~repro.symbolic.tape.OpTape.kernel_source`): batches of two
+        or more points run the kernel that writes each op into the buffer
+        of an operand dying at it, 1-point batches the one that never
+        aliases (numpy's aliased-output call costs about 2x at n = 1).
+        Anything the kernel cannot specialize on (complex columns, odd
+        shapes, all scalars) falls back to :meth:`eval_raw`, which is
+        always value-identical.
 
-        ``kernel="native"`` requests the compiled (C / numba) evaluator
-        for this batch shape; if it cannot be built — no toolchain, an
-        ineligible program, or a failed bit-identity probe — the batch
-        silently uses the ufunc kernel after logging a warning once.
+        ``kernel="native"`` requests the compiled C evaluator for this
+        batch shape; if it cannot be built — no toolchain, an ineligible
+        program, or a failed bit-identity probe — the batch silently uses
+        the ufunc kernel after logging a warning once.
         """
         mask = tuple(
             isinstance(a, np.ndarray) and a.ndim == 1
@@ -339,65 +309,28 @@ class CompiledFunction:
                         kern = None
                 if kern is not None:
                     return kern(args, n_points)
-        vec = self._kernels.get(mask)
+        key = (mask, n_points > 1)
+        vec = self._kernels.get(key)
         if vec is None:
-            # an installed kernel (e.g. shipped to a worker process) works
-            # without roots; generating a fresh one needs the DAG or tape
-            if not self.roots and self.tape is None:
-                return self._fn(*args)
-            source, _n_ops, _n_buffers = self.kernel_source(mask)
-            vec = self.install_kernel(mask, source)
+            source, _n_ops, _n_buffers = self.tape.kernel_source(
+                mask, alias=key[1])
+            namespace = vector_namespace()
+            exec(compile(source, "<awesymbolic-vector>", "exec"), namespace)
+            vec = self._kernels[key] = namespace["_vector"]
         return vec(*args, _n=n_points)
-
-    def kernel_source(self, mask: tuple[bool, ...]) -> tuple[str, int, int]:
-        """``(source, n_ops, n_buffers)`` for the kernel of ``mask``.
-
-        Cached per mask; this is the text the process backend ships to
-        workers so they exec instead of regenerate.  Functions rebuilt
-        from an op tape (no DAG roots) regenerate the kernel from the
-        tape — same contract, bit-identical values.
-        """
-        cached = self._kernel_sources.get(mask)
-        if cached is None:
-            if self.roots:
-                cached = generate_vector_source(self.space, self.roots, mask)
-            elif self.tape is not None:
-                cached = self.tape.kernel_source(mask)
-            else:
-                raise SymbolicError(
-                    "cannot build a vector kernel without expression roots")
-            self._kernel_sources[mask] = cached
-        return cached
-
-    def install_kernel(self, mask: tuple[bool, ...], source: str):
-        """Exec ``source`` into a fresh vector namespace and cache it."""
-        namespace = vector_namespace()
-        exec(compile(source, "<awesymbolic-vector>", "exec"), namespace)
-        kernel = namespace["_vector"]
-        self._kernels[mask] = kernel
-        return kernel
 
     def instrumented(self):
         """Exploded per-op variant for the profiler (built once, cached).
 
         Returns ``(callable, labels)``: the callable computes the same
-        outputs as :meth:`eval_raw` but with every DAG op as its own
+        outputs as :meth:`eval_raw` with every tape op as its own
         assignment, recording ``time.perf_counter()`` into the ``_rec``
         keyword list after each one; ``labels[i]`` describes op ``i``
         (``{"kind", "expr", "ops"}``).  Consumed by
         :func:`repro.obs.profile.profile_program`.
-
-        Raises:
-            SymbolicError: the function was built without its DAG roots
-            (e.g. reconstructed from serialized source).
         """
         if self._instrumented is None:
-            if not self.roots:
-                raise SymbolicError(
-                    "cannot instrument a compiled function without its "
-                    "expression roots")
-            source, labels = generate_instrumented_source(self.space,
-                                                          self.roots)
+            source, labels = self.tape.instrumented_source()
             namespace = dict(runtime_namespace(), _t=time.perf_counter)
             exec(compile(source, "<awesymbolic-profiled>", "exec"), namespace)
             self._instrumented = (namespace["_profiled"], labels)
@@ -408,409 +341,27 @@ class CompiledFunction:
                 f"{self.n_ops} ops, space={list(self.space.names)})")
 
 
-def _sanitize(name: str) -> str:
-    out = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
-    if not out or not (out[0].isalpha() or out[0] == "_"):
-        out = "v_" + out
-    return out
-
-
-def generate_source(space: SymbolSpace, roots: Sequence[Expr],
-                    fn_name: str = "_compiled") -> tuple[str, int]:
-    """Emit Python source for a function evaluating ``roots``.
-
-    Returns ``(source, n_ops)``.
-    """
-    arg_names = [_sanitize(s.name) for s in space.symbols]
-    if len(set(arg_names)) != len(arg_names):
-        arg_names = [f"x{i}" for i in range(len(space))]
-    sym_to_arg = {s.name: a for s, a in zip(space.symbols, arg_names)}
-
-    order = topological(roots)
-    counts = use_counts(roots, order)
-    code: dict[int, str] = {}
-    lines: list[str] = []
-    temp_idx = 0
-    n_ops = 0
-
-    def ref(node: Expr) -> str:
-        return code[id(node)]
-
-    for node in order:
-        kind = node.kind
-        if kind == "const":
-            value = node.payload
-            code[id(node)] = repr(value)
-            continue
-        if kind == "sym":
-            try:
-                code[id(node)] = sym_to_arg[node.payload]
-            except KeyError:
-                raise SymbolicError(
-                    f"expression references symbol {node.payload!r} "
-                    f"outside the space {space.names}") from None
-            continue
-        if kind == "add":
-            text = " + ".join(ref(c) for c in node.children)
-            n_ops += len(node.children) - 1
-        elif kind == "mul":
-            text = "*".join(f"({ref(c)})" if c.kind == "add" else ref(c)
-                            for c in node.children)
-            n_ops += len(node.children) - 1
-        elif kind == "div":
-            a, b = node.children
-            # the denominator needs parens for any compound expression:
-            # "x / y / z" would re-associate an inline div operand
-            text = (f"({ref(a)})" if a.kind in ("add", "mul") else ref(a)) + \
-                " / " + (f"({ref(b)})" if b.kind in ("add", "mul", "div", "pow")
-                         else ref(b))
-            n_ops += 1
-        elif kind == "pow":
-            base = node.children[0]
-            if _pow_unrolls(node.payload):
-                btext = ref(base)
-                if not btext.isidentifier():
-                    # materialize a compound base once instead of
-                    # re-evaluating it per repetition
-                    btext = f"t{temp_idx}"
-                    temp_idx += 1
-                    lines.append(f"    {btext} = {ref(base)}")
-                    code[id(base)] = btext
-                # parenthesized so inlining into a consumer product keeps
-                # this chain's grouping (a*(b*b*b), not ((a*b)*b)*b)
-                text = "(" + "*".join([btext] * node.payload) + ")"
-                n_ops += node.payload - 1
-            else:
-                # ** is right-associative: a pow base must be
-                # parenthesized too
-                text = (f"({ref(base)})"
-                        if base.kind in ("add", "mul", "div", "pow")
-                        else ref(base)) + f"**{node.payload}"
-                n_ops += 1
-        elif kind in ("sqrt", "exp", "log", "abs"):
-            text = f"_{kind}({ref(node.children[0])})"
-            n_ops += 1
-        else:  # pragma: no cover - builder only produces known kinds
-            raise SymbolicError(f"cannot compile node kind {kind!r}")
-
-        if counts.get(id(node), 0) > 1:
-            name = f"t{temp_idx}"
-            temp_idx += 1
-            lines.append(f"    {name} = {text}")
-            code[id(node)] = name
-        else:
-            code[id(node)] = f"({text})" if kind == "add" else text
-
-    returns = ", ".join(ref(r) for r in roots)
-    body = "\n".join(lines) if lines else "    pass"
-    source = (f"def {fn_name}({', '.join(arg_names)}):\n"
-              f"{body}\n"
-              f"    return ({returns},)\n")
-    return source, n_ops
-
-
-def generate_instrumented_source(space: SymbolSpace, roots: Sequence[Expr],
-                                 fn_name: str = "_profiled",
-                                 ) -> tuple[str, list[dict]]:
-    """Emit the profiler's exploded source: one assignment per DAG op.
-
-    Every non-leaf node becomes its own statement followed by a
-    timestamp write, so adjacent-slot differences attribute wall time to
-    individual program ops.  Returns ``(source, labels)`` with one label
-    dict per op slot: ``{"kind", "expr", "ops"}`` where ``expr`` is the
-    op's symbolic provenance rendered over the symbol names.
-    """
-    import re
-    arg_names = [_sanitize(s.name) for s in space.symbols]
-    if len(set(arg_names)) != len(arg_names) or any(
-            a in ("_rec", "_t") or re.fullmatch(r"p\d+", a)
-            for a in arg_names):
-        arg_names = [f"x{i}" for i in range(len(space))]
-    sym_to_arg = {s.name: a for s, a in zip(space.symbols, arg_names)}
-    sym_display = {s.name: s.name for s in space.symbols}
-
-    code: dict[int, str] = {}
-    labels: list[dict] = []
-    lines: list[str] = ["    _rec[0] = _t()"]
-
-    def ref(node: Expr) -> str:
-        return code[id(node)]
-
-    for node in topological(roots):
-        kind = node.kind
-        if kind == "const":
-            code[id(node)] = repr(node.payload)
-            continue
-        if kind == "sym":
-            try:
-                code[id(node)] = sym_to_arg[node.payload]
-            except KeyError:
-                raise SymbolicError(
-                    f"expression references symbol {node.payload!r} "
-                    f"outside the space {space.names}") from None
-            continue
-        if kind == "add":
-            text = " + ".join(ref(c) for c in node.children)
-        elif kind == "mul":
-            text = "*".join(f"({ref(c)})" for c in node.children)
-        elif kind == "div":
-            a, b = node.children
-            text = f"({ref(a)}) / ({ref(b)})"
-        elif kind == "pow":
-            btext = ref(node.children[0])
-            if _pow_unrolls(node.payload) and btext.isidentifier():
-                # same lowering as generate_source, kept as one op slot
-                # so profile labels still map 1:1 onto DAG nodes
-                text = "*".join([btext] * node.payload)
-            else:
-                text = f"({btext})**{node.payload}"
-        elif kind in ("sqrt", "exp", "log", "abs"):
-            text = f"_{kind}({ref(node.children[0])})"
-        else:  # pragma: no cover - builder only produces known kinds
-            raise SymbolicError(f"cannot compile node kind {kind!r}")
-        name = f"p{len(labels)}"
-        lines.append(f"    {name} = {text}")
-        labels.append({"kind": kind,
-                       "expr": _render_expr(node, sym_display),
-                       "ops": _node_ops(node)})
-        lines.append(f"    _rec[{len(labels)}] = _t()")
-        code[id(node)] = name
-
-    returns = ", ".join(ref(r) for r in roots)
-    source = (f"def {fn_name}({', '.join(arg_names)}, *, _rec):\n"
-              + "\n".join(lines) + "\n"
-              f"    return ({returns},)\n")
-    return source, labels
-
-
-def generate_vector_source(space: SymbolSpace, roots: Sequence[Expr],
-                           array_args: Sequence[bool],
-                           fn_name: str = "_vector",
-                           ) -> tuple[str, int, int]:
-    """Emit an in-place ufunc kernel specialized on an array-argument mask.
-
-    ``array_args[i]`` flags whether positional argument ``i`` arrives as a
-    flat ``(n,)`` float64 column (True) or a scalar (False) — the shape
-    the batched sweep runtime feeds through ``eval_batch``.  Returns
-    ``(source, n_ops, n_buffers)``.
-
-    The kernel computes **bit-identically** to the plain source from
-    :func:`generate_source`: the same pairwise left-associative operation
-    order, expressed as explicit ufunc calls (``_np_add(a, b, out=b3)``)
-    writing into a small pool of liveness-recycled float64 buffers instead
-    of allocating a fresh temporary per op.  A buffer is released the
-    moment its last consumer has executed, so peak live temporaries drop
-    from ~``n_ops`` to the DAG's maximum antichain of live values.
-
-    Two node classes opt out of buffering:
-
-    * **scalar subtrees** (no array argument below them) stay ordinary
-      Python arithmetic, inlined exactly as :func:`generate_source` would;
-    * **complex-capable subtrees** (anything with ``sqrt``/``log`` below
-      it) are evaluated as plain allocating expressions — their dtype is
-      data-dependent, so a preallocated float64 buffer cannot hold them.
-      Moment programs are pure rational arithmetic and buffer fully.
-    """
-    import re
-    arg_names = [_sanitize(s.name) for s in space.symbols]
-    if len(set(arg_names)) != len(arg_names) or any(
-            a == "_n" or re.fullmatch(r"[btv]\d+", a) for a in arg_names):
-        arg_names = [f"x{i}" for i in range(len(space))]
-    sym_to_arg = {s.name: a for s, a in zip(space.symbols, arg_names)}
-    array_args = tuple(bool(b) for b in array_args)
-    if len(array_args) != len(arg_names):
-        raise SymbolicError(
-            f"array mask has {len(array_args)} entries for "
-            f"{len(arg_names)} symbols")
-    array_syms = {s.name for s, b in zip(space.symbols, array_args) if b}
-
-    order = topological(roots)
-    counts = use_counts(roots, order)
-
-    is_vec: dict[int, bool] = {}
-    tainted: dict[int, bool] = {}
-    for node in order:
-        is_vec[id(node)] = ((node.kind == "sym"
-                             and node.payload in array_syms)
-                            or any(is_vec[id(c)] for c in node.children))
-        tainted[id(node)] = (node.kind in ("sqrt", "log")
-                             or any(tainted[id(c)] for c in node.children))
-
-    # liveness: remaining consumer reads per node (+1 per root return,
-    # which never decrements, so output buffers are never recycled)
-    remaining: dict[int, int] = {}
-    for node in order:
-        for c in node.children:
-            remaining[id(c)] = remaining.get(id(c), 0) + 1
-    for r in roots:
-        remaining[id(r)] = remaining.get(id(r), 0) + 1
-
-    code: dict[int, str] = {}
-    buffer_of: dict[int, str] = {}
-    pool: list[str] = []
-    lines: list[str] = []
-    n_buffers = 0
-    temp_idx = 0
-    vtemp_idx = 0
-    n_ops = 0
-
-    def ref(node: Expr) -> str:
-        return code[id(node)]
-
-    def acquire() -> str:
-        nonlocal n_buffers
-        if pool:
-            return pool.pop()
-        name = f"b{n_buffers}"
-        n_buffers += 1
-        return name
-
-    def consume(node: Expr) -> None:
-        """This node's statement has run: release dead child buffers."""
-        for c in node.children:
-            remaining[id(c)] -= 1
-            if remaining[id(c)] == 0:
-                buf = buffer_of.pop(id(c), None)
-                if buf is not None:
-                    pool.append(buf)
-
-    def infix(node: Expr) -> tuple[str, int]:
-        """Plain-arithmetic rendering (scalar and complex-capable nodes),
-        mirroring generate_source's operator emission exactly."""
-        nonlocal temp_idx
-        kind = node.kind
-        if kind == "add":
-            return (" + ".join(ref(c) for c in node.children),
-                    len(node.children) - 1)
-        if kind == "mul":
-            return ("*".join(f"({ref(c)})" if c.kind == "add" else ref(c)
-                             for c in node.children),
-                    len(node.children) - 1)
-        if kind == "div":
-            a, b = node.children
-            return ((f"({ref(a)})" if a.kind in ("add", "mul") else ref(a))
-                    + " / "
-                    + (f"({ref(b)})"
-                       if b.kind in ("add", "mul", "div", "pow")
-                       else ref(b)), 1)
-        if kind == "pow":
-            base = node.children[0]
-            if _pow_unrolls(node.payload):
-                btext = ref(base)
-                if not btext.isidentifier():
-                    btext = f"t{temp_idx}"
-                    temp_idx += 1
-                    lines.append(f"    {btext} = {ref(base)}")
-                    code[id(base)] = btext
-                return ("(" + "*".join([btext] * node.payload) + ")",
-                        node.payload - 1)
-            return ((f"({ref(base)})"
-                     if base.kind in ("add", "mul", "div", "pow")
-                     else ref(base)) + f"**{node.payload}", 1)
-        if kind in ("sqrt", "exp", "log", "abs"):
-            return f"_{kind}({ref(node.children[0])})", 1
-        raise SymbolicError(f"cannot compile node kind {kind!r}")
-
-    for node in order:
-        kind = node.kind
-        if kind == "const":
-            code[id(node)] = repr(node.payload)
-            continue
-        if kind == "sym":
-            try:
-                code[id(node)] = sym_to_arg[node.payload]
-            except KeyError:
-                raise SymbolicError(
-                    f"expression references symbol {node.payload!r} "
-                    f"outside the space {space.names}") from None
-            continue
-
-        if not is_vec[id(node)]:
-            # scalar subtree: plain Python, inlined like generate_source
-            text, ops = infix(node)
-            n_ops += ops
-            if counts.get(id(node), 0) > 1:
-                name = f"t{temp_idx}"
-                temp_idx += 1
-                lines.append(f"    {name} = {text}")
-                code[id(node)] = name
-            else:
-                code[id(node)] = f"({text})" if kind == "add" else text
-            consume(node)
-            continue
-
-        if tainted[id(node)]:
-            # may switch to complex: allocating expression, own statement
-            # (reads of operand buffers must happen at this position for
-            # the liveness bookkeeping to hold)
-            text, ops = infix(node)
-            n_ops += ops
-            name = f"v{vtemp_idx}"
-            vtemp_idx += 1
-            lines.append(f"    {name} = {text}")
-            code[id(node)] = name
-            consume(node)
-            continue
-
-        # vector, dtype-stable: in-place ufuncs into a recycled buffer,
-        # acquired before the children are released so the output never
-        # aliases an operand that later instructions of this node re-read
-        buf = acquire()
-        if kind in ("add", "mul"):
-            uf = "_np_add" if kind == "add" else "_np_mul"
-            refs = [ref(c) for c in node.children]
-            lines.append(f"    {uf}({refs[0]}, {refs[1]}, out={buf})")
-            for r in refs[2:]:
-                lines.append(f"    {uf}({buf}, {r}, out={buf})")
-            n_ops += len(node.children) - 1
-        elif kind == "div":
-            a, b = node.children
-            lines.append(f"    _np_div({ref(a)}, {ref(b)}, out={buf})")
-            n_ops += 1
-        elif kind == "pow":
-            # the base of a vector pow is itself a vector node, so its
-            # ref is always a named statement result
-            btext = ref(node.children[0])
-            if _pow_unrolls(node.payload):
-                lines.append(f"    _np_mul({btext}, {btext}, out={buf})")
-                for _ in range(node.payload - 2):
-                    lines.append(f"    _np_mul({buf}, {btext}, out={buf})")
-                n_ops += node.payload - 1
-            else:
-                lines.append(
-                    f"    _np_pow({btext}, {node.payload}, out={buf})")
-                n_ops += 1
-        elif kind in ("exp", "abs"):
-            lines.append(f"    _{kind}({ref(node.children[0])}, out={buf})")
-            n_ops += 1
-        else:  # pragma: no cover - sqrt/log are always tainted
-            raise SymbolicError(f"cannot compile node kind {kind!r}")
-        buffer_of[id(node)] = buf
-        code[id(node)] = buf
-        consume(node)
-
-    returns = ", ".join(ref(r) for r in roots)
-    alloc = [f"    b{i} = _empty(_n)" for i in range(n_buffers)]
-    body = alloc + (lines if lines else ["    pass"])
-    source = (f"def {fn_name}({', '.join(arg_names)}, *, _n):\n"
-              + "\n".join(body) + "\n"
-              f"    return ({returns},)\n")
-    return source, n_ops, n_buffers
-
-
 def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
                   output_names: Sequence[str] | None = None) -> CompiledFunction:
-    """Compile expression DAG roots into one fast callable returning a tuple."""
+    """Compile expression DAG roots into one fast callable returning a tuple.
+
+    The post-CSE DAG is lowered once, to an op tape
+    (:func:`~repro.symbolic.tape.tape_from_roots`), and the program is
+    generated from that tape.
+    """
+    from .tape import tape_from_roots  # tape builds on this module
+
     roots = list(roots)
     if not roots:
         raise SymbolicError("nothing to compile")
+    names = tuple(output_names) if output_names is not None else tuple(
+        f"out{i}" for i in range(len(roots)))
+    if len(names) != len(roots):
+        raise SymbolicError("output_names length does not match roots")
     with _trace.span("compile.codegen", n_roots=len(roots)) as sp:
-        source, n_ops = generate_source(space, roots)
-        namespace = runtime_namespace()
-        exec(compile(source, "<awesymbolic-compiled>", "exec"), namespace)
-        fn = namespace["_compiled"]
+        fn = tape_from_roots(space, roots, names).build_function(space)
         ops_pre_cse = tree_op_count(roots)
-        sp.set(n_ops=n_ops, ops_pre_cse=ops_pre_cse)
+        sp.set(n_ops=fn.n_ops, ops_pre_cse=ops_pre_cse)
     reg = _metrics.registry()
     reg.counter("repro_compile_programs_total",
                 "straight-line programs compiled").inc()
@@ -818,13 +369,8 @@ def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
               "arithmetic ops of the last program before CSE sharing"
               ).set(ops_pre_cse)
     reg.gauge("repro_compile_ops_post_cse",
-              "arithmetic ops of the last compiled program").set(n_ops)
-    names = tuple(output_names) if output_names is not None else tuple(
-        f"out{i}" for i in range(len(roots)))
-    if len(names) != len(roots):
-        raise SymbolicError("output_names length does not match roots")
-    return CompiledFunction(space, source, fn, n_ops, names,
-                            roots=tuple(roots))
+              "arithmetic ops of the last compiled program").set(fn.n_ops)
+    return fn
 
 
 #: LRU memo of compiled rational programs keyed on exact content (symbol

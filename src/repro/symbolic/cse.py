@@ -3,8 +3,9 @@
 Because :class:`~repro.symbolic.expr.ExprBuilder` interns nodes, identical
 subexpressions are already shared — common-subexpression elimination reduces
 to counting references and emitting a temporary for every node referenced
-more than once.  This module provides the topological ordering and use
-counting that :mod:`repro.symbolic.compile` consumes.
+more than once.  This module provides the topological ordering the op-tape
+lowering (:func:`repro.symbolic.tape.tape_from_roots`) consumes, and the
+use counting behind :func:`shared_nodes`.
 """
 
 from __future__ import annotations

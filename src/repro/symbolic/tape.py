@@ -1,12 +1,8 @@
-"""Portable op-tape artifacts: flat, versioned encodings of compiled programs.
+"""Op tapes: the one lowering of every compiled program.
 
-A compiled straight-line program (:class:`~repro.symbolic.compile.
-CompiledFunction`) exists only as generated Python source plus the
-expression DAG it came from.  That is fine inside one process, but it is
-a poor *artifact*: shipping it to a worker process means re-hashing and
-re-``exec``-ing tens of kilobytes of source per sweep, and persisting it
-means trusting arbitrary source text.  The **op tape** is the portable
-form: a flat register-machine trace of the same program —
+:func:`~repro.symbolic.compile.compile_exprs` lowers the post-CSE
+expression DAG exactly once, to an **op tape** — a flat register-machine
+trace of the program:
 
 * registers ``[0, n_inputs)`` hold the positional symbol values,
 * registers ``[n_inputs, n_inputs + n_consts)`` hold the constant pool,
@@ -15,15 +11,21 @@ form: a flat register-machine trace of the same program —
 every op is a ``(opcode, a, b)`` triple over register indices (``b`` is
 the integer exponent immediate for ``pow``).  N-ary adds/products are
 lowered to left-associative binary chains and small integer powers to
-repeated multiplication — exactly the evaluation order of the generated
-source — so a tape, the source regenerated *from* the tape, the in-place
-ufunc kernel regenerated from the tape, and a native (C / numba) kernel
-compiled from the tape all produce **bit-identical** float64 results.
+repeated multiplication.  Everything that evaluates a program is
+generated from the tape alone: the scalar Python program
+(:meth:`OpTape.program_source`), the in-place ufunc kernels
+(:meth:`OpTape.kernel_source`), the native C kernel
+(:mod:`repro.runtime.native`) and the profiler's instrumented program
+(:meth:`OpTape.instrumented_source`).  Each performs the tape's IEEE
+operations in the tape's grouping, so all of them — and the reference
+interpreter :meth:`OpTape.evaluate` — produce **bit-identical** float64
+results, in this process or any other.
 
-Tapes are versioned (:data:`TAPE_SCHEMA`, rejected on mismatch like
-``CACHE_SCHEMA`` cache entries) and content-addressed: the integrity
-hash is a SHA-256 over the canonical JSON payload, verified on load, so
-a corrupted or tampered artifact is refused rather than executed.
+Tapes are also the portable artifact.  They are versioned
+(:data:`TAPE_SCHEMA`, rejected on mismatch like ``CACHE_SCHEMA`` cache
+entries) and content-addressed: the integrity hash is a SHA-256 over the
+canonical JSON payload, verified on load, so a corrupted or tampered
+artifact is refused rather than executed.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import time
 from typing import Callable, Mapping, Sequence
 
@@ -38,7 +41,7 @@ import numpy as np
 
 from ..errors import ApproximationError, SymbolicError, TapeError
 from .compile import (CompiledFunction, _pow_unrolls, _safe_log, _safe_sqrt,
-                      runtime_namespace, vector_namespace)
+                      runtime_namespace)
 from .cse import topological
 from .expr import Expr
 from .symbols import Symbol, SymbolSpace
@@ -88,12 +91,50 @@ _BINARY = (OP_ADD, OP_MUL, OP_DIV)
 _UNARY = {OP_SQRT: "sqrt", OP_EXP: "exp", OP_LOG: "log", OP_ABS: "abs"}
 _UNARY_KIND = {"sqrt": OP_SQRT, "exp": OP_EXP, "log": OP_LOG, "abs": OP_ABS}
 
-#: opcodes a native (C / numba) kernel may execute: pure rational
+#: opcodes the native C kernel may execute: pure rational
 #: arithmetic.  ``sqrt``/``log`` switch to complex arithmetic on negative
 #: inputs and ``exp`` may route through SIMD implementations that are not
 #: guaranteed bit-identical to libm, so tapes containing them stay on the
 #: ufunc kernel.  Moment programs are rational, so the hot path qualifies.
 NATIVE_OPS = frozenset((OP_ADD, OP_MUL, OP_DIV, OP_POW))
+
+_UFUNC = {OP_ADD: "_np_add", OP_MUL: "_np_mul", OP_DIV: "_np_div"}
+
+#: constants pool by their float64 bit pattern (keeps 0.0 and -0.0 apart)
+_F64 = struct.Struct("=d")
+
+# precedence of a generated Python operand, loosest first: an operand
+# binding looser than its slot needs is parenthesized
+_P_ADD, _P_MUL, _P_NEG, _P_POW, _P_ATOM = range(5)
+
+
+def _infix(opc: int, a: int, b: int, text: list, prec: list,
+           ) -> tuple[str, int]:
+    """Python expression of one op over operand texts, and its precedence.
+
+    Parentheses follow Python's precedence and left associativity, so the
+    expression keeps the tape's binary grouping: ``a + (b + c)`` stays
+    grouped, ``(a*b)*c`` renders as ``a*b*c``, and a negative literal
+    base renders as ``(-2.0)**3``.
+    """
+    if opc == OP_ADD:
+        tb = text[b]
+        if prec[b] <= _P_ADD:
+            tb = f"({tb})"
+        return f"{text[a]} + {tb}", _P_ADD
+    ta = text[a]
+    if opc == OP_MUL or opc == OP_DIV:
+        tb = text[b]
+        if prec[a] < _P_MUL:
+            ta = f"({ta})"
+        if prec[b] <= _P_MUL:
+            tb = f"({tb})"
+        return (f"{ta}*{tb}" if opc == OP_MUL else f"{ta} / {tb}"), _P_MUL
+    if opc == OP_POW:
+        if prec[a] < _P_ATOM:
+            ta = f"({ta})"
+        return f"{ta}**{b}", _P_POW
+    return f"_{_UNARY[opc]}({ta})", _P_ATOM
 
 
 class OpTape:
@@ -150,23 +191,26 @@ class OpTape:
     @property
     def native_eligible(self) -> bool:
         """True when every op is rational arithmetic (see NATIVE_OPS)."""
-        return all(int(op) in NATIVE_OPS for op in self.ops[:, 0])
+        return bool(np.isin(self.ops[:, 0], list(NATIVE_OPS)).all())
 
     def _validate(self) -> None:
         base = self.n_inputs + self.n_consts
         if len(self.output_names) != len(self.outputs):
             raise TapeError("op tape output_names do not match outputs")
-        for i, (opc, a, b) in enumerate(self.ops):
-            opc, a, b = int(opc), int(a), int(b)
-            if opc not in OP_NAMES:
-                raise TapeError(f"op tape has unknown opcode {opc} at {i}")
-            limit = base + i
-            if not 0 <= a < limit:
+        opc, a, b = self.ops.T
+        limit = base + np.arange(len(self.ops))
+        bad_op = ~np.isin(opc, list(OP_NAMES))
+        bad_a = (a < 0) | (a >= limit)
+        bad_b = np.isin(opc, _BINARY) & ((b < 0) | (b >= limit))
+        bad = bad_op | bad_a | bad_b
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_op[i]:
                 raise TapeError(
-                    f"op tape operand {a} at op {i} is out of range")
-            if opc in _BINARY and not 0 <= b < limit:
-                raise TapeError(
-                    f"op tape operand {b} at op {i} is out of range")
+                    f"op tape has unknown opcode {int(opc[i])} at {i}")
+            operand = int(a[i] if bad_a[i] else b[i])
+            raise TapeError(
+                f"op tape operand {operand} at op {i} is out of range")
         for o in self.outputs:
             if not 0 <= o < self.n_registers:
                 raise TapeError(f"op tape output register {o} out of range")
@@ -182,6 +226,30 @@ class OpTape:
                     f"fused op tape declares {n_moments} moments but has "
                     f"{len(self.outputs)} outputs (need moments + det)")
 
+    def _reads(self) -> list[int]:
+        """Per-register read count: operand reads plus output references."""
+        n = self.n_registers
+        binary = np.isin(self.ops[:, 0], _BINARY)
+        reads = (np.bincount(self.ops[:, 1], minlength=n)
+                 + np.bincount(self.ops[binary, 2], minlength=n)
+                 + np.bincount(np.asarray(self.outputs, dtype=np.int64),
+                               minlength=n))
+        return reads.tolist()
+
+    def _triples(self):
+        """The ops as ``(opcode, a, b)`` Python ints, one shared tuple at a
+        time (``ops.tolist()`` would allocate a list per op)."""
+        return zip(*self.ops.T.tolist())
+
+    def _leaves(self) -> tuple[list[str], list[int]]:
+        """Operand texts and precedences of the input and constant
+        registers: ``x0, x1, ...`` and the constants as exact literals."""
+        consts = list(map(repr, self.consts.tolist()))
+        text = [f"x{i}" for i in range(self.n_inputs)] + consts
+        prec = [_P_ATOM] * self.n_inputs + [
+            _P_NEG if c[0] == "-" else _P_ATOM for c in consts]
+        return text, prec
+
     # ------------------------------------------------------------------
     # content addressing
     # ------------------------------------------------------------------
@@ -196,8 +264,8 @@ class OpTape:
         body = {
             "schema": 2 if self.fused is not None else 1,
             "symbols": [[n, v] for n, v in self.symbols],
-            "consts": [float(c) for c in self.consts],
-            "ops": [[int(o), int(a), int(b)] for o, a, b in self.ops],
+            "consts": self.consts.tolist(),
+            "ops": self.ops.tolist(),
             "outputs": list(self.outputs),
             "output_names": list(self.output_names),
             "meta": self.meta,
@@ -240,11 +308,8 @@ class OpTape:
         if len(args) != self.n_inputs:
             raise TapeError(
                 f"op tape expects {self.n_inputs} inputs, got {len(args)}")
-        base = self.n_inputs + self.n_consts
-        regs: list = list(args) + [float(c) for c in self.consts]
-        regs += [None] * self.n_ops
-        for i, (opc, a, b) in enumerate(self.ops):
-            opc, a, b = int(opc), int(a), int(b)
+        regs: list = list(args) + self.consts.tolist()
+        for opc, a, b in self._triples():
             x = regs[a]
             if opc == OP_ADD:
                 v = x + regs[b]
@@ -262,146 +327,116 @@ class OpTape:
                 v = _safe_log(x)
             else:
                 v = np.abs(x)
-            regs[base + i] = v
+            regs.append(v)
         return tuple(regs[o] for o in self.outputs)
 
     # ------------------------------------------------------------------
-    # code regeneration (deterministic: one binary assignment per op)
+    # code generation: every evaluator of a program comes from here
     # ------------------------------------------------------------------
-    def _ref(self, r: int) -> str:
-        if r < self.n_inputs:
-            return f"x{r}"
-        if r < self.n_inputs + self.n_consts:
-            return f"k{r - self.n_inputs}"
-        return f"r{r - self.n_inputs - self.n_consts}"
-
     def program_source(self, fn_name: str = "_compiled") -> str:
-        """Python source evaluating the tape, bit-identical to the original
-        ``generate_source`` output (same binary operation order)."""
-        ref = self._ref
-        lines = [f"    k{j} = {float(c)!r}"
-                 for j, c in enumerate(self.consts)]
-        for i, (opc, a, b) in enumerate(self.ops):
-            opc, a, b = int(opc), int(a), int(b)
-            if opc == OP_ADD:
-                text = f"{ref(a)} + {ref(b)}"
-            elif opc == OP_MUL:
-                text = f"{ref(a)}*{ref(b)}"
-            elif opc == OP_DIV:
-                text = f"{ref(a)} / {ref(b)}"
-            elif opc == OP_POW:
-                text = f"{ref(a)}**{b}"
-            else:
-                text = f"_{_UNARY[opc]}({ref(a)})"
-            lines.append(f"    r{i} = {text}")
+        """Python source evaluating the tape, bit-identical to
+        :meth:`evaluate`.
+
+        A register read exactly once is inlined into its reader and
+        constants are inlined as literals, parenthesized by precedence so
+        every expression keeps the tape's binary grouping; every other
+        register becomes a temporary ``t0, t1, ...``.  The program is
+        therefore as short as the DAG it came from (one statement per
+        shared subexpression) and performs the tape's operations exactly.
+        """
+        reads = self._reads()
+        text, prec = self._leaves()
+        lines: list[str] = []
+        for opc, a, b in self._triples():
+            expr, p = _infix(opc, a, b, text, prec)
+            if reads[len(text)] != 1:
+                name = f"t{len(lines)}"
+                lines.append(f"    {name} = {expr}")
+                expr, p = name, _P_ATOM
+            text.append(expr)
+            prec.append(p)
         args = ", ".join(f"x{i}" for i in range(self.n_inputs))
-        returns = ", ".join(ref(o) for o in self.outputs)
+        returns = ", ".join(text[o] for o in self.outputs)
         body = "\n".join(lines) if lines else "    pass"
         return (f"def {fn_name}({args}):\n{body}\n"
                 f"    return ({returns},)\n")
 
-    def kernel_source(self, mask: Sequence[bool],
+    def kernel_source(self, mask: Sequence[bool], alias: bool = True,
                       fn_name: str = "_vector") -> tuple[str, int, int]:
         """In-place ufunc kernel source specialized on an array-arg mask.
 
-        Same contract as :func:`~repro.symbolic.compile.
-        generate_vector_source` — ``(source, n_ops, n_buffers)`` with
-        liveness-recycled float64 buffers — regenerated from the tape
-        alone, so worker processes need no DAG roots.
+        ``mask[i]`` flags whether input ``i`` arrives as a flat ``(n,)``
+        float64 column (True) or a scalar (False).  Returns ``(source,
+        n_ops, n_buffers)``.
+
+        Each batch-varying, dtype-stable op is one ufunc call writing
+        into a float64 buffer (``_np_add(x0, b1, out=b2)``).  A buffer
+        returns to the pool once the last reader of its register has run;
+        output buffers are never recycled.  With ``alias`` an op writes
+        into the buffer of an operand that dies at that op
+        (``_np_add(b1, x0, out=b1)``), which keeps the fewest buffers
+        live; without it the output buffer is taken before any operand is
+        released, so no call's output aliases an input — the cheaper
+        call for 1-point batches.  Ops with no array input below them
+        stay plain scalar statements, and ops with ``sqrt``/``log``
+        below them are allocating statements (their dtype is
+        data-dependent, so a float64 buffer cannot hold them).  The
+        kernel performs the tape's IEEE operations in the tape's order,
+        bit-identical to :meth:`program_source`.
         """
-        mask = tuple(bool(b) for b in mask)
+        mask = tuple(bool(m) for m in mask)
         if len(mask) != self.n_inputs:
             raise TapeError(
                 f"array mask has {len(mask)} entries for "
                 f"{self.n_inputs} inputs")
         base = self.n_inputs + self.n_consts
-        n_regs = self.n_registers
-        vec = [False] * n_regs
-        taint = [False] * n_regs
-        for i in range(self.n_inputs):
-            vec[i] = mask[i]
-        remaining = [0] * n_regs
-        for o in self.outputs:
-            remaining[o] += 1  # never decremented: outputs stay live
-        for i, (opc, a, b) in enumerate(self.ops):
-            opc, a, b = int(opc), int(a), int(b)
+        remaining = self._reads()
+        vec = list(mask) + [False] * (self.n_consts + self.n_ops)
+        taint = [False] * self.n_registers
+        text, prec = self._leaves()
+        buffer_of: dict[int, str] = {}
+        pool: list[str] = []
+        n_buffers = 0
+        lines: list[str] = []
+        for i, (opc, a, b) in enumerate(self._triples()):
             r = base + i
             operands = (a, b) if opc in _BINARY else (a,)
             vec[r] = any(vec[p] for p in operands)
             taint[r] = (opc in (OP_SQRT, OP_LOG)
                         or any(taint[p] for p in operands))
-            for p in operands:
-                remaining[p] += 1
-
-        ref = self._ref
-        code: dict[int, str] = {}
-
-        def name_of(r: int) -> str:
-            return code.get(r, ref(r))
-
-        buffer_of: dict[int, str] = {}
-        pool: list[str] = []
-        n_buffers = 0
-        lines: list[str] = [f"    k{j} = {float(c)!r}"
-                            for j, c in enumerate(self.consts)]
-
-        def acquire() -> str:
-            nonlocal n_buffers
-            if pool:
-                return pool.pop()
-            nm = f"b{n_buffers}"
-            n_buffers += 1
-            return nm
-
-        def consume(operands) -> None:
+            if not vec[r] or taint[r]:
+                lines.append(f"    r{i} = {_infix(opc, a, b, text, prec)[0]}")
+                text.append(f"r{i}")
+            else:
+                buf = None
+                if alias:
+                    for p in operands:
+                        if p in buffer_of and \
+                                remaining[p] == operands.count(p):
+                            buf = buffer_of.pop(p)
+                            break
+                if buf is None:
+                    if pool:
+                        buf = pool.pop()
+                    else:
+                        buf = f"b{n_buffers}"
+                        n_buffers += 1
+                if opc in _BINARY:
+                    call = f"{_UFUNC[opc]}({text[a]}, {text[b]}, out={buf})"
+                elif opc == OP_POW:
+                    call = f"_np_pow({text[a]}, {b}, out={buf})"
+                else:
+                    call = f"_{_UNARY[opc]}({text[a]}, out={buf})"
+                lines.append(f"    {call}")
+                buffer_of[r] = buf
+                text.append(buf)
+            prec.append(_P_ATOM)
             for p in operands:
                 remaining[p] -= 1
-                if remaining[p] == 0:
-                    buf = buffer_of.pop(p, None)
-                    if buf is not None:
-                        pool.append(buf)
-
-        for i, (opc, a, b) in enumerate(self.ops):
-            opc, a, b = int(opc), int(a), int(b)
-            r = base + i
-            operands = (a, b) if opc in _BINARY else (a,)
-            if not vec[r] or taint[r]:
-                # scalar or complex-capable: plain allocating statement
-                if opc == OP_ADD:
-                    text = f"{name_of(a)} + {name_of(b)}"
-                elif opc == OP_MUL:
-                    text = f"{name_of(a)}*{name_of(b)}"
-                elif opc == OP_DIV:
-                    text = f"{name_of(a)} / {name_of(b)}"
-                elif opc == OP_POW:
-                    text = f"{name_of(a)}**{b}"
-                else:
-                    text = f"_{_UNARY[opc]}({name_of(a)})"
-                lines.append(f"    r{i} = {text}")
-                code[r] = f"r{i}"
-                consume(operands)
-                continue
-            # dtype-stable vector op: in-place ufunc into a recycled buffer
-            buf = acquire()
-            if opc == OP_ADD:
-                lines.append(f"    _np_add({name_of(a)}, {name_of(b)}, "
-                             f"out={buf})")
-            elif opc == OP_MUL:
-                lines.append(f"    _np_mul({name_of(a)}, {name_of(b)}, "
-                             f"out={buf})")
-            elif opc == OP_DIV:
-                lines.append(f"    _np_div({name_of(a)}, {name_of(b)}, "
-                             f"out={buf})")
-            elif opc == OP_POW:
-                lines.append(f"    _np_pow({name_of(a)}, {b}, out={buf})")
-            else:
-                lines.append(f"    _{_UNARY[opc]}({name_of(a)}, out={buf})")
-            buffer_of[r] = buf
-            code[r] = buf
-            consume(operands)
-
+                if remaining[p] == 0 and p in buffer_of:
+                    pool.append(buffer_of.pop(p))
         args = ", ".join(f"x{i}" for i in range(self.n_inputs))
-        returns = ", ".join(name_of(o) for o in self.outputs)
+        returns = ", ".join(text[o] for o in self.outputs)
         alloc = [f"    b{i} = _empty(_n)" for i in range(n_buffers)]
         body = alloc + (lines if lines else ["    pass"])
         source = (f"def {fn_name}({args}, *, _n):\n"
@@ -409,28 +444,90 @@ class OpTape:
                   f"    return ({returns},)\n")
         return source, self.n_ops, n_buffers
 
-    def build_function(self) -> CompiledFunction:
-        """Rebuild an executable :class:`CompiledFunction` from the tape.
+    def instrumented_source(self, fn_name: str = "_profiled",
+                            ) -> tuple[str, list[dict]]:
+        """The op profiler's program: one statement per tape op, each
+        followed by a timestamp write (``_rec[i + 1] = _t()``).
 
-        The function carries ``tape=self`` instead of DAG roots, so its
-        vector (and native) kernels regenerate from the tape on demand.
+        Returns ``(source, labels)`` with one label per op: ``{"kind",
+        "expr", "ops"}``, where ``expr`` is the op's provenance rendered
+        over the symbol names and ``ops`` is 1, so the labels' ops sum to
+        :attr:`n_ops`.
         """
-        space = SymbolSpace([Symbol(n, nominal=v) for n, v in self.symbols])
+        base = self.n_inputs + self.n_consts
+        ops = self.ops.tolist()
+        text, prec = self._leaves()
+        lines = ["    _rec[0] = _t()"]
+        labels: list[dict] = []
+        for i, (opc, a, b) in enumerate(ops):
+            lines.append(f"    r{i} = {_infix(opc, a, b, text, prec)[0]}")
+            lines.append(f"    _rec[{i + 1}] = _t()")
+            text.append(f"r{i}")
+            prec.append(_P_ATOM)
+            labels.append({"kind": OP_NAMES[opc],
+                           "expr": self._provenance(base + i, ops),
+                           "ops": 1})
+        args = "".join(f"x{i}, " for i in range(self.n_inputs))
+        returns = ", ".join(text[o] for o in self.outputs)
+        source = (f"def {fn_name}({args}*, _rec):\n"
+                  + "\n".join(lines) + "\n"
+                  f"    return ({returns},)\n")
+        return source, labels
+
+    def _provenance(self, r: int, ops: list, depth: int = 3,
+                    max_len: int = 60) -> str:
+        """Short rendering of the expression register ``r`` computes.
+
+        A left-associated chain of adds (or products) renders as one
+        n-ary level, as the DAG node it was lowered from."""
+        base = self.n_inputs + self.n_consts
+
+        def kind(p: int) -> int | None:
+            return ops[p - base][0] if p >= base else None
+
+        def go(r: int, depth: int) -> str:
+            if r < self.n_inputs:
+                return self.symbols[r][0]
+            if r < base:
+                return f"{self.consts[r - self.n_inputs]:.4g}"
+            if depth <= 0:
+                return "..."
+            opc, a, b = ops[r - base]
+            if opc in (OP_ADD, OP_MUL):
+                terms = [go(a, depth if kind(a) == opc else depth - 1),
+                         go(b, depth - 1)]
+                if opc == OP_ADD:
+                    return " + ".join(terms)
+                if kind(b) == OP_ADD:
+                    terms[1] = f"({terms[1]})"
+                if kind(a) == OP_ADD:
+                    terms[0] = f"({terms[0]})"
+                return "*".join(terms)
+            if opc == OP_DIV:
+                return f"({go(a, depth - 1)})/({go(b, depth - 1)})"
+            if opc == OP_POW:
+                return f"({go(a, depth - 1)})**{b}"
+            return f"{_UNARY[opc]}({go(a, depth - 1)})"
+
+        text = go(r, depth)
+        if len(text) > max_len:
+            text = text[:max_len - 3] + "..."
+        return text
+
+    def build_function(self, space: SymbolSpace | None = None,
+                       ) -> CompiledFunction:
+        """Exec the tape's program into a :class:`CompiledFunction`.
+
+        ``space`` is the caller's symbol space (the compiler passes its
+        own); by default it is rebuilt from the tape's symbol table.
+        """
+        if space is None:
+            space = SymbolSpace([Symbol(n, nominal=v)
+                                 for n, v in self.symbols])
         source = self.program_source()
         namespace = runtime_namespace()
-        exec(compile(source, "<awesymbolic-tape>", "exec"), namespace)
-        fn = CompiledFunction(space, source, namespace["_compiled"],
-                              self.n_ops, self.output_names)
-        fn.tape = self
-        fn.moments_fused = self.fused is not None
-        return fn
-
-    def build_kernel(self, mask: Sequence[bool]):
-        """Exec the ufunc kernel for ``mask`` (mostly for tests)."""
-        source, _n_ops, _n_buffers = self.kernel_source(mask)
-        namespace = vector_namespace()
-        exec(compile(source, "<awesymbolic-tape-vector>", "exec"), namespace)
-        return namespace["_vector"]
+        exec(compile(source, "<awesymbolic-compiled>", "exec"), namespace)
+        return CompiledFunction(space, self, source, namespace["_compiled"])
 
     def __repr__(self) -> str:
         kind = "fused, " if self.fused is not None else ""
@@ -445,13 +542,13 @@ class OpTape:
 def tape_from_roots(space: SymbolSpace, roots: Sequence[Expr],
                     output_names: Sequence[str] | None = None,
                     meta: dict | None = None) -> OpTape:
-    """Lower expression DAG roots to an op tape.
+    """Lower expression DAG roots to an op tape — the compiler's only
+    lowering of a DAG.
 
-    The lowering mirrors :func:`~repro.symbolic.compile.generate_source`
-    exactly: n-ary ``add``/``mul`` become left-associative binary chains,
-    integer powers 2..4 become repeated multiplication, everything else
-    is one op — so evaluating the tape is bit-identical to evaluating
-    the generated source.
+    N-ary ``add``/``mul`` become left-associative binary chains, integer
+    powers ``2.._POW_UNROLL_MAX`` (12) become repeated multiplication,
+    everything else is one op; constants are pooled by their bit
+    pattern.
     """
     roots = list(roots)
     order = topological(roots)
@@ -460,6 +557,7 @@ def tape_from_roots(space: SymbolSpace, roots: Sequence[Expr],
 
     consts: list[float] = []
     const_slot: dict[bytes, int] = {}
+    reg: dict[int, int] = {}
     for node in order:
         if node.kind == "const":
             value = node.payload
@@ -467,40 +565,41 @@ def tape_from_roots(space: SymbolSpace, roots: Sequence[Expr],
                 raise TapeError(
                     "op tapes encode real-valued programs; got a complex "
                     f"constant {value!r}")
-            key = np.float64(value).tobytes()
-            if key not in const_slot:
-                const_slot[key] = len(consts)
+            key = _F64.pack(value)
+            slot = const_slot.get(key)
+            if slot is None:
+                slot = const_slot[key] = len(consts)
                 consts.append(float(value))
+            reg[id(node)] = n_inputs + slot
 
-    base = n_inputs + len(consts)
-    ops: list[tuple[int, int, int]] = []
-    reg: dict[int, int] = {}
-
-    def emit(opcode: int, a: int, b: int = 0) -> int:
-        ops.append((opcode, a, b))
-        return base + len(ops) - 1
-
+    ops: list[int] = []  # flat (opcode, a, b) triples
+    out = n_inputs + len(consts) - 1  # register of the last op emitted
     for node in order:
         kind = node.kind
         if kind == "const":
-            reg[id(node)] = (n_inputs
-                             + const_slot[np.float64(node.payload).tobytes()])
-        elif kind == "sym":
+            continue
+        if kind == "sym":
             try:
                 reg[id(node)] = sym_pos[node.payload]
             except KeyError:
                 raise SymbolicError(
                     f"expression references symbol {node.payload!r} "
                     f"outside the space {space.names}") from None
-        elif kind in ("add", "mul"):
+            continue
+        if kind in ("add", "mul"):
             opc = OP_ADD if kind == "add" else OP_MUL
-            acc = reg[id(node.children[0])]
-            for child in node.children[1:]:
-                acc = emit(opc, acc, reg[id(child)])
+            children = node.children
+            acc = reg[id(children[0])]
+            for child in children[1:]:
+                ops += (opc, acc, reg[id(child)])
+                out += 1
+                acc = out
             reg[id(node)] = acc
-        elif kind == "div":
+            continue
+        if kind == "div":
             a, b = node.children
-            reg[id(node)] = emit(OP_DIV, reg[id(a)], reg[id(b)])
+            ops += (OP_DIV, reg[id(a)], reg[id(b)])
+            out += 1
         elif kind == "pow":
             exponent = node.payload
             if not isinstance(exponent, int):
@@ -509,17 +608,20 @@ def tape_from_roots(space: SymbolSpace, roots: Sequence[Expr],
                     f"got {exponent!r}")
             b_reg = reg[id(node.children[0])]
             if _pow_unrolls(exponent):
-                acc = emit(OP_MUL, b_reg, b_reg)
+                ops += (OP_MUL, b_reg, b_reg)
+                out += 1
                 for _ in range(exponent - 2):
-                    acc = emit(OP_MUL, acc, b_reg)
-                reg[id(node)] = acc
+                    ops += (OP_MUL, out, b_reg)
+                    out += 1
             else:
-                reg[id(node)] = emit(OP_POW, b_reg, exponent)
+                ops += (OP_POW, b_reg, exponent)
+                out += 1
         elif kind in _UNARY_KIND:
-            reg[id(node)] = emit(_UNARY_KIND[kind],
-                                 reg[id(node.children[0])])
+            ops += (_UNARY_KIND[kind], reg[id(node.children[0])], 0)
+            out += 1
         else:
             raise TapeError(f"cannot encode node kind {kind!r} on an op tape")
+        reg[id(node)] = out
 
     names = (tuple(output_names) if output_names is not None
              else tuple(f"out{i}" for i in range(len(roots))))
@@ -532,20 +634,9 @@ def tape_from_roots(space: SymbolSpace, roots: Sequence[Expr],
 
 
 def tape_for(fn: CompiledFunction) -> OpTape:
-    """The (cached) op tape of a compiled function.
-
-    Functions built by :meth:`OpTape.build_function` already carry their
-    tape; functions compiled from DAG roots get one lowered and memoized
-    on first use — later sweeps reuse it without re-hashing anything.
-    """
-    tape = getattr(fn, "tape", None)
-    if tape is None:
-        if not fn.roots:
-            raise TapeError(
-                "cannot build an op tape without expression roots")
-        tape = tape_from_roots(fn.space, fn.roots, fn.output_names)
-        fn.tape = tape
-    return tape
+    """The op tape of a compiled function (every program carries the
+    tape it was generated from)."""
+    return fn.tape
 
 
 def fuse_moments(tape: OpTape) -> OpTape:
@@ -628,8 +719,8 @@ def tape_from_model(model, title: str | None = None, *,
                     fused: bool = False) -> OpTape:
     """Lower a compiled model's moment program to a *model* tape.
 
-    Accepts an ``AWESymbolicResult``, a ``CompiledAWEModel``, a
-    ``LoadedModel``, or a ``TapeModel``; the result carries everything a
+    Accepts an ``AWESymbolicResult``, a ``CompiledAWEModel`` or a
+    ``TapeModel``; the result carries everything a
     :class:`TapeModel` needs to evaluate and sweep — moment order, Padé
     order, output node, and the element→symbol slot table.
 
@@ -744,16 +835,18 @@ def load_tape(path) -> OpTape:
 # evaluatable model over a tape
 # ----------------------------------------------------------------------
 class TapeModel:
-    """A sweep-ready model rebuilt from a *model* tape.
+    """A sweep-ready, circuit-free model over a *model* tape.
 
-    The tape-borne twin of :class:`~repro.core.serialize.LoadedModel`:
-    exposes ``compiled_moments`` / ``element_slots`` / ``order`` /
+    The evaluate-only model type: ``.tape`` artifacts and saved-model
+    JSON (:func:`~repro.core.serialize.model_from_dict`) both load into
+    it.  It exposes ``compiled_moments`` / ``element_slots`` / ``order`` /
     ``sweep`` so it is a full citizen of the batched runtime and the
-    serving registry, with zero compilation on load — the program is
-    ``exec``'d straight off the tape.
+    serving registry; the program is ``exec``'d straight off the tape,
+    or passed in as ``fn`` when the caller already compiled it.
     """
 
-    def __init__(self, tape: OpTape) -> None:
+    def __init__(self, tape: OpTape,
+                 fn: CompiledFunction | None = None) -> None:
         from ..core.serialize import _TRANSFORMS
         from ..partition.composite import CompiledMoments
 
@@ -768,7 +861,8 @@ class TapeModel:
         self.output = str(meta.get("output", ""))
         self.order = int(meta.get("order", 1))
         t0 = time.perf_counter()
-        fn = tape.build_function()
+        if fn is None:
+            fn = tape.build_function()
         moment_order = int(meta.get("moment_order",
                                     len(tape.outputs) - 2))
         self.compiled_moments = CompiledMoments(fn=fn, order=moment_order)
@@ -808,30 +902,17 @@ class TapeModel:
 
     def moments_at(self, element_values: Mapping[str, float] | None = None,
                    ) -> np.ndarray:
-        """Transfer-function moments at one operating point (scalar path,
-        same numerator/det unscaling as the batched evaluator)."""
+        """Transfer-function moments at one operating point: the fused
+        program's scalar pass, so the same unscaling ladder as the
+        batched evaluator and :meth:`CompiledMoments.scalars`."""
         vec = self._values_vector(element_values)
-        if self.tape.fused is not None:
-            # fused tape: outputs are already m_k = n_k / det^(k+1); a
-            # singular point divides by zero inside the program itself
-            try:
-                raw = self.compiled_moments.fn(vec)
-            except ZeroDivisionError:
-                raise ApproximationError(
-                    "model singular at this point") from None
-            if raw[-1] == 0.0:  # array-semantics inputs: inf/nan, no raise
-                raise ApproximationError("model singular at this point")
-            return np.array(raw[:-1])
-        raw = self.compiled_moments.fn(vec)
-        det = raw[-1]
-        if det == 0.0:
+        try:
+            raw = self.compiled_moments.fused.eval_raw(*vec)
+        except ZeroDivisionError:
+            raise ApproximationError("model singular at this point") from None
+        if raw[-1] == 0.0:  # array-semantics inputs: inf/nan, no raise
             raise ApproximationError("model singular at this point")
-        out = []
-        scale = 1.0
-        for num in raw[:-1]:
-            scale *= det
-            out.append(num / scale)
-        return np.array(out)
+        return np.array(raw[:-1])
 
     def rom(self, element_values: Mapping[str, float] | None = None,
             order: int | None = None, require_stable: bool = True):

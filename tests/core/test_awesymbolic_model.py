@@ -152,3 +152,28 @@ class TestSweep:
                                      lambda rom: rom.dc_gain())
         assert np.isfinite(surface[0])
         assert np.isnan(surface[1])  # C=0 kills the pole: degenerate Padé
+
+
+class TestMomentsAt:
+    @pytest.mark.parametrize("name", ["fig1", "741"])
+    def test_moments_at_equals_scalars_bitwise(self, name):
+        """``moments_at`` unscales with the ``scale *= det`` ladder of
+        ``CompiledMoments.scalars`` (what ``rom()`` uses), so both give
+        the same moments bit for bit."""
+        from repro.circuits.library import fig1_circuit, small_signal_741
+
+        if name == "fig1":
+            result = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"],
+                                 order=2)
+        else:
+            result = awesymbolic(small_signal_741().circuit, "out",
+                                 symbols=["go_Q14", "Ccomp"], order=2)
+        model = result.model
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            values = {se.name: float(se.element.value) * rng.uniform(0.3, 3.0)
+                      for se in result.partition.symbolic}
+            got = np.asarray(model.moments_at(values), dtype=float)
+            want = np.asarray(model.compiled_moments.scalars(
+                model._values_vector(values)), dtype=float)
+            assert got.tobytes() == want.tobytes()

@@ -9,8 +9,8 @@ import pytest
 
 from repro.circuits.library import fig1_circuit
 from repro.core import metrics
-from repro.core.serialize import LoadedModel
 from repro.runtime import ProgramCache, circuit_fingerprint
+from repro.symbolic.tape import TapeModel
 
 
 def build(cache, circuit=None, symbols=("C1", "C2"), order=2, **kw):
@@ -109,7 +109,7 @@ class TestDiskLayer:
         result = build(cache)
         key = cache.key_for(fig1_circuit(), "out", ["C1", "C2"], 2)
         loaded = cache.load_model(key)
-        assert isinstance(loaded, LoadedModel)
+        assert isinstance(loaded, TapeModel)
         np.testing.assert_allclose(loaded.rom({}).poles,
                                    result.rom({}).poles, rtol=1e-9)
 

@@ -11,6 +11,25 @@ from .conftest import points, polys
 SP = SymbolSpace(["x", "y", "z"])
 
 
+class TestQuotientInProduct:
+    def test_quotient_factor_keeps_its_grouping(self):
+        """``x*(a/b)`` must evaluate as written, not as ``(x*a)/b``: the
+        program, its tape and the DAG agree bit for bit."""
+        from repro.symbolic.expr import Expr
+
+        eb = ExprBuilder()
+        x, a, b = eb.sym("x"), eb.sym("y"), eb.sym("z")
+        # built directly so the quotient is the product's second factor
+        root = Expr("mul", None, (x, eb.div(a, b)))
+        fn = compile_exprs(SP, [root])
+        rng = np.random.default_rng(5)
+        for vals in rng.uniform(-10.0, 10.0, (1000, 3)).tolist():
+            (program,) = fn.eval_raw(*vals)
+            (tape,) = fn.tape.evaluate(vals)
+            dag = root.evaluate(dict(zip(("x", "y", "z"), vals)))
+            assert program.hex() == tape.hex() == dag.hex()
+
+
 class TestCompileExprs:
     def test_simple(self):
         eb = ExprBuilder()

@@ -1,9 +1,9 @@
-"""Direct tests for the CSE traversal utilities and source generation."""
+"""Direct tests for the CSE traversal utilities and the generated source."""
 
 import pytest
 
 from repro.symbolic import ExprBuilder, SymbolSpace
-from repro.symbolic.compile import generate_source
+from repro.symbolic.compile import compile_exprs
 from repro.symbolic.cse import shared_nodes, topological, use_counts
 
 SP = SymbolSpace(["x", "y"])
@@ -52,28 +52,30 @@ class TestTraversal:
 
 
 class TestGenerateSource:
+    """The scalar program generated from the tape: one statement per
+    shared subexpression, everything read once inlined."""
+
     def test_shared_node_becomes_temp(self, dag):
         _, shared, root1, root2 = dag
-        source, n_ops = generate_source(SP, [root1, root2])
+        source = compile_exprs(SP, [root1, root2]).source
         assert "t0 =" in source
         # computed once (operand order depends on the process hash seed)
-        assert source.count("x*y") + source.count("y*x") == 1
+        assert source.count("x0*x1") + source.count("x1*x0") == 1
 
     def test_single_use_inlined(self):
         eb = ExprBuilder()
         e = eb.add(eb.mul(eb.sym("x"), eb.sym("y")), eb.const(2.0))
-        source, _ = generate_source(SP, [e])
+        source = compile_exprs(SP, [e]).source
         assert "t0" not in source
 
     def test_op_count(self):
         eb = ExprBuilder()
         e = eb.add(eb.mul(eb.sym("x"), eb.sym("y")), eb.const(2.0))
-        _, n_ops = generate_source(SP, [e])
-        assert n_ops == 2  # one mul, one add
+        assert compile_exprs(SP, [e]).n_ops == 2  # one mul, one add
 
     def test_source_compiles_and_runs(self, dag):
         _, _, root1, root2 = dag
-        source, _ = generate_source(SP, [root1, root2])
+        source = compile_exprs(SP, [root1, root2]).source
         ns = {"__builtins__": {}}
         exec(source, ns)
         a, b = ns["_compiled"](3.0, 4.0)

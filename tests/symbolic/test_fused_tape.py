@@ -151,17 +151,33 @@ class TestBitIdentity:
         assert_array_equal(want.poles, got.poles)
         assert_array_equal(want.residues, got.residues)
 
-    def test_sweep_fused_equals_unfused_path(self, fig1_result):
-        fn = fig1_result.model.compiled_moments.fn
-        grids = {"C1": np.linspace(0.5e-12, 5e-12, 9),
-                 "C2": np.linspace(0.1e-12, 3e-12, 8)}
-        fused = fig1_result.model.sweep(grids, metrics.phase_margin)
-        fn._fused_fn = None  # force the legacy per-output + ladder path
-        try:
-            unfused = fig1_result.model.sweep(grids, metrics.phase_margin)
-        finally:
-            del fn._fused_fn
-        assert_array_equal(np.asarray(fused), np.asarray(unfused))
+
+class TestAllScalarChunk:
+    """``sweep({})`` evaluates the fused program on Python floats, where
+    a singular point raises; the sweep still quarantines it."""
+
+    @pytest.fixture(scope="class")
+    def singular_model(self):
+        res = awesymbolic(fig1_circuit(), "out", symbols=["G2", "C2"],
+                          order=2)
+        tape = tape_from_model(res)
+        # G2 = 0 floats the output node at DC: det(Y0) == 0 exactly
+        symbols = [(n, 0.0 if n == "G2" else v) for n, v in tape.symbols]
+        return TapeModel(OpTape(symbols, tape.consts, tape.ops, tape.outputs,
+                                tape.output_names, meta=tape.meta))
+
+    def test_singular_point_quarantined(self, singular_model):
+        z = singular_model.sweep({}, metrics.dominant_pole_hz)
+        assert np.isnan(z)
+        [point] = z.diagnostics.quarantined
+        assert point.stage == "moments"
+        assert point.error == "PartitionError"
+
+    def test_strict_raises(self, singular_model):
+        from repro.errors import PartitionError
+
+        with pytest.raises(PartitionError):
+            singular_model.sweep({}, metrics.dominant_pole_hz, strict=True)
 
 
 # ----------------------------------------------------------------------
@@ -222,10 +238,9 @@ def test_fused_bit_identical_to_per_output_program(tape, seed, n_points):
         except ZeroDivisionError:
             # A constant-only subgraph divides by an exact scalar zero,
             # so the ladder runs in pure Python and raises instead of
-            # producing inf/NaN.  The production sweep (_chunk_moments)
-            # catches exactly this and falls back to the per-output
-            # program + numpy ladder, so the fused program never has to
-            # produce values here.
+            # producing inf/NaN.  Moment programs hold no such subgraph
+            # (the expression builder folds constant arithmetic), so the
+            # fused program never has to produce values here.
             return
         # the fused program contains every unfused op, so it can only
         # raise in strictly more cases than the per-output program

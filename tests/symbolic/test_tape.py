@@ -19,7 +19,7 @@ from numpy.testing import assert_array_equal
 from repro import awesymbolic
 from repro.circuits.library import fig1_circuit
 from repro.core import metrics
-from repro.errors import SymbolicError, TapeError
+from repro.errors import TapeError
 from repro.symbolic.tape import (TAPE_SCHEMA, OpTape, TapeModel, load_tape,
                                  tape_for, tape_from_json, tape_from_model)
 
@@ -106,6 +106,26 @@ class TestRoundTrip:
         assert tape_for(fn) is tape_for(fn)
 
 
+class TestProfile:
+    def test_profile_program_loaded_from_tape(self, fig1_tape, tmp_path):
+        """The op profiler runs on a program rebuilt from a ``.tape``
+        artifact: one entry per tape op, provenance over the symbols."""
+        from repro.obs.profile import profile_program
+        from repro.runtime.batched import grid_columns
+
+        path = tmp_path / "fig1.tape"
+        fig1_tape.save(path)
+        model = TapeModel(load_tape(path))
+        fn = model.compiled_moments.fn
+        _, _, cols = grid_columns(model, {
+            "C1": np.linspace(0.5e-12, 5e-12, 16),
+            "C2": np.linspace(0.1e-12, 3e-12, 16)})
+        prof = profile_program(fn, cols, repeats=2)
+        assert sum(e.ops for e in prof.entries) == fn.n_ops == fig1_tape.n_ops
+        exprs = " ".join(e.expr for e in prof.entries)
+        assert "C1" in exprs and "C2" in exprs
+
+
 class TestRejection:
     def test_wrong_schema_version(self, fig1_tape):
         payload = json.loads(fig1_tape.to_json())
@@ -157,12 +177,3 @@ class TestRejection:
                           bare.outputs, bare.output_names)
         with pytest.raises(TapeError, match="model artifact"):
             TapeModel(stripped)
-
-    def test_unknown_backendless_fn_has_no_tape(self):
-        from repro.symbolic import Symbol, SymbolSpace
-        from repro.symbolic.compile import CompiledFunction
-
-        space = SymbolSpace([Symbol("x")])
-        fn = CompiledFunction(space, "", lambda x: (x,), 0, ("y",))
-        with pytest.raises(SymbolicError):
-            tape_for(fn)

@@ -1,10 +1,10 @@
 """The in-place vector kernel: bit-identity, buffer reuse, pow lowering.
 
-`generate_vector_source` re-expresses the straight-line program as
-explicit ufunc calls writing into a liveness-recycled buffer pool.  The
-contract is strict: for any array-argument pattern the kernel computes
-**bit-identically** to `eval_raw` (same pairwise operation order), while
-allocating far fewer temporaries than one-fresh-array-per-op.
+`OpTape.kernel_source` re-expresses the program's op tape as explicit
+ufunc calls writing into a liveness-recycled buffer pool.  The contract
+is strict: for any array-argument pattern and batch size the kernel
+computes **bit-identically** to `eval_raw` (same pairwise operation
+order), while allocating far fewer temporaries than one-fresh-array-per-op.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from numpy.testing import assert_array_equal
 
 from repro.symbolic.compile import (_POW_UNROLL_MAX, _safe_log, _safe_sqrt,
                                     compile_exprs, compile_rationals,
-                                    generate_source, generate_vector_source,
                                     runtime_namespace)
 from repro.symbolic.expr import ExprBuilder
 from repro.symbolic.poly import Poly
@@ -129,37 +128,37 @@ class TestCodegen:
     def test_pow_lowered_to_multiplication(self, space2):
         b = ExprBuilder()
         x = b.sym("x")
-        source, n_ops = generate_source(space2, [b.pow(x, 3)])
-        assert "**" not in source
-        assert "x*x*x" in source
-        assert n_ops == 2
+        fn = compile_exprs(space2, [b.pow(x, 3)])
+        assert "**" not in fn.source
+        assert "x0*x0*x0" in fn.source
+        assert fn.n_ops == 2
 
     def test_large_pow_stays_pow(self, space2):
         b = ExprBuilder()
         x = b.sym("x")
-        source, n_ops = generate_source(
-            space2, [b.pow(x, _POW_UNROLL_MAX + 1)])
-        assert f"**{_POW_UNROLL_MAX + 1}" in source
-        assert n_ops == 1
+        fn = compile_exprs(space2, [b.pow(x, _POW_UNROLL_MAX + 1)])
+        assert f"**{_POW_UNROLL_MAX + 1}" in fn.source
+        assert fn.n_ops == 1
 
     def test_lowered_pow_chain_is_parenthesized(self, space2):
         """Inlining x*x*x into a consumer product must keep its grouping."""
         b = ExprBuilder()
         x, y = b.sym("x"), b.sym("y")
-        source, _ = generate_source(space2, [b.mul(y, b.pow(x, 3))])
-        assert "(x*x*x)" in source
+        source = compile_exprs(space2, [b.mul(y, b.pow(x, 3))]).source
+        # the chain is the product's right factor (parenthesized) or its
+        # left one (which left association already groups)
+        assert "x1*(x0*x0*x0)" in source or "x0*x0*x0*x1" in source
 
     def test_kernel_emits_inplace_ufuncs(self, space2):
-        source, n_ops, n_buffers = generate_vector_source(
-            space2, build_rational_like(space2), (True, True))
+        tape = compile_exprs(space2, build_rational_like(space2)).tape
+        source, n_ops, n_buffers = tape.kernel_source((True, True))
         assert "out=b" in source
         assert "_empty(_n)" in source
         assert "**" not in source  # every pow in this DAG unrolls
 
     def test_buffer_pool_smaller_than_op_count(self, space2):
-        roots = build_rational_like(space2)
-        source, n_ops, n_buffers = generate_vector_source(
-            space2, roots, (True, True))
+        tape = compile_exprs(space2, build_rational_like(space2)).tape
+        source, n_ops, n_buffers = tape.kernel_source((True, True))
         # liveness recycling: far fewer buffers than one-per-op
         assert 0 < n_buffers < n_ops
 
@@ -170,7 +169,7 @@ class TestCodegen:
         res = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"],
                           order=2)
         fn = res.model.compiled_moments.fn
-        source, n_ops, n_buffers = fn.kernel_source((True, True))
+        source, n_ops, n_buffers = fn.tape.kernel_source((True, True))
         assert n_buffers < n_ops / 2
 
     def test_scalar_subtrees_stay_scalar(self, space2):
@@ -179,8 +178,8 @@ class TestCodegen:
         x, y = b.sym("x"), b.sym("y")
         scalar_part = b.mul(b.add(y, b.const(2.0)), y)
         root = b.mul(x, scalar_part)
-        source, _, n_buffers = generate_vector_source(
-            space2, [root], (True, False))
+        tape = compile_exprs(space2, [root]).tape
+        source, _, n_buffers = tape.kernel_source((True, False))
         assert n_buffers == 1
 
     def test_sqrt_subtree_not_buffered(self, space2):
@@ -188,15 +187,35 @@ class TestCodegen:
         b = ExprBuilder()
         x, y = b.sym("x"), b.sym("y")
         root = b.mul(b.sqrt(x), y)
-        source, _, _ = generate_vector_source(space2, [root], (True, True))
-        assert "v0 = _sqrt(x)" in source
-        assert "_sqrt(x, out=" not in source
+        tape = compile_exprs(space2, [root]).tape
+        source, _, _ = tape.kernel_source((True, True))
+        assert "r0 = _sqrt(x0)" in source
+        assert "_sqrt(x0, out=" not in source
 
     def test_bad_mask_length_rejected(self, space2):
         from repro.errors import SymbolicError
         b = ExprBuilder()
+        tape = compile_exprs(space2, [b.sym("x")]).tape
         with pytest.raises(SymbolicError, match="mask"):
-            generate_vector_source(space2, [b.sym("x")], (True,))
+            tape.kernel_source((True,))
+
+    def test_aliasing_writes_into_dying_operand(self, space2):
+        """Only the aliasing kernel writes an op into an operand's
+        buffer; the 1-point kernel never aliases output and input."""
+        tape = compile_exprs(space2, build_rational_like(space2)).tape
+
+        def aliased(source):
+            lines = [ln.strip() for ln in source.splitlines()]
+            return [ln for ln in lines if ln.startswith("_np_")
+                    and ln.split("out=")[1].rstrip(")") in
+                    ln[ln.index("(") + 1:ln.index("out=")].split(", ")]
+
+        alias_src, _, alias_bufs = tape.kernel_source((True, True))
+        plain_src, _, plain_bufs = tape.kernel_source((True, True),
+                                                      alias=False)
+        assert aliased(alias_src)
+        assert not aliased(plain_src)
+        assert alias_bufs <= plain_bufs
 
     def test_instrumented_matches_lowered_ops(self, space2):
         """The profiler's op labels still map 1:1 onto DAG nodes."""
@@ -207,6 +226,49 @@ class TestCodegen:
             rec = [0.0] * (len(labels) + 1)
             out = profiled(1.5, 2.5, _rec=rec)
             assert out == fn.eval_raw(1.5, 2.5)
+
+
+@pytest.fixture(scope="module")
+def moment_programs():
+    from repro import awesymbolic
+    from repro.circuits.library import fig1_circuit, small_signal_741
+    fig1 = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"], order=2)
+    amp = awesymbolic(small_signal_741().circuit, "out",
+                      symbols=["go_Q14", "Ccomp"], order=2)
+    return {"fig1": fig1.model.compiled_moments,
+            "741": amp.model.compiled_moments}
+
+
+class TestKernelBySize:
+    """The kernel is chosen by batch size — aliasing from 2 points up,
+    non-aliasing at 1 — and either one equals ``eval_raw`` bit for bit."""
+
+    @pytest.mark.parametrize("name", ["fig1", "741"])
+    @pytest.mark.parametrize("n", [1, 2, 4096])
+    @pytest.mark.parametrize("columns", ["all", "mixed"])
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_ufunc_kernel_equals_eval_raw(self, moment_programs, name, n,
+                                          columns, fused):
+        cm = moment_programs[name]
+        # a fresh function from the tape: no kernel cached yet
+        fn = (cm.fused if fused else cm.fn).tape.build_function()
+        rng = np.random.default_rng(n)
+        args = []
+        for pos, sym in enumerate(fn.space.symbols):
+            scale = float(sym.nominal) * rng.uniform(0.3, 3.0, n)
+            args.append(scale if columns == "all" or pos == 0
+                        else float(sym.nominal) * 1.3)
+        mask = tuple(isinstance(a, np.ndarray) for a in args)
+        with np.errstate(all="ignore"):
+            want = fn.eval_raw(*args)
+            got = fn.eval_batch(args, n)
+        assert len(want) == len(got)
+        for w, g in zip(want, got):
+            w = np.broadcast_to(np.asarray(w, dtype=np.float64), (n,))
+            g = np.broadcast_to(np.asarray(g, dtype=np.float64), (n,))
+            assert w.tobytes() == g.tobytes()
+        # a 1-point batch never runs the aliasing kernel
+        assert list(fn._kernels) == [(mask, n > 1)]
 
 
 class TestAllocations:
@@ -228,7 +290,7 @@ class TestAllocations:
         c2 = np.linspace(0.1e-12, 3e-12, n)
         cols = [c1 if s.name == "C1" else c2 if s.name == "C2"
                 else float(s.nominal) for s in fn.space.symbols]
-        _, n_ops, n_buffers = fn.kernel_source((True, True))
+        _, n_ops, n_buffers = fn.tape.kernel_source((True, True))
         assert n_buffers < n_ops / 2
         fn.eval_batch(cols, n)  # build + install the kernel up front
 
@@ -246,9 +308,9 @@ class TestAllocations:
         xs = np.linspace(0.1, 1.0, 16)
         with np.errstate(all="ignore"):
             fn.eval_batch([xs, 2.0], 16)
-            kernel = fn._kernels[(True, False)]
+            kernel = fn._kernels[((True, False), True)]
             fn.eval_batch([xs, 3.0], 16)
-        assert fn._kernels[(True, False)] is kernel
+        assert fn._kernels[((True, False), True)] is kernel
         assert len(fn._kernels) == 1
 
 

@@ -148,6 +148,44 @@ class TestCompileTape:
         assert "corrupt" in capsys.readouterr().err
 
 
+class TestProfile:
+    """``profile`` reads saved-model JSON and ``.tape`` artifacts alike,
+    telling them apart by content."""
+
+    @pytest.fixture
+    def inputs(self, linear_netlist, tmp_path, capsys):
+        saved = tmp_path / "model.json"
+        tape = tmp_path / "lowpass.tape"
+        main(["analyze", str(linear_netlist), "-o", "out",
+              "--symbols", "C1", "--order", "1", "--save", str(saved)])
+        main(["compile", str(linear_netlist), "-o", "out",
+              "--symbols", "C1", "--order", "1", "--emit-tape", str(tape)])
+        capsys.readouterr()
+        return {"json": saved, "tape": tape}
+
+    @pytest.mark.parametrize("kind", ["json", "tape"])
+    def test_profile_each_input_kind(self, inputs, kind, tmp_path, capsys):
+        import json
+
+        report = tmp_path / f"profile-{kind}.json"
+        rc = main(["profile", str(inputs[kind]), "--sweep", "C1=0.5n:2n:64",
+                   "--top", "3", "--json", str(report)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "op profile:" in out and "64 points/batch" in out
+        payload = json.loads(report.read_text())
+        assert payload["n_points"] == 64
+        assert payload["n_entries"] > 0
+        assert any("C1" in e["expr"] for e in payload["entries"])
+
+    def test_profile_rejects_unknown_json(self, tmp_path, capsys):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("{}")
+        rc = main(["profile", str(bogus), "--sweep", "C1=0.5n:2n:4"])
+        assert rc == 1
+        assert "saved-model format" in capsys.readouterr().err
+
+
 class TestMisc:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
