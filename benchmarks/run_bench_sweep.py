@@ -8,7 +8,9 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    batched sharded runtime, collecting :class:`RuntimeStats`, and time a
    serial 512x512 sweep of the same surface — 64 chunks of the sweep's
    chunked streaming, where the 64x64 grid is a single chunk, so only
-   this figure sees cache effects;
+   this figure sees cache effects — and a serial 128x128 ``phase_margin``
+   sweep (Fig. 7's surface), whose metric stage is the gain-crossing
+   root solve;
 3. time the same sweep once per execution backend (serial / thread /
    process / native), after an unmeasured warm-up pass so pool spawn,
    the per-worker program cache, and the native kernel build are
@@ -20,8 +22,8 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    kernel-level figures are recorded separately;
 5. op-profile the compiled moment program over the same grid batch;
 6. write ``BENCH_sweep.json`` — points/sec overall, per backend and on
-   the 512x512 grid (each with a per-stage breakdown), and per kernel,
-   compile and evaluate seconds, the top-3 hot ops with symbolic
+   the 512x512 and margin grids (each with a per-stage breakdown), and
+   per kernel, compile and evaluate seconds, the top-3 hot ops with symbolic
    provenance, and the full stats/metrics snapshots — and, with
    ``--trace``, a Chrome/Perfetto trace of the whole run.
 
@@ -47,7 +49,7 @@ import numpy as np
 
 from repro import awesymbolic
 from repro.circuits.library import small_signal_741
-from repro.core.metrics import dominant_pole_hz
+from repro.core.metrics import dominant_pole_hz, phase_margin
 from repro.obs import export as obs_export
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -57,6 +59,7 @@ from repro.runtime.batched import grid_columns
 
 GRID_N = 64
 LARGE_GRID_N = 512
+MARGIN_GRID_N = 128
 SHARDS = 8
 BACKENDS = ("serial", "thread", "process", "native")
 STAGES = (("columns", "columns_seconds"), ("moments", "evaluate_seconds"),
@@ -128,19 +131,20 @@ def bench_backends(model, grids, reference, shards: int,
     return out
 
 
-def bench_large_grid(model, grids, repeats: int = 3) -> dict:
-    """Serial sweep of a grid of many chunks (best of ``repeats``).
+def bench_serial_grid(model, grids, metric=dominant_pole_hz,
+                      repeats: int = 3) -> dict:
+    """Serial sweep of a grid of several chunks (best of ``repeats``).
 
     The 64x64 workload is exactly one chunk, so the per-backend figures
-    cannot see whether chunks stay cache-resident; on this grid, sweeping
-    without chunks would stream the whole-grid working set through
-    L3/DRAM.
+    cannot see whether chunks stay cache-resident; on the 512x512 grid,
+    sweeping without chunks would stream the whole-grid working set
+    through L3/DRAM.
     """
-    model.sweep(grids, dominant_pole_hz, backend="serial")  # warm-up
+    model.sweep(grids, metric, backend="serial")  # warm-up
     stats = None
     for _ in range(repeats):
         trial = RuntimeStats()
-        model.sweep(grids, dominant_pole_hz, backend="serial", stats=trial)
+        model.sweep(grids, metric, backend="serial", stats=trial)
         if stats is None or trial.points_per_second > stats.points_per_second:
             stats = trial
     return {
@@ -238,10 +242,13 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
     finite = int(np.isfinite(np.asarray(z)).sum())
 
     backends = bench_backends(model, grids, z, shards)
-    large = bench_large_grid(model, surface_grids(go_nom, LARGE_GRID_N))
+    large = bench_serial_grid(model, surface_grids(go_nom, LARGE_GRID_N))
+    margin = bench_serial_grid(model, surface_grids(go_nom, MARGIN_GRID_N),
+                               metric=phase_margin)
     kernels = bench_kernels(model, grids)
     throughputs = {
         f"grid{LARGE_GRID_N}:serial": large["points_per_second"],
+        f"margin{MARGIN_GRID_N}:serial": margin["points_per_second"],
         "kernel:ufunc": kernels["ufunc"]["points_per_second"],
     }
     if kernels["native"].get("available"):
@@ -264,6 +271,9 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
         "backends": backends,
         "large_grid": {"grid": {"go_Q14": LARGE_GRID_N,
                                 "Ccomp": LARGE_GRID_N}, **large},
+        "margin_grid": {"metric": "phase_margin",
+                        "grid": {"go_Q14": MARGIN_GRID_N,
+                                 "Ccomp": MARGIN_GRID_N}, **margin},
         "kernels": kernels,
         "throughputs": throughputs,
         "n_ops": model.n_ops,
@@ -319,10 +329,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, b in payload["backends"].items():
         print(f"  backend {name:<8} {b['points_per_second']:>12.0f} points/s"
               f"  ({b['workers']} workers)  {stage_text(b['stages'])}")
-    large = payload["large_grid"]
-    print(f"  grid {large['grid']['go_Q14']}^2 serial "
-          f"{large['points_per_second']:>10.0f} points/s"
-          f"  {stage_text(large['stages'])}")
+    for key, label in (("large_grid", "grid"), ("margin_grid", "margin")):
+        entry = payload[key]
+        print(f"  {label} {entry['grid']['go_Q14']}^2 serial "
+              f"{entry['points_per_second']:>10.0f} points/s"
+              f"  {stage_text(entry['stages'])}")
     kernels = payload["kernels"]
     print(f"  kernel  ufunc    "
           f"{kernels['ufunc']['points_per_second']:>12.0f} points/s")

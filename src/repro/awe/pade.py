@@ -13,6 +13,8 @@ residues follow from the pole-moment Vandermonde relation
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ApproximationError
@@ -157,7 +159,7 @@ def fast_poles_residues(moments, order: int):
         raise ApproximationError("degenerate second-order denominator",
                                  moment_scale=a, order=2)
     disc = b1 * b1 - 4.0 * b2
-    root = disc ** 0.5 if disc >= 0.0 else complex(0.0, (-disc) ** 0.5)
+    root = math.sqrt(disc) if disc >= 0.0 else complex(0.0, math.sqrt(-disc))
     # numerically stable quadratic roots of b2 s^2 + b1 s + 1:
     # q = -(b1 + sign(b1) root)/2; roots are q/b2 and 1/q (product = 1/b2)
     if isinstance(root, complex) or b1 == 0.0:

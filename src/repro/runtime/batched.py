@@ -24,7 +24,7 @@ gap.  A batched sweep:
    the fast Padé is unstable — the fallback is
    :func:`repro.awe.stability.rom_from_moments`, the exact per-point
    path.  Orders 1-2 are bit-identical to the legacy sweep
-   (``tests/runtime/test_differential.py`` enforces this); order > 2
+   (``tests/core/test_crossing.py`` enforces this); order > 2
    batched linalg legitimately reorders reductions and is held to the
    ``ToleranceLadder.exact`` band instead (``docs/runtime.md``).
 
@@ -123,122 +123,26 @@ def _v_dc_gain(poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
     return (-residues / poles).sum(axis=0).real
 
 
-#: sample count of the gain-crossing scan grid — must match the scalar
-#: :func:`repro.core.metrics.gain_crossing_frequency` so crossing /
-#: no-crossing (NaN) decisions are made from the identical 600 samples.
-_CROSSING_POINTS = 600
-#: column-block size for the crossing scan: bounds the (600, block)
-#: complex intermediates to a few tens of MB regardless of chunk size.
-_CROSSING_BLOCK = 4096
-
-
-def _v_frequency_response(poles: np.ndarray, residues: np.ndarray,
-                          s: np.ndarray) -> np.ndarray:
-    """``H(s)`` per point: term-by-term accumulation over the pole rows,
-    the same left-to-right order as the small-axis ``.sum(axis=-1)`` in
-    :meth:`ReducedOrderModel.transfer`, so magnitudes match bit-for-bit."""
-    acc = residues[0] / (s - poles[0])
-    for k in range(1, poles.shape[0]):
-        acc = acc + residues[k] / (s - poles[k])
-    return acc
-
-
-def _v_gain_crossing_block(poles: np.ndarray, residues: np.ndarray,
-                           level) -> np.ndarray:
-    q, n = poles.shape
-    out = np.full(n, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mags = np.abs(poles)
-        lo = mags.min(axis=0) * 1e-4
-        hi = mags.max(axis=0) * 1e4
-        omegas = np.logspace(np.log10(lo), np.log10(hi),
-                             _CROSSING_POINTS, axis=0)
-        h = _v_frequency_response(poles, residues, 1j * omegas)
-        above = np.abs(h) > level
-        flips = above[:-1] != above[1:]
-        found = flips.any(axis=0)
-        if not found.any():
-            return out
-        first = np.argmax(flips, axis=0)
-        cols = np.arange(n)
-        lo_log = np.log(omegas[first, cols])
-        hi_log = np.log(omegas[first + 1, cols])
-        side_lo = above[first, cols]
-        lvl = np.broadcast_to(np.asarray(level, dtype=float), (n,))
-        # boolean bisection on log-omega: 60 halvings shrink the logspace
-        # step (~0.031 in log for the 1e8-wide bracket) to ~3e-20, far
-        # below the scalar path's brentq xtol=1e-12, so both land on the
-        # same crossing well inside the differential suite's 1e-9 rtol
-        for _ in range(60):
-            mid = 0.5 * (lo_log + hi_log)
-            h_mid = _v_frequency_response(poles, residues, 1j * np.exp(mid))
-            same = (np.abs(h_mid) > lvl) == side_lo
-            lo_log = np.where(same, mid, lo_log)
-            hi_log = np.where(same, hi_log, mid)
-        out[found] = np.exp(0.5 * (lo_log + hi_log))[found]
-    return out
-
-
-def _v_gain_crossing(poles: np.ndarray, residues: np.ndarray,
-                     level) -> np.ndarray:
-    """First ω (scanning upward) where ``|H(jω)|`` crosses ``level``.
-
-    Vectorized transcription of
-    :func:`repro.core.metrics.gain_crossing_frequency`: identical
-    bracket, identical 600-point log scan (so the crossing / NaN
-    decision is made from the same samples), with the per-point
-    ``brentq`` refinement replaced by a vectorized boolean bisection.
-    ``level`` is a scalar or an ``(n_points,)`` array.
-    """
-    n = poles.shape[1]
-    out = np.empty(n)
-    scalar_level = np.ndim(level) == 0
-    for start in range(0, n, _CROSSING_BLOCK):
-        stop = min(start + _CROSSING_BLOCK, n)
-        lvl = level if scalar_level else level[start:stop]
-        out[start:stop] = _v_gain_crossing_block(
-            poles[:, start:stop], residues[:, start:stop], lvl)
-    return out
-
-
 @vector_metric(_metrics.unity_gain_frequency)
 def _v_unity_gain_frequency(poles: np.ndarray, residues: np.ndarray,
                             ) -> np.ndarray:
-    return _v_gain_crossing(poles, residues, 1.0)
+    return _metrics.gain_crossings(poles, residues, 1.0)
 
 
 @vector_metric(_metrics.phase_margin)
 def _v_phase_margin(poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
-    w_u = _v_gain_crossing(poles, residues, 1.0)
-    out = np.full(w_u.shape, np.nan)
-    found = np.isfinite(w_u)
-    if found.any():
-        h = _v_frequency_response(poles[:, found], residues[:, found],
-                                  1j * w_u[found])
-        out[found] = 180.0 + np.degrees(np.angle(h))
-    return out
+    return _metrics._phase_margins(poles, residues)
 
 
 @vector_metric(_metrics.bandwidth_3db)
 def _v_bandwidth_3db(poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
-    # the scalar metric *raises* on zero DC gain (quarantining the
-    # point); the vectorized path yields the same NaN output without a
-    # quarantine record — values stay identical across paths
-    dc = np.abs((-residues / poles).sum(axis=0).real)
-    out = np.full(dc.shape, np.nan)
-    defined = dc != 0.0
-    if defined.any():
-        out[defined] = _v_gain_crossing(
-            poles[:, defined], residues[:, defined],
-            dc[defined] / np.sqrt(2.0))
-    return out
+    return _metrics._bandwidths_3db(poles, residues)
 
 
 @vector_metric(_metrics.gain_bandwidth_product)
 def _v_gain_bandwidth_product(poles: np.ndarray, residues: np.ndarray,
                               ) -> np.ndarray:
-    dc = np.abs((-residues / poles).sum(axis=0).real)
-    return dc * _v_bandwidth_3db(poles, residues)
+    return _metrics._gain_bandwidth_products(poles, residues)
 
 
 # ----------------------------------------------------------------------
@@ -342,6 +246,11 @@ def vector_poles_residues(moments: np.ndarray, order: int,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized transcription of :func:`repro.awe.pade.fast_poles_residues`.
 
+    Every step repeats the scalar code's IEEE operations: real poles in
+    float arithmetic, a conjugate pair's residue in Python's complex
+    arithmetic (:func:`_conjugate_pair_residue`), so each lane equals
+    the per-point model bit for bit.
+
     Args:
         moments: ``(>= 2*order, n_points)`` float array.
         order: 1 or 2.
@@ -380,33 +289,68 @@ def vector_poles_residues(moments: np.ndarray, order: int,
         b2 = (s2 * s2 - s1 * s3) / detz
         ok = (det != 0.0) & (b2 != 0.0) & np.isfinite(b1) & np.isfinite(b2)
         disc = b1 * b1 - 4.0 * b2
-        root = np.sqrt(disc.astype(complex))
+        cplx = disc < 0.0
+        root = np.sqrt(np.abs(disc))
+        rr = np.where(cplx, 0.0, root)
         b2z = np.where(b2 != 0.0, b2, 1.0)
-        # branch A: complex roots (or b1 == 0) via the plain quadratic formula
-        pa1 = (-b1 + root) / (2.0 * b2z)
-        pa2 = (-b1 - root) / (2.0 * b2z)
+        # branch A: complex roots (or b1 == 0) via the plain quadratic
+        # formula; dividing by the real 2·b2 divides each part
+        two_b2 = 2.0 * b2z
+        pi = np.where(cplx, root / two_b2, 0.0)
         # branch B: numerically stable real roots via q = -(b1 + sign(b1) root)/2
-        signed_root = np.where(b1 >= 0.0, root.real, -root.real)
-        qv = -(b1 + signed_root) / 2.0
-        qvz = np.where(qv != 0.0, qv, 1.0)
-        pb1 = qv / b2z
-        pb2 = 1.0 / qvz
-        branch_a = (disc < 0.0) | (b1 == 0.0)
-        p1 = np.where(branch_a, pa1, pb1)
-        p2 = np.where(branch_a, pa2, pb2)
+        qv = -(b1 + np.where(b1 >= 0.0, root, -root)) / 2.0
+        branch_a = cplx | (b1 == 0.0)
+        p1 = np.where(branch_a, (-b1 + rr) / two_b2, qv / b2z)
+        p2 = np.where(branch_a, (-b1 - rr) / two_b2, 1.0 / qv)
         ok &= branch_a | (qv != 0.0)
-        ok &= np.isfinite(p1) & np.isfinite(p2) & (p1 != p2)
-        p1z = np.where(p1 != 0.0, p1, 1.0)
-        p2z = np.where(p2 != 0.0, p2, 1.0)
-        u1 = 1.0 / p1z
-        u2 = 1.0 / p2z
+        ok &= (np.isfinite(p1) & np.isfinite(p2) & np.isfinite(pi)
+               & ((p1 != p2) | (pi != 0.0))
+               & ((p1 != 0.0) | (pi != 0.0)) & ((p2 != 0.0) | (pi != 0.0)))
+        # residues of the scaled 2x2 Vandermonde solve, with u = 1/p,
+        # in the scalar path's float arithmetic for real poles ...
+        u1 = 1.0 / p1
+        u2 = 1.0 / p2
         vden = u1 * u2 * (u2 - u1)
         r1 = u2 * (s1 - s0 * u2) / vden
         r2 = u1 * (s0 * u1 - s1) / vden
-        poles = np.stack([p1 * a, p2 * a])
-        residues = np.stack([r1 * a, r2 * a])
-    ok &= np.isfinite(residues).all(axis=0) & (p1 != 0.0) & (p2 != 0.0)
+        ri = 0.0
+        if cplx.any():
+            # ... and in its Python complex arithmetic for a conjugate
+            # pair, where u2 = conj(u1) and r2 = conj(r1) come out exactly
+            cr, ci = _conjugate_pair_residue(p1, pi, s0, s1)
+            r1, r2 = np.where(cplx, cr, r1), np.where(cplx, cr, r2)
+            ri = np.where(cplx, ci, 0.0)
+        poles = np.empty((2, len(a)), dtype=complex)
+        residues = np.empty_like(poles)
+        for out, re1, re2, im in ((poles, p1, p2, pi), (residues, r1, r2, ri)):
+            out.real[0], out.real[1] = re1 * a, re2 * a
+            out.imag[0] = im * a
+            out.imag[1] = -out.imag[0]
+    ok &= np.isfinite(residues).all(axis=0)
     return poles, residues, ok
+
+
+def _conjugate_pair_residue(pr: np.ndarray, pi: np.ndarray, s0: np.ndarray,
+                            s1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residue of the pole ``pr + j·pi`` paired with its conjugate, as
+    Python computes ``u2 * (s1 - s0 * u2) / (u1 * u2 * (u2 - u1))``,
+    ``u = 1/p``: numpy's complex division multiplies by a reciprocal,
+    which rounds differently.  ``u1`` follows Smith's algorithm as
+    ``complex.__rtruediv__`` does; the products with exactly-zero parts
+    are dropped."""
+    by_real = np.abs(pr) >= np.abs(pi)
+    big = np.where(by_real, pr, pi)
+    small = np.where(by_real, pi, pr)
+    ratio = small / big
+    denom = big + small * ratio
+    ur = np.where(by_real, 1.0, ratio) / denom
+    ui = -np.where(by_real, ratio, 1.0) / denom
+    # u1·u2 = |u1|² and u2 - u1 = -2j·Im(u1), so vden = j·v
+    v = (ur * ur + ui * ui) * -(ui + ui)
+    # e = s1 - s0·u2 = (s1 - s0·ur) + j·s0·ui; r1 = u2·e / (j·v)
+    er = s1 - s0 * ur
+    ei = s0 * ui
+    return (ur * ei - ui * er) / v, -(ur * er + ui * ei) / v
 
 
 # ----------------------------------------------------------------------
