@@ -8,9 +8,10 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    batched sharded runtime, collecting :class:`RuntimeStats`, and time a
    serial 512x512 sweep of the same surface — 64 chunks of the sweep's
    chunked streaming, where the 64x64 grid is a single chunk, so only
-   this figure sees cache effects — and a serial 128x128 ``phase_margin``
+   this figure sees cache effects — a serial 128x128 ``phase_margin``
    sweep (Fig. 7's surface), whose metric stage is the gain-crossing
-   root solve;
+   root solve, and a serial 32x32 order-4 ``dominant_pole_hz`` sweep of
+   an order-4 compile, whose Padé stage is the stable-order ladder;
 3. time the same sweep once per execution backend (serial / thread /
    process / native), after an unmeasured warm-up pass so pool spawn,
    the per-worker program cache, and the native kernel build are
@@ -22,7 +23,8 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    kernel-level figures are recorded separately;
 5. op-profile the compiled moment program over the same grid batch;
 6. write ``BENCH_sweep.json`` — points/sec overall, per backend and on
-   the 512x512 and margin grids (each with a per-stage breakdown), and
+   the 512x512, margin and order-4 grids (each with a per-stage
+   breakdown), and
    per kernel, compile and evaluate seconds, the top-3 hot ops with symbolic
    provenance, and the full stats/metrics snapshots — and, with
    ``--trace``, a Chrome/Perfetto trace of the whole run.
@@ -60,6 +62,7 @@ from repro.runtime.batched import grid_columns
 GRID_N = 64
 LARGE_GRID_N = 512
 MARGIN_GRID_N = 128
+Q4_GRID_N = 32
 SHARDS = 8
 BACKENDS = ("serial", "thread", "process", "native")
 STAGES = (("columns", "columns_seconds"), ("moments", "evaluate_seconds"),
@@ -245,10 +248,14 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
     large = bench_serial_grid(model, surface_grids(go_nom, LARGE_GRID_N))
     margin = bench_serial_grid(model, surface_grids(go_nom, MARGIN_GRID_N),
                                metric=phase_margin)
+    res4 = awesymbolic(ss.circuit, "out", symbols=["go_Q14", "Ccomp"],
+                       order=4)
+    q4 = bench_serial_grid(res4.model, surface_grids(go_nom, Q4_GRID_N))
     kernels = bench_kernels(model, grids)
     throughputs = {
         f"grid{LARGE_GRID_N}:serial": large["points_per_second"],
         f"margin{MARGIN_GRID_N}:serial": margin["points_per_second"],
+        f"q4grid{Q4_GRID_N}:serial": q4["points_per_second"],
         "kernel:ufunc": kernels["ufunc"]["points_per_second"],
     }
     if kernels["native"].get("available"):
@@ -274,6 +281,9 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
         "margin_grid": {"metric": "phase_margin",
                         "grid": {"go_Q14": MARGIN_GRID_N,
                                  "Ccomp": MARGIN_GRID_N}, **margin},
+        "q4_grid": {"metric": "dominant_pole_hz", "order": 4,
+                    "grid": {"go_Q14": Q4_GRID_N, "Ccomp": Q4_GRID_N},
+                    **q4},
         "kernels": kernels,
         "throughputs": throughputs,
         "n_ops": model.n_ops,
@@ -329,7 +339,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, b in payload["backends"].items():
         print(f"  backend {name:<8} {b['points_per_second']:>12.0f} points/s"
               f"  ({b['workers']} workers)  {stage_text(b['stages'])}")
-    for key, label in (("large_grid", "grid"), ("margin_grid", "margin")):
+    for key, label in (("large_grid", "grid"), ("margin_grid", "margin"),
+                       ("q4_grid", "q4grid")):
         entry = payload[key]
         print(f"  {label} {entry['grid']['go_Q14']}^2 serial "
               f"{entry['points_per_second']:>10.0f} points/s"

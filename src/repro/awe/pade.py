@@ -138,6 +138,9 @@ def fast_poles_residues(moments, order: int):
     if order == 1:
         if m1 == 0.0:
             raise ApproximationError("m1 = 0: no first-order Padé", order=1)
+        if m0 == 0.0:
+            raise ApproximationError(
+                "m0 = 0: first-order Padé pole at the origin", order=1)
         p = m0 / m1
         return [p], [-m0 * m0 / m1]
     if order != 2:

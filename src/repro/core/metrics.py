@@ -56,7 +56,12 @@ def _times_root(coeffs: np.ndarray, root: np.ndarray) -> np.ndarray:
     """Ascending coefficients of ``c(z)·(z - root)`` per lane."""
     out = np.zeros((coeffs.shape[0] + 1, coeffs.shape[1]), dtype=complex)
     out[1:] = coeffs
-    out[:-1] -= coeffs * root
+    # one 1-D product per row: numpy runs a complex product broadcast as
+    # (k, 1) x (1,) in its scalar loop and wider ones in its SIMD loop,
+    # which rounds differently, so the n = 1 call (the scalar metric)
+    # drifted an ulp from the same lane in a sweep
+    for k, row in enumerate(coeffs):
+        out[k] -= row * root
     return out
 
 

@@ -14,19 +14,24 @@ gap.  A batched sweep:
    across outputs and performing the determinant unscaling inside the
    kernel with the same IEEE operations as the scalar ladder of
    :meth:`~repro.partition.composite.CompiledMoments.scalars`;
-3. extracts poles and residues with vectorized closed forms — exact
-   array transcriptions of :func:`repro.awe.pade.fast_poles_residues`
-   for orders 1-2, stacked Hankel solves plus batched companion-matrix
-   eigenvalues (:func:`vector_poles_residues_general`) for higher
-   orders — and evaluates the metric, using a registered vectorized
-   implementation when one exists;
+3. extracts poles and residues: for orders 1-2 with vectorized closed
+   forms, exact array transcriptions of
+   :func:`repro.awe.pade.fast_poles_residues`; above that with the
+   stacked stable-order ladder (:func:`_stable_ladder`), whose every
+   order-q attempt (:func:`vector_poles_residues_general`: stacked
+   Hankel solves plus batched companion-matrix eigenvalues) is an exact
+   lane-wise transcription of the scalar attempt inside
+   :func:`repro.awe.stability.stable_reduction`, and which retries the
+   lanes an attempt rejects at q-1, ..., 1 inside the chunk.  The
+   metric then runs once per settled order, using a registered
+   vectorized implementation when one exists;
 4. falls back per point *only* where the closed form is degenerate or
-   the fast Padé is unstable — the fallback is
+   the fast Padé is unstable (orders 1-2), or where no order settles
+   (above 2) — the fallback is
    :func:`repro.awe.stability.rom_from_moments`, the exact per-point
-   path.  Orders 1-2 are bit-identical to the legacy sweep
-   (``tests/core/test_crossing.py`` enforces this); order > 2
-   batched linalg legitimately reorders reductions and is held to the
-   ``ToleranceLadder.exact`` band instead (``docs/runtime.md``).
+   path, which raises the error that quarantines a point.  Every order
+   is bit-identical to the per-point sweep
+   (``tests/runtime/test_differential.py`` enforces this).
 
 Shards split the flattened grid into contiguous ranges evaluated
 independently (optionally on a thread pool or in worker processes), and
@@ -120,7 +125,13 @@ def _v_dominant_pole_hz(poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
 
 @vector_metric(_metrics.dc_gain)
 def _v_dc_gain(poles: np.ndarray, residues: np.ndarray) -> np.ndarray:
-    return (-residues / poles).sum(axis=0).real
+    terms = -residues / poles
+    if len(terms) > 3:
+        # numpy adds a 1-D complex sum of four or more terms pairwise, as
+        # the scalar ``np.sum`` does; summing one contiguous row per lane
+        # repeats that order (up to three terms, both add in sequence)
+        return np.ascontiguousarray(terms.T).sum(axis=1).real
+    return terms.sum(axis=0).real
 
 
 @vector_metric(_metrics.unity_gain_frequency)
@@ -268,7 +279,7 @@ def vector_poles_residues(moments: np.ndarray, order: int,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             p = m0 / m1
             r = -(m0 * m0) / m1
-        ok = (m1 != 0.0) & np.isfinite(p) & np.isfinite(r)
+        ok = (m1 != 0.0) & (m0 != 0.0) & np.isfinite(p) & np.isfinite(r)
         return p[None, :].astype(complex), r[None, :].astype(complex), ok
     if order != 2:
         raise ApproximationError(
@@ -356,16 +367,82 @@ def _conjugate_pair_residue(pr: np.ndarray, pi: np.ndarray, s0: np.ndarray,
 # ----------------------------------------------------------------------
 # vectorized general-order Padé (stacked Hankel + companion eigvals)
 # ----------------------------------------------------------------------
-def vector_poles_residues_general(moments: np.ndarray, order: int,
-                                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized general-order Padé: stacked Hankel solves plus batched
-    companion-matrix eigenvalues.
+def _moment_scales(m: np.ndarray) -> np.ndarray:
+    """Per-lane :func:`repro.awe.scaling.moment_scale` of ``(rows, n)``
+    moments, bit for bit.
 
-    Array transcription of the order-``q`` attempt inside
-    :func:`repro.awe.stability.stable_reduction` — moment-ratio
-    conditioning scale, Hankel solve for the denominator, roots via the
-    same companion matrix ``np.roots`` builds, residues from the
-    moment/pole Vandermonde system, unscale by ``a``.
+    ``moment_scale`` averages one lane's valid log-ratios with
+    ``np.mean``, which numpy adds pairwise; a masked sum down the rows
+    adds in another order.  Lanes with the same number of valid ratios
+    are packed, in row order, into the rows of one C-contiguous array, so
+    the axis-1 mean adds each lane's ratios as the 1-D mean does.
+    """
+    valid = (m[:-1] != 0.0) & (m[1:] != 0.0)
+    ratios = np.abs(m[:-1] / m[1:])
+    count = valid.sum(axis=0)
+    a = np.ones(m.shape[1])
+    for c in np.unique(count[count > 0]):
+        lanes = np.flatnonzero(count == c)
+        packed = ratios.T[lanes][valid.T[lanes]].reshape(-1, c)
+        s = np.exp(np.mean(np.log(packed), axis=1))
+        a[lanes] = np.where(np.isfinite(s) & (s != 0.0), s, 1.0)
+    return a
+
+
+def _solve_lanes(A: np.ndarray, b: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``np.linalg.solve`` of ``A x = b`` for ``(n, k, k)``
+    systems and ``(n, k)`` right-hand sides, plus the mask of the lanes
+    whose LU factorization is exactly singular (their ``x`` is garbage).
+
+    One such lane makes the stacked solve raise for the whole stack.
+    Only then does ``slogdet``, which runs the same ``getrf`` on the same
+    copy of each matrix, name the lanes where ``np.linalg.solve`` raises
+    on its own; the rest are solved again.
+    """
+    try:
+        return (np.linalg.solve(A, b[:, :, None])[:, :, 0],
+                np.zeros(len(A), dtype=bool))
+    except np.linalg.LinAlgError:
+        singular = np.linalg.slogdet(A)[0] == 0.0
+        A = np.where(singular[:, None, None], np.eye(A.shape[1]), A)
+        return np.linalg.solve(A, b[:, :, None])[:, :, 0], singular
+
+
+def _eigvals_lanes(comp: np.ndarray) -> np.ndarray:
+    """Complex eigenvalues ``(n, q)`` of stacked companion matrices, NaN
+    on a lane where ``dgeev`` does not converge (``np.roots`` raises
+    there, so that lane must take the per-point path)."""
+    try:
+        return np.linalg.eigvals(comp).astype(complex, copy=False)
+    except np.linalg.LinAlgError:
+        w = np.full(comp.shape[:2], np.nan, dtype=complex)
+        for i, lane in enumerate(comp):
+            try:
+                w[i] = np.linalg.eigvals(lane)
+            except np.linalg.LinAlgError:
+                pass
+        return w
+
+
+def vector_poles_residues_general(moments: np.ndarray, order: int,
+                                  ) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray, np.ndarray]:
+    """The order-``q`` attempt of
+    :func:`repro.awe.stability.stable_reduction`, lane by lane over a
+    stack of moment columns.
+
+    An exact transcription: each lane repeats the scalar attempt's IEEE
+    operations — the moment-ratio scale (:func:`_moment_scales`), the
+    scaled Hankel solve for ``b1..bq``, the roots of
+    ``[b_q .. b_1, 1]`` as eigenvalues of the companion matrix
+    ``np.roots`` builds, the residues of the moment/pole Vandermonde
+    system, and the unscaling by ``a``.  ``np.linalg.eigvals`` returns
+    float only when every eigenvalue of its *whole* input is real, which
+    is per lane for ``np.roots``; so a lane whose poles are all real
+    builds its Vandermonde and unscales its poles in float, the others
+    in complex.  A lane's values therefore do not depend on the lanes
+    stacked with it.
 
     Args:
         moments: ``(>= 2*order, n_points)`` float array (all rows enter
@@ -373,96 +450,109 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
         order: number of poles ``q`` (any ``q >= 1``).
 
     Returns:
-        ``(poles, residues, ok)`` with ``poles``/``residues`` of shape
-        ``(order, n_points)`` complex.  ``ok`` is conservative: lanes
-        with a zero or non-finite moment, a degenerate denominator, or
-        any non-finite intermediate fall back to the exact per-point
-        path (which also performs the stable order-dropping retries).
-        Unlike the order 1-2 closed forms, stacked LAPACK reductions may
-        reorder floating-point operations relative to ``np.roots`` /
-        per-point solves, so ``ok`` points agree with the scalar path to
-        the ``ToleranceLadder.exact`` band rather than bit-for-bit
-        (``docs/runtime.md`` documents this carve-out).
+        ``(poles, residues, ok, failed)``: ``poles``/``residues`` of shape
+        ``(order, n_points)`` complex; ``ok`` marks the lanes where the
+        scalar attempt returns exactly these poles and residues (stable
+        or not), ``failed`` those where it raises
+        :class:`ApproximationError` (singular Hankel system, non-finite
+        denominator, a pole at the origin, repeated poles), so the
+        stable-order ladder retries them one order lower.  Lanes in
+        neither mask — a zero leading coefficient, which ``np.roots``
+        trims, a non-finite companion matrix, no ``dgeev`` convergence,
+        non-finite poles or residues — must take the per-point path.
     """
     q = int(order)
-    n = moments.shape[1]
+    rows, n = moments.shape
+    if q < 1 or rows < 2 * q:
+        raise ApproximationError(
+            f"order {q} Padé needs {2 * q} moments, got {rows}")
     poles = np.zeros((q, n), dtype=complex)
     residues = np.zeros((q, n), dtype=complex)
     ok = np.zeros(n, dtype=bool)
-    if q < 1 or moments.shape[0] < 2 * q:
-        raise ApproximationError(
-            f"order {q} Padé needs {2 * q} moments, got {moments.shape[0]}")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = moments
-        usable = np.isfinite(m).all(axis=0)
-        if not usable.any():
-            return poles, residues, ok
-        # conditioning scale: per-lane geometric mean of the successive
-        # moment ratios whose both moments are nonzero — the same ratio
-        # set as scaling.moment_scale (masked summation may reorder the
-        # mean's additions, which is inside the order>2 tolerance band)
-        valid = (m[:-1] != 0.0) & (m[1:] != 0.0)
-        safe = np.where(valid, m[1:], 1.0)
-        logs = np.where(valid, np.log(np.abs(np.where(valid, m[:-1], 1.0)
-                                             / safe)), 0.0)
-        count = valid.sum(axis=0)
-        a = np.exp(logs.sum(axis=0) / np.maximum(count, 1))
-        a = np.where((count > 0) & np.isfinite(a) & (a != 0.0), a, 1.0)
-        # one 1-D power per row: numpy picks the loop of a broadcast
-        # (rows, n) power by n, and lanes of 10..~2600-point arrays came
-        # out an ulp apart from longer ones — a lane's value must not
-        # depend on the size of the chunk or shard it lands in
-        s = m * np.stack([np.power(a, float(k)) for k in range(m.shape[0])])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore",
+                     under="ignore"):
+        a = _moment_scales(moments)
+        # m'_k = m_k a^k as one (n, rows) power whose inner loop runs over
+        # the exponents, like scale_moments' 1-D ``a ** arange``: a power
+        # with a scalar exponent of 2 squares instead, an ulp apart
+        s = moments.T * np.power(a[:, None], np.arange(rows, dtype=float))
         # Hankel solve for b1..bq: sum_j b_j m'_{k-j} = -m'_k, k = q..2q-1
-        A = np.empty((n, q, q))
-        for r in range(q):
-            for j in range(1, q + 1):
-                A[:, r, j - 1] = s[q + r - j]
-        rhs = -s[q:2 * q].T
-        usable &= (np.isfinite(A).all(axis=(1, 2))
-                   & np.isfinite(rhs).all(axis=1))
-        A[~usable] = np.eye(q)
-        rhs = np.where(usable[:, None], rhs, 0.0)
-        try:
-            b = np.linalg.solve(A, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # an exactly singular lane slipped past the masks; retreat to
-            # the per-point path for the whole chunk (rare, still exact)
-            return poles, residues, np.zeros(n, dtype=bool)
-        usable &= np.isfinite(b).all(axis=1) & (b[:, -1] != 0.0)
-        if not usable.any():
-            return poles, residues, ok
-        # roots of 1 + b1 s + ... + bq s^q via the np.roots companion
-        # matrix: monic-normalized [b_q .. b_1, 1], subdiagonal ones
-        lead = np.where(usable, b[:, -1], 1.0)
-        coeffs = np.concatenate([b[:, -2::-1], np.ones((n, 1))], axis=1)
-        comp = np.zeros((n, q, q))
-        idx = np.arange(q - 1)
-        comp[:, idx + 1, idx] = 1.0
-        comp[:, 0, :] = -coeffs / lead[:, None]
-        comp[~usable] = np.eye(q)
-        try:
-            poles_s = np.linalg.eigvals(comp)
-        except np.linalg.LinAlgError:
-            return poles, residues, np.zeros(n, dtype=bool)
-        usable &= (np.isfinite(poles_s).all(axis=1)
-                   & (np.abs(poles_s) >= 1e-300).all(axis=1))
-        # residues from the moment/pole Vandermonde system:
-        # m'_k = -sum_i r_i / p_i^(k+1), k = 0..q-1 (scaled domain)
-        safe_p = np.where(usable[:, None], poles_s, 1.0)
-        V = -1.0 / safe_p[:, None, :] ** np.arange(1, q + 1)[None, :, None]
-        V[~usable] = np.eye(q)
-        mv = np.where(usable[:, None], s[:q].T, 0.0).astype(complex)
-        try:
-            res = np.linalg.solve(V, mv[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # repeated poles somewhere in the stack: per-point fallback
-            return poles, residues, np.zeros(n, dtype=bool)
-        usable &= np.isfinite(res).all(axis=1)
-        poles = (poles_s * a[:, None]).T
-        residues = (res * a[:, None]).T
-        ok = usable
-    return poles, residues, ok
+        hankel = q + np.arange(q)[:, None] - np.arange(1, q + 1)
+        b, failed = _solve_lanes(s[:, hankel], -s[:, q:2 * q])
+        failed |= ~np.isfinite(b).all(axis=1)
+        lanes = np.flatnonzero(~failed & (b[:, -1] != 0.0))
+        # np.roots' companion matrix of p = [b_q .. b_1, 1]: first row
+        # -p[1:] / p[0], ones below the diagonal
+        p = np.concatenate([b[lanes, ::-1], np.ones((len(lanes), 1))],
+                           axis=1)
+        comp = np.zeros((len(lanes), q, q))
+        comp[:, 0, :] = -p[:, 1:] / p[:, :1]
+        comp[:, np.arange(1, q), np.arange(q - 1)] = 1.0
+        finite = np.isfinite(comp[:, 0, :]).all(axis=1)
+        lanes, comp = lanes[finite], comp[finite]
+        w = _eigvals_lanes(comp)
+        converged = np.isfinite(w).all(axis=1)
+        lanes, w = lanes[converged], w[converged]
+        origin = (np.abs(w) < 1e-300).any(axis=1)
+        failed[lanes[origin]] = True
+        lanes, w = lanes[~origin], w[~origin]
+        # residues: m'_k = -sum_i r_i / p_i^(k+1), k = 0..q-1, with the
+        # Vandermonde rows in float where np.roots returns float poles
+        real = (w.imag == 0.0).all(axis=1)
+        w_real = np.ascontiguousarray(w[real].real)
+        w_cplx = w[~real]
+        V = np.empty((len(lanes), q, q), dtype=complex)
+        for k in range(q):
+            V[real, k] = -1.0 / w_real ** (k + 1)
+            V[~real, k] = -1.0 / w_cplx ** (k + 1)
+        res, repeated = _solve_lanes(V, s[lanes, :q].astype(complex))
+        failed[lanes[repeated]] = True
+        keep = ~repeated
+        w_real, w_cplx = w_real[keep[real]], w_cplx[keep[~real]]
+        lanes, real, res = lanes[keep], real[keep], res[keep]
+        # unscale: p = a p', r = a r'
+        a = a[lanes]
+        poles.real[:, lanes[real]] = (w_real * a[real, None]).T
+        poles[:, lanes[~real]] = (w_cplx * a[~real, None]).T
+        residues[:, lanes] = (res * a[:, None]).T
+        ok[lanes] = (np.isfinite(poles[:, lanes]).all(axis=0)
+                     & np.isfinite(residues[:, lanes]).all(axis=0))
+    return poles, residues, ok, failed
+
+
+def _stable_ladder(moments: np.ndarray, order: int, require_stable: bool,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`repro.awe.stability.stable_reduction` over a stack of
+    moment columns: every lane the order-``q`` attempt rejects (fails,
+    or is unstable when stability is required) is retried at
+    ``q - 1, ..., 1``, as the scalar loop does, so a settled lane has
+    dropped ``order - settled`` orders.
+
+    Returns ``(poles, residues, settled)``: ``settled`` is each lane's
+    final order (0 where no attempt settled it: the ladder ran dry, or
+    an attempt could not decide), and the lane's model is the first
+    ``settled`` rows of its ``(order, n)`` poles and residues.
+    """
+    n = moments.shape[1]
+    poles = np.zeros((order, n), dtype=complex)
+    residues = np.zeros_like(poles)
+    settled = np.zeros(n, dtype=int)
+    lanes = np.arange(n)
+    for q in range(order, 0, -1):
+        p, r, ok, failed = vector_poles_residues_general(moments[:, lanes],
+                                                         q)
+        if require_stable:
+            unstable = ok & ~np.all(p.real < 0.0, axis=0)
+            ok &= ~unstable
+            failed |= unstable
+        done = lanes[ok]
+        poles[:q, done] = p[:, ok]
+        residues[:q, done] = r[:, ok]
+        settled[done] = q
+        lanes = lanes[failed]
+        if not lanes.size:
+            break
+    return poles, residues, settled
 
 
 # ----------------------------------------------------------------------
@@ -568,16 +658,19 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
     with stats.stage("pade"):
         if order <= 2:
             poles, residues, ok = vector_poles_residues(moments, order)
+            if require_stable:
+                ok &= np.all(poles.real < 0.0, axis=0)
+            ok &= ~singular
         else:
-            poles, residues, ok = vector_poles_residues_general(moments, order)
-        if require_stable:
-            ok &= np.all(poles.real < 0.0, axis=0)
-        ok &= ~singular
+            poles, residues, settled = _stable_ladder(moments, order,
+                                                      require_stable)
+            settled[singular] = 0
+            ok = settled == order
     stats.points += n_points
     diag.points += n_points
     vectorized = VECTOR_METRICS.get(metric)
     if vectorized is not None and ok.all():
-        # the usual chunk: every lane passed the closed form, so the
+        # the usual chunk: every lane passed the first attempt, so the
         # metric takes the whole slab — no gather of poles/residues and
         # no scatter of values (a full gather keeps the memory layout,
         # so axis-0 reductions add in the same order either way)
@@ -586,21 +679,40 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
         stats.vectorized_points += n_points
         return
     out[:] = np.nan
-    good = np.flatnonzero(ok)
-    fallback = np.flatnonzero(~ok & ~singular)
+    if order <= 2:
+        settled = np.where(ok, order, 0)
+    dropped_total = 0
     with stats.stage("metric"):
-        if vectorized is not None and len(good):
-            out[good] = vectorized(poles[:, good], residues[:, good])
-        else:
-            for i in good:
-                rom = ReducedOrderModel(poles[:, i], residues[:, i],
-                                        order_requested=order)
-                try:
-                    out[i] = metric(rom)  # NaN stays, like the legacy sweep
-                except ApproximationError as exc:
-                    diag.quarantine_error(offset + int(i), "metric", exc)
-    stats.vectorized_points += len(good)
+        # lanes grouped by the order they settled at; every group's
+        # model has dropped ``order - q`` orders, like the scalar ladder's
+        for q in range(order, 0, -1):
+            lanes = np.flatnonzero(settled == q)
+            if not lanes.size:
+                continue
+            dropped = order - q
+            p, r = poles[:q, lanes], residues[:q, lanes]
+            if vectorized is not None:
+                out[lanes] = vectorized(p, r)
+            else:
+                for j, i in enumerate(lanes):
+                    rom = ReducedOrderModel(p[:, j], r[:, j],
+                                            order_requested=order,
+                                            dropped_unstable=dropped)
+                    try:
+                        out[i] = metric(rom)  # NaN stays, as per point
+                    except ApproximationError as exc:
+                        diag.quarantine_error(offset + int(i), "metric",
+                                              exc)
+            stats.vectorized_points += lanes.size
+            diag.record_drop(dropped, lanes.size)
+            dropped_total += dropped * lanes.size
+    if dropped_total:
+        _obs_metrics.registry().counter(
+            "repro_pade_dropped_orders_total",
+            "orders dropped by the stable-reduction fallback",
+        ).inc(dropped_total)
 
+    fallback = np.flatnonzero((settled == 0) & ~singular)
     with stats.stage("metric"):
         for i in fallback:
             try:
@@ -634,10 +746,8 @@ def _stream_shard(model, columns: Sequence, n_points: int,
     first global flat index.  Each chunk of at most ``chunk_points``
     (default :data:`CANCEL_CHUNK_POINTS`) points runs moments → health →
     Padé → metric while its buffers are cache-resident.  Chunk
-    boundaries only split elementwise work, so values do not depend on
-    the chunk size — except that an order > 2 chunk holding an exactly
-    singular Hankel lane retreats to the per-point path as a whole
-    (:func:`vector_poles_residues_general`).  Results land in ``out`` (a
+    boundaries only split lane-wise work, so values do not depend on
+    the chunk size at any order.  Results land in ``out`` (a
     complex view of ``n_points``, e.g. a worker's shared-memory slice)
     or a fresh array.
 
@@ -740,8 +850,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         metric: scalar metric of a reduced-order model.  Metrics listed
             in :data:`VECTOR_METRICS` evaluate as one array expression.
         order: Padé order (default: the model's compiled order).
-        require_stable: demand stable poles (unstable fast-Padé points
-            re-run through the stable-order fallback, like the scalar path).
+        require_stable: demand stable poles (unstable points retry at
+            lower orders, like the scalar path's stable-order fallback).
         shards: number of contiguous grid chunks (default: one per worker).
         max_workers: worker-pool width for shard execution (default:
             ``min(shards, os.cpu_count())`` when sharding was requested,
@@ -773,9 +883,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             of at most this many points and checks its token between
             them (default :data:`CANCEL_CHUNK_POINTS`, sized so the
             moment kernel's buffers stay cache-resident).  Values do
-            not depend on it, as a chunk boundary only splits
-            elementwise work (one order > 2 exception is described in
-            ``docs/runtime.md``, "Chunked streaming").
+            not depend on it, as a chunk boundary only splits lane-wise
+            work.
 
     Returns:
         A :class:`~repro.diagnostics.SweepResult` — a plain ndarray with

@@ -25,11 +25,12 @@ class RuntimeStats:
 
     Attributes:
         points: total grid points evaluated.
-        vectorized_points: points fully served by the vectorized
-            closed-form path (moments + order-1/2 Padé as array ops).
+        vectorized_points: points fully served by array ops (moments,
+            the order-1/2 closed forms or the order > 2 stable-order
+            ladder, and the metric).
         fallback_points: points routed through the per-point numeric
             Padé / stability fallback (degenerate or unstable fast Padé,
-            or order > 2).
+            or no order of the ladder settled).
         nan_points: points that ended up NaN (degenerate Padé).
         quarantined_points: points removed by the resilience layer (see
             the sweep's ``diagnostics`` report for the per-point records).

@@ -17,7 +17,9 @@ site                 fires
 ===================  ===================================================
 ``pade.hankel``      before the order-q Hankel solve in
                      :func:`repro.awe.pade.pade_coefficients`
-                     (payload: ``order``)
+                     (payload: ``order``) — the scalar path only: the
+                     batched runtime's stacked order > 2 attempts do not
+                     pass it, its per-point fallback does
 ``pade.fast``        on entry of
                      :func:`repro.awe.pade.fast_poles_residues`
                      (payload: ``order``)

@@ -7,10 +7,9 @@ on where one falls: values, NaN placement, quarantine records (global
 index and grid coordinates) and health-summary count/min/max.  Sizes
 straddle the boundary (CHUNK-1, CHUNK, CHUNK+1, 3*CHUNK+7).
 
-One exception is by design: the stacked order > 2 Padé sends a whole
-chunk to the per-point path when one of its lanes has an exactly
-singular Hankel system (the stacked solve cannot say which), so on
-such grids order > 2 values follow the chunking (``docs/runtime.md``).
+That holds at order > 2 too: a lane whose order-q Padé attempt fails
+(say, an exactly singular Hankel system) retries at q - 1, ..., 1 inside
+its chunk, and no lane's values depend on the lanes stacked with it.
 
 Comparisons stay inside one process: compiled op order may differ from
 process to process, so values are only comparable for one compiled
@@ -33,8 +32,8 @@ from repro.runtime.backends import INLINE_MAX_POINTS
 
 CHUNK = CANCEL_CHUNK_POINTS
 SIZES = (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
-#: order-4 sweeps of fig1 and the 741 mostly take the per-point path
-#: (~0.3 ms a point), so they straddle a smaller explicit chunk
+#: order-4 sweeps of fig1 and the 741 straddle a smaller explicit chunk,
+#: which puts exactly singular Hankel lanes into several chunks
 SMALL_CHUNK = 64
 SMALL_SIZES = (SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1,
                3 * SMALL_CHUNK + 7)
@@ -96,7 +95,7 @@ def model_741_4():
 
 @pytest.fixture(scope="module")
 def lines_4():
-    """Coupled lines at order 4: the batched general Padé serves every
+    """Coupled lines at order 4: the first order-4 attempt serves every
     lane (fig1 and the 741 have exactly singular order-4 Hankel lanes)."""
     return awesymbolic(paper_coupled_lines(n_segments=6), victim_output(6),
                        symbols=["Rdrv1", "Cload2"], order=4)
@@ -173,9 +172,9 @@ class TestOrderFour:
     def test_singular_hankel_lanes_follow_the_chunking(self, circuit, n,
                                                        fig1_4, model_741_4):
         """fig1 and the 741 have lanes with exactly singular order-4
-        Hankel systems, which send their whole chunk to the per-point
-        path: each chunk's values are exactly those of a sweep of that
-        chunk's points alone."""
+        Hankel systems, which the stable-order ladder settles one order
+        lower inside their chunk: each chunk's values are exactly those
+        of a sweep of that chunk's points alone."""
         res = fig1_4 if circuit == "fig1" else model_741_4
         axes = FIG1_AXES if circuit == "fig1" else axes_741(res)
         grids = make_grids(axes, n)

@@ -130,39 +130,114 @@ def test_orders_and_instability_paths(lines_model, order):
         assert_same_surface(batched, legacy)
 
 
+def quarantine_key(diag) -> list:
+    return [(p.index, p.grid_index, p.values, p.stage, p.error, p.message)
+            for p in diag.quarantined]
+
+
+def assert_identical_sweeps(batched, legacy) -> None:
+    """Bit for bit: values, dtype, quarantine records, orders dropped."""
+    assert batched.dtype == legacy.dtype
+    np.testing.assert_array_equal(np.asarray(batched), np.asarray(legacy))
+    assert np.asarray(batched).tobytes() == np.asarray(legacy).tobytes()
+    assert (quarantine_key(batched.diagnostics)
+            == quarantine_key(legacy.diagnostics))
+    assert (batched.diagnostics.dropped_orders
+            == legacy.diagnostics.dropped_orders)
+
+
+def test_order1_origin_pole_is_quarantined(lines_model):
+    """The crosstalk victim's DC gain is exactly 0, so m0 = 0 and the
+    first-order Padé pole sits at the origin: both paths quarantine every
+    point at the Padé stage instead of returning a pole at 0 (or raising
+    a TypeError from the scalar DC gain)."""
+    grids = {"Rdrv1": np.linspace(10.0, 400.0, 5),
+             "Cload2": np.linspace(10e-15, 1e-12, 4)}
+    for metric in METRICS:
+        batched = lines_model.model.sweep(grids, metric, 1,
+                                          require_stable=False)
+        legacy = lines_model.model.sweep_per_point(grids, metric, 1,
+                                                   require_stable=False)
+        assert_identical_sweeps(batched, legacy)
+        assert np.isnan(batched).all()
+        assert {(p.stage, p.error) for p in batched.diagnostics.quarantined
+                } == {("pade", "ApproximationError")}
+
+
 @pytest.fixture(scope="module")
-def lines_o4():
-    """Coupled lines compiled deep enough for order-4 Padé."""
+def order4_models():
+    """fig1, the 741, the OTA and the coupled lines compiled deep enough
+    for order-4 Padé, each with a grid to sweep."""
     from repro import awesymbolic
-    from repro.circuits.library import paper_coupled_lines
+    from repro.circuits.library import (paper_coupled_lines,
+                                        small_signal_741, small_signal_ota)
     from repro.circuits.library.coupled_lines import victim_output
 
-    ckt = paper_coupled_lines(n_segments=6)
-    return awesymbolic(ckt, victim_output(6), symbols=["Rdrv1", "Cload2"],
-                       order=4)
+    r741 = awesymbolic(small_signal_741().circuit, "out",
+                       symbols=["go_Q14", "Ccomp"], order=4)
+    go = r741.partition.symbolic[0].symbol.nominal
+    return {
+        "fig1": (awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"],
+                             order=4),
+                 {"C1": np.linspace(0.5, 5.0, 12),
+                  "C2": np.linspace(0.5, 4.0, 11)}),
+        "741": (r741, {"go_Q14": np.linspace(0.5, 4.0, 12) * go,
+                       "Ccomp": np.linspace(10e-12, 60e-12, 11)}),
+        "ota": (awesymbolic(small_signal_ota().circuit, "out",
+                            symbols=["Cc", "gds_M6"], order=4),
+                {"Cc": np.linspace(1e-12, 10e-12, 12),
+                 "gds_M6": np.linspace(1e-6, 40e-6, 11)}),
+        "lines": (awesymbolic(paper_coupled_lines(n_segments=6),
+                              victim_output(6),
+                              symbols=["Rdrv1", "Cload2"], order=4),
+                  {"Rdrv1": np.linspace(10.0, 400.0, 6),
+                   "Cload2": np.linspace(10e-15, 1e-12, 6)}),
+    }
 
 
 @pytest.mark.parametrize("order", [3, 4])
-def test_general_order_batched_matches_per_point(lines_o4, order):
-    """Order > 2 runs the general vectorized Padé stage (stacked Hankel
-    solves + companion-matrix eigvals).  Batched linalg legitimately
-    reorders reductions, so values agree to the exact-tier tolerance
-    (5e-4) rather than bit-for-bit; NaN placement must still match
-    exactly, and unstable lanes must fall back to the per-point
-    order-dropping path (identical results by construction)."""
-    grids = {"Rdrv1": np.linspace(10.0, 400.0, 6),
-             "Cload2": np.linspace(10e-15, 1e-12, 6)}
-    for require_stable in (True, False):
-        for metric in (metrics.dominant_pole_hz,
-                       metrics.unity_gain_frequency):
-            stats = RuntimeStats()
-            batched = lines_o4.model.sweep(
-                grids, metric, order, require_stable=require_stable,
-                stats=stats)
-            legacy = lines_o4.model.sweep_per_point(
-                grids, metric, order, require_stable=require_stable)
-            assert stats.vectorized_points > 0
-            assert_same_surface(batched, legacy, rtol=5e-4)
+def test_general_order_batched_matches_per_point(order4_models, order):
+    """Order > 2 runs the stacked stable-order ladder (stacked Hankel
+    solves + companion-matrix eigvals at every order from ``order`` down),
+    an exact transcription of the scalar reduction: values, NaN
+    placement, quarantine records and orders dropped equal the per-point
+    path bit for bit, and no lane takes the per-point fallback."""
+    for name, (res, grids) in order4_models.items():
+        for require_stable in (True, False):
+            for metric in METRICS:
+                stats = RuntimeStats()
+                batched = res.model.sweep(
+                    grids, metric, order, require_stable=require_stable,
+                    stats=stats)
+                legacy = res.model.sweep_per_point(
+                    grids, metric, order, require_stable=require_stable)
+                assert_identical_sweeps(batched, legacy)
+                assert stats.fallback_points == 0, name
+                assert stats.vectorized_points == batched.size, name
+
+
+@pytest.mark.parametrize("name", ["fig1", "741"])
+def test_order4_values_do_not_depend_on_chunking(order4_models, name):
+    """fig1 and the 741 have lanes with exactly singular order-4 Hankel
+    systems; the ladder settles them one order lower inside the chunk, so
+    any chunk size gives the same sweep, and none of it runs per point."""
+    res = order4_models[name][0]
+    if name == "741":
+        go = res.partition.symbolic[0].symbol.nominal
+        grids = {"go_Q14": np.linspace(0.5, 4.0, 32) * go,
+                 "Ccomp": np.linspace(10e-12, 60e-12, 32)}
+    else:
+        grids = {"C1": np.linspace(0.5, 5.0, 32),
+                 "C2": np.linspace(0.5, 4.0, 32)}
+    stats = RuntimeStats()
+    default = res.model.sweep(grids, metrics.dominant_pole_hz, 4,
+                              stats=stats)
+    assert stats.fallback_points == 0
+    assert sum(default.diagnostics.dropped_orders.values()) > 0
+    for chunk in (1, 37):
+        chunked = batched_sweep(res.model, grids, metrics.dominant_pole_hz,
+                                order=4, chunk_points=chunk)
+        assert_identical_sweeps(chunked, default)
 
 
 def test_scalar_metric_fallback_event(fig1_model):
