@@ -56,8 +56,12 @@ class ReducedOrderModel:
         return self.poles[np.argmin(np.abs(self.poles.real))]
 
     def dc_gain(self) -> float:
-        """``H(0) = -Σ rᵢ/pᵢ`` — exact (AWE always matches m0)."""
-        return float(np.real_if_close(np.sum(-self.residues / self.poles)))
+        """``H(0) = -Σ rᵢ/pᵢ`` — exact (AWE always matches m0).
+
+        The real part: conjugate-pair residues cancel the imaginary part
+        up to rounding, which may exceed any fixed closeness tolerance.
+        """
+        return float(np.sum(-self.residues / self.poles).real)
 
     def numerator_coefficients(self) -> np.ndarray:
         """Coefficients (ascending powers of s) of the model's numerator

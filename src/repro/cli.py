@@ -672,7 +672,8 @@ def cmd_sweep(args) -> int:
     if not args.sweep:
         raise ReproError("sweep needs at least one --sweep NAME=START:STOP:N")
     if args.tape is not None:
-        from .symbolic.tape import TapeModel, load_tape
+        from .core.compiled_model import TapeModel
+        from .symbolic.tape import load_tape
 
         model = TapeModel(load_tape(args.tape))
         print(f"tape model: {model.title!r}, output {model.output!r}, "

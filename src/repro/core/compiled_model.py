@@ -1,21 +1,26 @@
 """The compiled AWEsymbolic model — the paper's deliverable.
 
-A :class:`CompiledAWEModel` wraps the compiled symbolic moments plus
-(optionally) closed-form order-1/2 pole expressions.  Evaluating it at new
-element values costs a handful of arithmetic operations followed by a tiny
-(≤ order×order) numeric Padé — no matrix assembly, no LU of the circuit.
-"That the symbolic form provides a compiled set of operations which can
-quickly produce a final AWE approximation, where the operands are the
-values of the symbols" is this class.
+There is one model surface.  A :class:`TapeModel` evaluates a *model
+tape* — the compiled moment program (:mod:`repro.symbolic.tape`) plus
+the metadata mapping element values onto its inputs — and owns the
+element slots, :meth:`~TapeModel.moments_at`, :meth:`~TapeModel.rom`
+and the batched :meth:`~TapeModel.sweep`.  ``.tape`` artifacts and
+saved-model JSON load into it; :class:`CompiledAWEModel` is the
+:class:`TapeModel` of its own model tape, adding only what the symbolic
+form knows: the partition, the moment polynomials, the closed-form
+poles, the sensitivities and the per-point sweep oracle.
 
-Results are *identical* to running full numeric AWE at the same element
-values (enforced by tests), only orders of magnitude cheaper per iteration.
+Every point's moments come from the fused program
+(:attr:`~repro.partition.composite.CompiledMoments.fused`): a handful of
+arithmetic operations followed by a tiny (≤ order×order) numeric Padé —
+no matrix assembly, no LU of the circuit, and results *identical* to
+full numeric AWE at the same element values (enforced by tests).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -23,10 +28,36 @@ import numpy as np
 from ..awe.model import ReducedOrderModel
 from ..awe.stability import rom_from_moments
 from ..diagnostics import SweepDiagnostics, SweepResult
-from ..errors import ApproximationError, PartitionError
+from ..errors import ApproximationError, PartitionError, TapeError
 from ..partition.blocks import CircuitPartition
 from ..partition.composite import CompiledMoments, SymbolicMoments
+from ..symbolic.compile import CompiledFunction
+from ..symbolic.symbols import TRANSFORMS
+from ..symbolic.tape import OpTape
 from .symbolic_pade import SymbolicFirstOrder, SymbolicSecondOrder
+
+#: ``meta["kind"]`` of a model tape
+MODEL_KIND = "awesymbolic-moments"
+
+
+def model_tape(program: OpTape, *, title: str, output: str, order: int,
+               moment_order: int, elements: Sequence) -> OpTape:
+    """``program`` carrying the metadata of a model tape.
+
+    ``elements`` lists ``[element name, symbol position, transform
+    name]`` entries (:data:`~repro.symbolic.symbols.TRANSFORMS`).
+    """
+    meta = {
+        "kind": MODEL_KIND,
+        "title": str(title),
+        "output": str(output),
+        "order": int(order),
+        "moment_order": int(moment_order),
+        "elements": [[str(n), int(p), str(t)] for n, p, t in elements],
+    }
+    return OpTape(program.symbols, program.consts, program.ops,
+                  program.outputs, program.output_names, meta=meta,
+                  fused=program.fused)
 
 
 @dataclass(frozen=True)
@@ -46,77 +77,104 @@ class PoleSensitivityResult:
         return complex(self.poles[i]), complex(self.d_poles[i])
 
 
-class CompiledAWEModel:
-    """Fast re-evaluable AWE model parameterized by symbolic element values."""
+class TapeModel:
+    """A sweep-ready, circuit-free model over a *model* tape.
 
-    def __init__(self, partition: CircuitPartition, moments: SymbolicMoments,
-                 order: int,
-                 first_order: SymbolicFirstOrder | None = None,
-                 second_order: SymbolicSecondOrder | None = None) -> None:
-        self.partition = partition
-        self.moments = moments
-        self.order = order
+    ``.tape`` artifacts and saved-model JSON
+    (:func:`~repro.core.serialize.model_from_dict`) load into it, and a
+    :class:`CompiledAWEModel` is one.  It exposes ``compiled_moments`` /
+    ``element_slots`` / ``order`` / ``sweep``, so it is a full citizen
+    of the batched runtime and the serving registry; the program is
+    ``exec``'d straight off the tape, or passed in as ``fn`` when the
+    caller already compiled it.
+    """
+
+    def __init__(self, tape: OpTape,
+                 fn: CompiledFunction | None = None) -> None:
+        meta = tape.meta
+        if meta.get("kind") != MODEL_KIND:
+            raise TapeError(
+                "this op tape is a bare program, not a model artifact "
+                "(missing awesymbolic-moments metadata); build it with "
+                "tape_from_model or `repro compile --emit-tape`")
+        self.tape = tape
+        self.title = str(meta.get("title", ""))
+        self.output = str(meta.get("output", ""))
+        self.order = int(meta.get("order", 1))
         t0 = time.perf_counter()
-        self.compiled_moments: CompiledMoments = moments.compile()
+        if fn is None:
+            fn = tape.build_function()
+        moment_order = int(meta.get("moment_order",
+                                    len(tape.outputs) - 2))
+        self.compiled_moments = CompiledMoments(fn=fn, order=moment_order)
         #: one-time program compilation cost, reported separately from
         #: per-sweep evaluation by RuntimeStats (the Table 1 split)
-        self.compile_seconds: float = time.perf_counter() - t0
-        self.first_order = first_order
-        self.second_order = second_order
-        self._compiled_first = first_order.compile() if first_order else None
-        self._compiled_second = second_order.compile() if second_order else None
-        self._compiled_sens = None  # built lazily by pole_sensitivities
-        # hot-path lookup tables: element name -> (position, value transform)
-        self._slot = {se.name: (i, se.to_symbol_value)
-                      for i, se in enumerate(partition.symbolic)}
-        self._nominal = [float(se.symbol.nominal)  # type: ignore[arg-type]
-                         for se in partition.symbolic]
-
-    # ------------------------------------------------------------------
-    @property
-    def space(self):
-        return self.moments.space
+        self.compile_seconds = time.perf_counter() - t0
+        self.space = fn.space
+        slots: dict[str, tuple] = {}
+        for name, pos, tname in meta.get("elements", []):
+            try:
+                transform = TRANSFORMS[tname]
+            except KeyError:
+                raise TapeError(
+                    f"op tape names unknown transform {tname!r}") from None
+            slots[str(name)] = (int(pos), transform)
+        #: ``element name -> (symbol position, value transform)`` — the
+        #: lookup table the batched runtime builds argument columns from
+        self.element_slots = slots
+        self._nominal = [float(s.nominal) for s in self.space.symbols]
 
     @property
     def n_ops(self) -> int:
         """Arithmetic operations per moment evaluation (the paper's
         "reduced set of operations")."""
-        return self.compiled_moments.n_ops
+        return self.tape.n_ops
 
-    @property
-    def element_slots(self) -> Mapping[str, tuple]:
-        """``element name -> (symbol position, value transform)`` — the
-        lookup table the batched runtime uses to build argument columns."""
-        return self._slot
+    def slot(self, name: str) -> tuple:
+        """``(symbol position, value transform)`` of a symbolic element.
 
-    def symbol_values(self, element_values: Mapping[str, float] | None = None,
-                      ) -> dict[str, float]:
-        """Map user-facing element values (ohms, farads, ...) to stamped
-        symbol values; omitted elements take their nominal."""
-        return self.partition.symbol_values(dict(element_values or {}))
-
-    # ------------------------------------------------------------------
-    # evaluation paths
-    # ------------------------------------------------------------------
-    def moments_at(self, element_values: Mapping[str, float] | None = None,
-                   ) -> np.ndarray:
-        """Numeric moments at the given element values (compiled path)."""
-        return self.compiled_moments(self.symbol_values(element_values))
+        Raises:
+            ApproximationError: ``name`` is not a symbolic element.
+        """
+        try:
+            return self.element_slots[name]
+        except KeyError:
+            raise ApproximationError(
+                f"{name!r} is not a symbolic element of this model "
+                f"(symbols: {list(self.element_slots)})") from None
 
     def _values_vector(self, element_values: Mapping[str, float] | None,
                        ) -> list[float]:
-        """Positional symbol values from element values (hot path)."""
+        """Positional symbol values from element values; omitted
+        elements take their nominal (hot path)."""
         vec = list(self._nominal)
         if element_values:
             for name, value in element_values.items():
-                try:
-                    pos, transform = self._slot[name]
-                except KeyError:
-                    raise ApproximationError(
-                        f"{name!r} is not a symbolic element of this model "
-                        f"(symbols: {list(self._slot)})") from None
+                pos, transform = self.slot(name)
                 vec[pos] = transform(float(value))
         return vec
+
+    def _check_order(self, q: int) -> None:
+        """Raise :class:`ApproximationError` when order ``q`` needs more
+        moments than the model was compiled with."""
+        n_moments = self.compiled_moments.order + 1
+        if 2 * q > n_moments:
+            raise ApproximationError(
+                f"model compiled with {n_moments} moments; "
+                f"order {q} needs {2 * q}")
+
+    def moments_at(self, element_values: Mapping[str, float] | None = None,
+                   ) -> np.ndarray:
+        """Transfer-function moments at one operating point: the fused
+        program's scalar pass (:meth:`CompiledMoments.scalars`), the
+        moment step of :meth:`rom`.
+
+        Raises:
+            ApproximationError: an unknown element name.
+            PartitionError: the symbolic system is singular here.
+        """
+        vec = self._values_vector(element_values)
+        return np.array(self.compiled_moments.scalars(vec))
 
     def rom(self, element_values: Mapping[str, float] | None = None,
             order: int | None = None,
@@ -127,24 +185,94 @@ class CompiledAWEModel:
         per-iteration operation whose cost Table 1 compares against a full
         AWE re-analysis.  Orders 1 and 2 take a pure-Python closed-form
         path (a few µs); higher orders use the general scaled Hankel solve.
+        The serving layer's degraded path calls this with ``order=1``.
+
+        Raises:
+            ApproximationError: an unknown element name, an order beyond
+                the compiled moments, or no (stable) Padé model.
+            PartitionError: the symbolic system is singular here.
         """
         q = self.order if order is None else order
         vec = self._values_vector(element_values)
-        if 2 * q > len(self.moments.numerators):
-            raise ApproximationError(
-                f"model compiled with {len(self.moments.numerators)} moments; "
-                f"order {q} needs {2 * q}")
+        self._check_order(q)
         moments = self.compiled_moments.scalars(vec)
         return rom_from_moments(moments, q, require_stable=require_stable)
+
+    def sweep(self, grids: Mapping[str, np.ndarray],
+              metric: Callable[[ReducedOrderModel], float],
+              order: int | None = None, require_stable: bool = True, *,
+              shards: int | None = None, max_workers: int | None = None,
+              stats=None, strict: bool = False, resilience=None,
+              backend: str | None = None, cancel=None,
+              chunk_points: int | None = None) -> np.ndarray:
+        """Evaluate ``metric`` over the cartesian product of element-value
+        grids (``{element_name: 1-D value array}``; one output axis per
+        grid, in the given order).
+
+        Runs through the batched runtime, whose docstring documents every
+        argument (:func:`repro.runtime.batched_sweep`): the flattened grid
+        streams through cache-resident chunks, each one call of the fused
+        moment program, with the Padé solve vectorized and a per-point
+        fallback only at degenerate/unstable points.  Points where the
+        Padé degenerates yield NaN rather than aborting the sweep (lenient
+        mode), with a structured record in the returned array's
+        ``diagnostics`` attribute.  The output is float unless the metric
+        produces complex values.
+        """
+        from ..runtime.batched import batched_sweep  # lazy: avoids cycle
+
+        return batched_sweep(self, grids, metric, order=order,
+                             require_stable=require_stable, shards=shards,
+                             max_workers=max_workers, stats=stats,
+                             strict=strict, resilience=resilience,
+                             backend=backend, cancel=cancel,
+                             chunk_points=chunk_points)
+
+    def __repr__(self) -> str:
+        return (f"TapeModel({self.title!r}, output={self.output!r}, "
+                f"order={self.order}, {self.tape.n_ops} ops)")
+
+
+class CompiledAWEModel(TapeModel):
+    """Fast re-evaluable AWE model parameterized by symbolic element values.
+
+    The :class:`TapeModel` of its own model tape (the one
+    :func:`~repro.symbolic.tape.tape_from_model` returns), plus the
+    partition, the symbolic moments, the closed-form order-1/2 poles,
+    the symbolic sensitivities and the per-point sweep oracle.
+    """
+
+    def __init__(self, partition: CircuitPartition, moments: SymbolicMoments,
+                 order: int,
+                 first_order: SymbolicFirstOrder | None = None,
+                 second_order: SymbolicSecondOrder | None = None) -> None:
+        t0 = time.perf_counter()
+        fn = moments.compile().fn
+        elements = [(se.name, i, se.transform)
+                    for i, se in enumerate(partition.symbolic)]
+        super().__init__(
+            model_tape(fn.tape, title=partition.circuit.title,
+                       output=moments.output, order=order,
+                       moment_order=moments.order, elements=elements),
+            fn=fn)
+        self.compile_seconds = time.perf_counter() - t0
+        self.partition = partition
+        self.moments = moments
+        self.first_order = first_order
+        self.second_order = second_order
+        self._compiled_first = first_order.compile() if first_order else None
+        self._compiled_second = second_order.compile() if second_order else None
+        self._compiled_sens = None  # built lazily by pole_sensitivities
 
     def rom_closed_form(self, element_values: Mapping[str, float] | None = None,
                         order: int = 2) -> ReducedOrderModel:
         """Model via the fully-symbolic pole formulas (order 1 or 2 only).
 
         Raises:
-            ApproximationError: when the requested closed form was not built.
+            ApproximationError: when the requested closed form was not
+                built, or an unknown element name.
         """
-        values = self.symbol_values(element_values)
+        values = self._values_vector(element_values)
         if order == 1:
             if self._compiled_first is None:
                 raise ApproximationError("first-order closed form not built")
@@ -198,80 +326,19 @@ class CompiledAWEModel:
     # ------------------------------------------------------------------
     def sweep(self, grids: Mapping[str, np.ndarray],
               metric: Callable[[ReducedOrderModel], float],
-              order: int | None = None,
-              require_stable: bool = True, *,
-              vectorized: bool = True,
-              shards: int | None = None,
-              max_workers: int | None = None,
-              stats=None,
-              strict: bool = False,
-              resilience=None,
-              backend: str | None = None,
-              cancel=None,
-              chunk_points: int | None = None) -> np.ndarray:
-        """Evaluate ``metric`` over the cartesian product of element-value grids.
-
-        Runs through the batched runtime (:func:`repro.runtime.batched_sweep`)
-        by default: the flattened grid streams through cache-resident
-        chunks of :data:`repro.runtime.CANCEL_CHUNK_POINTS` points, each
-        one array call of the compiled moment program, with the Padé
-        solve vectorized and a per-point fallback only at
-        degenerate/unstable points.  Pass
-        ``vectorized=False`` to force the legacy per-point loop
-        (:meth:`sweep_per_point`) — differential tests hold the two paths
-        tolerance-identical, NaN placement included.
-
-        Args:
-            grids: ``{element_name: 1-D value array}``; the output array has
-                one axis per grid, in the given order.
-            metric: function of a :class:`ReducedOrderModel` (e.g.
-                :func:`repro.core.metrics.phase_margin`).
-            order: Padé order (default: the model's compiled order).
-            require_stable: demand stable poles, retrying lower orders.
-            vectorized: use the batched runtime (default) or the per-point
-                oracle.
-            shards: split the flattened grid into this many contiguous
-                ranges (batched path only; default one per worker).
-            max_workers: thread-pool width for shard execution (default
-                serial).
-            stats: optional :class:`repro.runtime.RuntimeStats` filled
-                with per-stage timers and point counters.
-            strict: raise on the first degenerate point instead of
-                degrading it to NaN (lenient, the default, quarantines
-                the point and reports it in ``result.diagnostics``).
-            resilience: shard retry/timeout policy
-                (:class:`repro.runtime.ResilienceConfig`; batched path
-                only).
-            backend: shard execution backend — ``"serial"``,
-                ``"thread"``, ``"process"``, or ``"auto"``/``None``
-                (batched path only; see :mod:`repro.runtime.backends`).
-            cancel: cooperative cancellation token
-                (:class:`repro.runtime.CancelToken`); a fired token
-                drains the sweep with partial results and
-                ``diagnostics.cancelled`` set (batched path only).
-            chunk_points: points per streamed chunk, with or without a
-                token — also the cancellation granularity (batched path
-                only; default :data:`repro.runtime.CANCEL_CHUNK_POINTS`;
-                see :func:`repro.runtime.batched_sweep`).
-
-        Points where the Padé degenerates yield NaN rather than aborting
-        the sweep (lenient mode), with a structured record in the
-        returned array's ``diagnostics`` attribute.  The output is float
-        unless the metric produces complex values, in which case the
-        complex values are preserved.
-        """
+              order: int | None = None, require_stable: bool = True, *,
+              vectorized: bool = True, strict: bool = False,
+              **options) -> np.ndarray:
+        """:meth:`TapeModel.sweep`, or with ``vectorized=False`` the
+        per-point oracle :meth:`sweep_per_point` (which takes none of the
+        batched runtime's ``options``) — differential tests hold the two
+        paths identical, NaN placement included."""
         if not vectorized:
             return self.sweep_per_point(grids, metric, order=order,
                                         require_stable=require_stable,
                                         strict=strict)
-        from ..runtime.batched import batched_sweep  # lazy: avoids cycle
-
-        return batched_sweep(self, grids, metric, order=order,
-                             require_stable=require_stable, shards=shards,
-                             max_workers=max_workers, stats=stats,
-                             strict=strict, resilience=resilience,
-                             backend=backend, cancel=cancel,
-                             chunk_points=chunk_points)
+        return super().sweep(grids, metric, order, require_stable,
+                             strict=strict, **options)
 
     def sweep_per_point(self, grids: Mapping[str, np.ndarray],
                         metric: Callable[[ReducedOrderModel], float],
@@ -282,25 +349,17 @@ class CompiledAWEModel:
 
         Walks the cartesian grid one :meth:`rom` call at a time.  Kept
         deliberately simple; ``tests/runtime/test_differential.py`` pins
-        :meth:`sweep` to this path bit-for-bit on NaN placement and to
-        tight tolerance on values.
+        :meth:`sweep` to this path bit for bit.
 
         Failure semantics mirror the batched path so the two stay
         differentially identical: a point whose reduction or metric
         raises a library error is quarantined to NaN (recorded in the
         result's ``diagnostics``), or re-raised with ``strict=True``.
         """
-        q = self.order if order is None else int(order)
-        if 2 * q > len(self.moments.numerators):
-            raise ApproximationError(
-                f"model compiled with {len(self.moments.numerators)} moments; "
-                f"order {q} needs {2 * q}")
+        self._check_order(self.order if order is None else int(order))
         names = list(grids)
         for name in names:
-            if name not in self._slot:
-                raise ApproximationError(
-                    f"{name!r} is not a symbolic element of this model "
-                    f"(symbols: {list(self._slot)})")
+            self.slot(name)
         axes = [np.asarray(grids[n], dtype=float) for n in names]
         shape = tuple(len(a) for a in axes)
         diagnostics = SweepDiagnostics(strict=strict)

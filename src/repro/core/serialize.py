@@ -6,7 +6,7 @@ saving.  ``model_to_dict`` captures everything evaluation needs (symbol
 space, moment numerator polynomials, determinant, element-value
 transforms) in a JSON-safe dict; ``model_from_dict`` compiles the saved
 polynomials once, through the op tape like every compiled program, into
-a :class:`~repro.symbolic.tape.TapeModel` that evaluates identically to
+a :class:`~repro.core.compiled_model.TapeModel` that evaluates identically to
 the original without touching the circuit again.  The loaders also accept
 an op-tape artifact (``repro compile --emit-tape``), told apart from
 saved-model JSON by its content, so every evaluate-only command reads
@@ -20,14 +20,10 @@ import time
 
 from ..errors import SymbolicError
 from ..symbolic import Poly, Symbol, SymbolSpace, compile_rationals
-from ..symbolic.tape import OpTape, TapeModel, tape_from_dict
+from ..symbolic.symbols import TRANSFORMS
+from ..symbolic.tape import tape_from_dict
 from .awesymbolic import AWESymbolicResult
-
-#: registry of element-value -> symbol-value transforms by name
-_TRANSFORMS = {
-    "identity": (lambda v: v),
-    "inverse": (lambda v: 1.0 / v),
-}
+from .compiled_model import TapeModel, model_tape
 
 FORMAT_VERSION = 1
 
@@ -43,11 +39,9 @@ def _poly_from_jsonable(space: SymbolSpace, data) -> Poly:
 def model_to_dict(result: AWESymbolicResult) -> dict:
     """Serialize an AWEsymbolic result's evaluatable core (JSON-safe)."""
     sm = result.moments
-    elements = []
-    for se in result.partition.symbolic:
-        kind = "inverse" if type(se.element).__name__ == "Resistor" else "identity"
-        elements.append({"element": se.name, "symbol": se.symbol.name,
-                         "transform": kind})
+    elements = [{"element": se.name, "symbol": se.symbol.name,
+                 "transform": se.transform}
+                for se in result.partition.symbolic]
     return {
         "format": FORMAT_VERSION,
         "title": result.partition.circuit.title,
@@ -67,7 +61,7 @@ def model_to_json(result: AWESymbolicResult, indent: int | None = None) -> str:
 
 def model_from_dict(data: dict) -> TapeModel:
     """Load :func:`model_to_dict` output — or an op-tape artifact's JSON
-    payload — into a :class:`~repro.symbolic.tape.TapeModel`.
+    payload — into a :class:`~repro.core.compiled_model.TapeModel`.
 
     Raises:
         SymbolicError: wrong or missing format version / malformed data
@@ -84,7 +78,7 @@ def model_from_dict(data: dict) -> TapeModel:
     det = _poly_from_jsonable(space, data["det"])
     elements = []
     for entry in data["elements"]:
-        if entry["transform"] not in _TRANSFORMS:
+        if entry["transform"] not in TRANSFORMS:
             raise SymbolicError(
                 f"unknown transform {entry['transform']!r}")
         elements.append([entry["element"], space.index(entry["symbol"]),
@@ -93,18 +87,10 @@ def model_from_dict(data: dict) -> TapeModel:
     fn = compile_rationals(
         space, numerators + [det],
         output_names=[f"n{k}" for k in range(len(numerators))] + ["det"])
-    program = fn.tape
-    meta = {
-        "kind": "awesymbolic-moments",
-        "title": str(data.get("title", "")),
-        "output": str(data["output"]),
-        "order": int(data["order"]),
-        "moment_order": len(numerators) - 1,
-        "elements": elements,
-    }
-    model = TapeModel(OpTape(program.symbols, program.consts, program.ops,
-                             program.outputs, program.output_names,
-                             meta=meta), fn=fn)
+    model = TapeModel(model_tape(fn.tape, title=data.get("title", ""),
+                                 output=data["output"], order=data["order"],
+                                 moment_order=len(numerators) - 1,
+                                 elements=elements), fn=fn)
     model.compile_seconds = time.perf_counter() - t0
     return model
 

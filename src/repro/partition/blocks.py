@@ -28,25 +28,24 @@ from ..circuits.elements import (VCCS, Capacitor, Conductance, CurrentSource,
 from ..errors import PartitionError
 from ..obs import trace as _trace
 from ..symbolic import Symbol, SymbolSpace
+from ..symbolic.symbols import TRANSFORMS
 
-#: element types that may be designated symbolic, with the transform from
-#: the element's natural value to the stamped symbol value (resistance is
+#: element types that may be designated symbolic, with the name of the
+#: transform (:data:`~repro.symbolic.symbols.TRANSFORMS`) from the
+#: element's natural value to the stamped symbol value (resistance is
 #: stamped as conductance).
-_SYMBOLIZABLE: dict[type, Callable[[float], float]] = {
-    Resistor: lambda r: 1.0 / r,
-    Conductance: lambda g: g,
-    Capacitor: lambda c: c,
-    Inductor: lambda ell: ell,
-    VCCS: lambda gm: gm,
+_SYMBOLIZABLE: dict[type, str] = {
+    Resistor: "inverse",
+    Conductance: "identity",
+    Capacitor: "identity",
+    Inductor: "identity",
+    VCCS: "identity",
 }
 
-#: derivative of the stamped symbol value w.r.t. the element's natural value
-_SYMBOL_DERIVATIVE: dict[type, Callable[[float], float]] = {
-    Resistor: lambda r: -1.0 / (r * r),
-    Conductance: lambda g: 1.0,
-    Capacitor: lambda c: 1.0,
-    Inductor: lambda ell: 1.0,
-    VCCS: lambda gm: 1.0,
+#: derivative of each transform: d(stamped symbol)/d(natural value)
+_SYMBOL_DERIVATIVE: dict[str, Callable[[float], float]] = {
+    "identity": lambda v: 1.0,
+    "inverse": lambda r: -1.0 / (r * r),
 }
 
 
@@ -58,22 +57,28 @@ class SymbolicElement:
         element: the circuit element (carrying its nominal value).
         symbol: the algebra symbol; its ``nominal`` is the *stamped* value
             (conductance for resistors).
-        to_symbol_value: maps a user-facing element value (e.g. resistance
-            in ohms) to the stamped symbol value (e.g. siemens).
+        transform: name of the :data:`~repro.symbolic.symbols.TRANSFORMS`
+            entry mapping a user-facing element value (e.g. resistance in
+            ohms) to the stamped symbol value (e.g. siemens).
     """
 
     element: Element
     symbol: Symbol
-    to_symbol_value: Callable[[float], float]
+    transform: str
 
     @property
     def name(self) -> str:
         return self.element.name
 
+    @property
+    def to_symbol_value(self) -> Callable[[float], float]:
+        """The element value -> stamped symbol value map."""
+        return TRANSFORMS[self.transform]
+
     def dsym_dvalue(self, value: float) -> float:
         """``d(stamped symbol)/d(natural element value)`` at ``value``
         (chain-rule factor for sensitivities; -1/R² for resistors)."""
-        return _SYMBOL_DERIVATIVE[type(self.element)](value)
+        return _SYMBOL_DERIVATIVE[self.transform](value)
 
 
 @dataclass(frozen=True)
@@ -154,10 +159,10 @@ def symbol_for(element: Element, name: str | None = None) -> SymbolicElement:
             "cannot be made symbolic (supported: R, G, C, L, VCCS)")
     if name is None:
         name = f"g_{element.name}" if isinstance(element, Resistor) else element.name
-    nominal = transform(element.value)
+    nominal = TRANSFORMS[transform](element.value)
     return SymbolicElement(element=element,
                            symbol=Symbol(name, nominal=nominal),
-                           to_symbol_value=transform)
+                           transform=transform)
 
 
 def partition(circuit: Circuit, symbolic_names: Sequence[str],

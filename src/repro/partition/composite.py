@@ -17,6 +17,13 @@ division-free :class:`~repro.symbolic.matrix.SymbolicLinearSolver`: every
 ``m_k`` — a rational function of the symbols that evaluates *identically*
 to the numeric AWE moment at any symbol values (the paper's headline
 exactness claim, enforced in our integration tests).
+
+:meth:`SymbolicMoments.compile` compiles the numerators and the
+determinant into one program; :class:`CompiledMoments` evaluates every
+point through its *fused* form (:func:`~repro.symbolic.tape.fuse_moments`),
+whose last ops are the ``m_k = n_k / det^(k+1)`` unscaling ladder, so
+the scalar path, the array path and the batched sweep share one
+program and one ladder.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from ..symbolic import (CompiledFunction, Poly, PolyMatrix, Rational,
                         SymbolicLinearSolver, SymbolSpace, compile_rationals)
 from .blocks import CircuitPartition
 from .ports import NumericBlockExpansion, port_admittance_moments
+
+_SINGULAR = "global symbolic system singular at this point"
 
 
 @dataclass(frozen=True)
@@ -72,7 +81,7 @@ class SymbolicMoments:
         :meth:`CircuitPartition.symbol_values` for element-value mapping)."""
         det = self.det.evaluate(values)
         if det == 0.0:
-            raise PartitionError("global symbolic system singular at this point")
+            raise PartitionError(_SINGULAR)
         out = np.empty(len(self.numerators))
         scale = 1.0
         for k, num in enumerate(self.numerators):
@@ -142,9 +151,12 @@ class SymbolicMoments:
 class CompiledMoments:
     """Straight-line evaluator for symbolic moments.
 
-    Calling it with symbol values returns the numeric moment vector; the
-    whole computation is ``n_ops`` arithmetic operations — no circuit
-    solve.
+    ``fn`` is the moment program: raw numerators plus the determinant,
+    or, loaded from a fused ``.tape``, the finished moments plus the
+    determinant.  Every evaluation runs the fused program
+    (:attr:`fused`), so calling it with symbol values returns the
+    numeric moment vector in ``n_ops`` arithmetic operations — no
+    circuit solve.
     """
 
     fn: CompiledFunction
@@ -154,49 +166,49 @@ class CompiledMoments:
     def n_ops(self) -> int:
         return self.fn.n_ops
 
+    def _fused_raw(self, values: Mapping | Sequence[float]) -> tuple:
+        try:
+            return self.fused(values)
+        except ZeroDivisionError:  # det == 0 in Python-float arithmetic
+            raise PartitionError(_SINGULAR) from None
+
     def scalars(self, values: Mapping | Sequence[float]) -> list[float]:
         """Fast scalar path: moments as plain Python floats (no numpy).
 
-        This is the per-iteration hot loop of Table 1: a straight-line
-        program plus ``order + 1`` divisions.
+        This is the per-iteration hot loop of Table 1: one pass of the
+        fused program, whose last ``order + 1`` divisions unscale the
+        moments.
+
+        Raises:
+            PartitionError: the symbolic system is singular here.
         """
-        raw = self.fn(values)
-        det = raw[-1]
-        if det == 0.0:
-            raise PartitionError("global symbolic system singular at this point")
-        out = []
-        scale = 1.0
-        for v in raw[:-1]:
-            scale *= det
-            out.append(v / scale)
-        return out
+        raw = self._fused_raw(values)
+        if raw[-1] == 0.0:  # numpy-scalar inputs: inf/NaN, no raise
+            raise PartitionError(_SINGULAR)
+        return list(raw[:-1])
 
     def __call__(self, values: Mapping | Sequence[float]) -> np.ndarray:
-        """Moments as an array, broadcast over array-valued symbols.
-
-        Unscales with the same ladder as :meth:`scalars` (``scale *=
-        det``), so a point's moments equal :meth:`scalars` bit for bit.
-        """
-        raw = [np.asarray(v, dtype=float) for v in self.fn(values)]
+        """Moments as an array, broadcast over array-valued symbols: the
+        fused program's outputs, so a point's moments equal
+        :meth:`scalars` bit for bit.  Array lanes at a singular point
+        hold inf/NaN; a singular scalar point raises
+        :class:`PartitionError`."""
+        raw = self._fused_raw(values)[:-1]
         # outputs independent of some symbols come back as scalars even on
         # vectorized sweeps; broadcast everything to the common grid shape
-        shape = np.broadcast_shapes(*(v.shape for v in raw))
-        det = np.broadcast_to(raw[-1], shape)
-        out = np.empty((len(raw) - 1,) + shape)
-        scale = det
-        for k, num in enumerate(raw[:-1]):
-            if k:
-                scale = scale * det
-            out[k] = num / scale
+        out = np.empty((len(raw),) + np.broadcast_shapes(
+            *(np.shape(v) for v in raw)))
+        for k, moment in enumerate(raw):
+            out[k] = moment
         return out
 
     @cached_property
     def fused(self) -> CompiledFunction:
         """The fused (schema-2) program: every moment plus the determinant
-        in one register-machine pass, unscaled inside the program with
-        the :meth:`scalars` ladder (see
+        in one register-machine pass, unscaled inside the program by the
+        ladder ``m_k = n_k / det^(k+1)`` (see
         :func:`~repro.symbolic.tape.fuse_moments`).  Built once per
-        compiled moment program; the batched sweep evaluates this."""
+        compiled moment program; every evaluation runs this."""
         from ..symbolic.tape import fuse_moments
 
         if self.fn.tape.fused is not None:
@@ -224,7 +236,7 @@ class CompiledSensitivities:
         nums = np.asarray(raw[:k1], dtype=float)
         det = float(raw[k1])
         if det == 0.0:
-            raise PartitionError("global symbolic system singular at this point")
+            raise PartitionError(_SINGULAR)
         powers = det ** np.arange(1, k1 + 1, dtype=float)
         moments = nums / powers
         sens: dict[str, np.ndarray] = {}

@@ -60,6 +60,7 @@ __all__ = [
     "BACKENDS",
     "INLINE_MAX_POINTS",
     "ProcessShardRunner",
+    "available_cpus",
     "process_pool",
     "resolve_backend",
     "shutdown_pools",
@@ -73,6 +74,15 @@ BACKENDS = ("auto", "serial", "thread", "process", "native")
 #: way (two shm segment create/copy/unlink cycles cost more than a few
 #: KB of pickling at typical sweep sizes)
 INLINE_MAX_POINTS = 16384
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on: the affinity mask where the OS
+    has one (``taskset``, cpusets), else ``os.cpu_count()``."""
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        return max(1, len(getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
 
 
 def resolve_backend(backend: str | None, workers: int) -> str:

@@ -12,8 +12,9 @@ gap.  A batched sweep:
    :func:`repro.symbolic.tape.fuse_moments`) once per chunk — one
    register-machine pass emits every moment, sharing subexpressions
    across outputs and performing the determinant unscaling inside the
-   kernel with the same IEEE operations as the scalar ladder of
-   :meth:`~repro.partition.composite.CompiledMoments.scalars`;
+   kernel; it is the program
+   :meth:`~repro.partition.composite.CompiledMoments.scalars` runs per
+   point, and a 1-point chunk runs its scalar code;
 3. extracts poles and residues: for orders 1-2 with vectorized closed
    forms, exact array transcriptions of
    :func:`repro.awe.pade.fast_poles_residues`; above that with the
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import threading
 import time
 from typing import Callable, Mapping, Sequence
@@ -68,7 +68,7 @@ from ..errors import ApproximationError, PartitionError
 from ..obs import metrics as _obs_metrics
 from ..obs import trace as _trace
 from ..testing import faults as _faults
-from .backends import ProcessShardRunner, resolve_backend
+from .backends import ProcessShardRunner, available_cpus, resolve_backend
 from .cancel import CancelToken
 from .resilience import DEFAULT_RESILIENCE, ResilienceConfig, run_shards
 from .stats import RuntimeStats
@@ -159,28 +159,6 @@ def _v_gain_bandwidth_product(poles: np.ndarray, residues: np.ndarray,
 # ----------------------------------------------------------------------
 # grid flattening
 # ----------------------------------------------------------------------
-def _slot_table(model) -> Mapping[str, tuple]:
-    """``element name -> (symbol position, value transform)`` for either a
-    :class:`CompiledAWEModel` or a loaded
-    :class:`~repro.symbolic.tape.TapeModel`."""
-    slots = getattr(model, "element_slots", None)
-    if slots is None:  # pragma: no cover - both classes expose element_slots
-        raise ApproximationError(
-            f"{type(model).__name__} does not expose element slots")
-    return slots
-
-
-def _apply_transform(transform, values: np.ndarray) -> np.ndarray:
-    """Element→symbol transform over an array (scalar-only transforms get
-    an elementwise fallback)."""
-    try:
-        out = transform(values)
-    except TypeError:
-        out = np.array([transform(float(v)) for v in values.ravel()]
-                       ).reshape(values.shape)
-    return np.asarray(out, dtype=float)
-
-
 def grid_columns(model, grids: Mapping[str, np.ndarray],
                  ) -> tuple[list[str], tuple[int, ...], list]:
     """Flatten cartesian element-value grids into positional symbol columns.
@@ -192,22 +170,16 @@ def grid_columns(model, grids: Mapping[str, np.ndarray],
     Raises:
         ApproximationError: a grid name is not a symbolic element.
     """
-    slots = _slot_table(model)
     names = list(grids)
-    axes = []
-    for name in names:
-        if name not in slots:
-            raise ApproximationError(
-                f"{name!r} is not a symbolic element of this model "
-                f"(symbols: {list(slots)})")
-        axes.append(np.asarray(grids[name], dtype=float))
+    slots = [model.slot(name) for name in names]
+    axes = [np.asarray(grids[name], dtype=float) for name in names]
     shape = tuple(len(a) for a in axes)
     columns: list = [float(s.nominal) for s in model.space.symbols]
     if axes:
         mesh = np.meshgrid(*axes, indexing="ij")
-        for name, grid in zip(names, mesh):
-            pos, transform = slots[name]
-            columns[pos] = _apply_transform(transform, grid.reshape(-1))
+        for (pos, transform), grid in zip(slots, mesh):
+            columns[pos] = np.asarray(transform(grid.reshape(-1)),
+                                      dtype=float)
     return names, shape, columns
 
 
@@ -226,27 +198,21 @@ def sample_columns(model, samples: Mapping[str, np.ndarray],
         ApproximationError: unknown element, no samples, or columns of
             unequal length.
     """
-    slots = _slot_table(model)
     names = list(samples)
     if not names:
         raise ApproximationError("paired sweep needs at least one "
                                  "sample column")
-    arrays = []
-    for name in names:
-        if name not in slots:
-            raise ApproximationError(
-                f"{name!r} is not a symbolic element of this model "
-                f"(symbols: {list(slots)})")
-        arrays.append(np.asarray(samples[name], dtype=float).reshape(-1))
+    slots = [model.slot(name) for name in names]
+    arrays = [np.asarray(samples[name], dtype=float).reshape(-1)
+              for name in names]
     n = arrays[0].size
     if any(a.size != n for a in arrays):
         raise ApproximationError(
             "paired sample columns must share one length, got "
             + str({name: a.size for name, a in zip(names, arrays)}))
     columns: list = [float(s.nominal) for s in model.space.symbols]
-    for name, arr in zip(names, arrays):
-        pos, transform = slots[name]
-        columns[pos] = _apply_transform(transform, arr)
+    for (pos, transform), arr in zip(slots, arrays):
+        columns[pos] = np.asarray(transform(arr), dtype=float)
     return names, (n,), columns
 
 
@@ -579,13 +545,7 @@ def _chunk_moments(model, columns: Sequence, n_points: int,
     fn = model.compiled_moments.fused
     with stats.stage("evaluate"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            try:
-                raw = fn.eval_batch(columns, n_points, kernel=kernel)
-            except ZeroDivisionError:
-                # a batch-invariant zero divisor (an all-scalar chunk at a
-                # singular point) raises in Python-float arithmetic; numpy
-                # scalars carry the same IEEE operations to inf/NaN
-                raw = fn.eval_raw(*(np.float64(c) for c in columns))
+            raw = fn.eval_batch(columns, n_points, kernel=kernel)
             det = np.broadcast_to(np.asarray(raw[-1], dtype=float),
                                   (n_points,))
             moments = np.empty((len(raw) - 1, n_points))
@@ -679,8 +639,14 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
         stats.vectorized_points += n_points
         return
     out[:] = np.nan
+    scales = None  # a closed-form model (order <= 2) carries scale 1.0
     if order <= 2:
         settled = np.where(ok, order, 0)
+    elif vectorized is None:
+        # a ladder lane's model is stable_reduction's, which carries the
+        # lane's moment scale
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            scales = _moment_scales(moments)
     dropped_total = 0
     with stats.stage("metric"):
         # lanes grouped by the order they settled at; every group's
@@ -695,9 +661,10 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
                 out[lanes] = vectorized(p, r)
             else:
                 for j, i in enumerate(lanes):
-                    rom = ReducedOrderModel(p[:, j], r[:, j],
-                                            order_requested=order,
-                                            dropped_unstable=dropped)
+                    rom = ReducedOrderModel(
+                        p[:, j], r[:, j], order_requested=order,
+                        scale=1.0 if scales is None else float(scales[i]),
+                        dropped_unstable=dropped)
                     try:
                         out[i] = metric(rom)  # NaN stays, as per point
                     except ApproximationError as exc:
@@ -801,7 +768,7 @@ def _resolve_sharding(n_points: int, shards: int | None,
     elif shards is not None and int(shards) > 1:
         # a multi-shard sweep with no explicit worker count should
         # actually run its shards in parallel, up to the machine's cores
-        workers = min(int(shards), os.cpu_count() or 1)
+        workers = min(int(shards), available_cpus())
     else:
         workers = 1
     if shards is None:
@@ -843,7 +810,7 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
 
     Args:
         model: a :class:`~repro.core.compiled_model.CompiledAWEModel` or
-            a loaded :class:`~repro.symbolic.tape.TapeModel` (``.tape``
+            a loaded :class:`~repro.core.compiled_model.TapeModel` (``.tape``
             artifact or saved-model JSON).
         grids: ``{element_name: 1-D value array}``; output has one axis
             per grid in the given order.
@@ -854,8 +821,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             lower orders, like the scalar path's stable-order fallback).
         shards: number of contiguous grid chunks (default: one per worker).
         max_workers: worker-pool width for shard execution (default:
-            ``min(shards, os.cpu_count())`` when sharding was requested,
-            else 1).
+            ``min(shards, available_cpus())`` when sharding was
+            requested, else 1).
         backend: where shard attempts run — ``"serial"``, ``"thread"``,
             ``"process"``, or ``"auto"``/``None`` (thread pool when more
             than one worker, else serial).  The process backend ships
@@ -905,11 +872,7 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
     diagnostics = SweepDiagnostics(strict=config.strict)
     with stats.stage("total"):
         q = model.order if order is None else int(order)
-        n_moments = model.compiled_moments.order + 1
-        if 2 * q > n_moments:
-            raise ApproximationError(
-                f"model compiled with {n_moments} moments; "
-                f"order {q} needs {2 * q}")
+        model._check_order(q)
         with stats.stage("columns"):
             if paired:
                 names, shape, columns = sample_columns(model, grids)

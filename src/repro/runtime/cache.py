@@ -57,14 +57,13 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..core.awesymbolic import (AWESymbolicResult, CompileSession,
                                 awesymbolic)
-from ..core.compiled_model import CompiledAWEModel
+from ..core.compiled_model import CompiledAWEModel, TapeModel
 from ..partition.ports import NumericBlockExpansion
 from ..core.serialize import FORMAT_VERSION, model_from_dict, model_to_dict
 from ..errors import SymbolicError
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import trace as _trace
-from ..symbolic.tape import TapeModel
 from ..testing import faults as _faults
 
 __all__ = [
@@ -478,7 +477,7 @@ class ProgramCache:
     def load_model(self, key: str) -> TapeModel | None:
         """Circuit-free evaluatable model from the disk layer (None on miss):
         the saved polynomials compiled once into a
-        :class:`~repro.symbolic.tape.TapeModel`."""
+        :class:`~repro.core.compiled_model.TapeModel`."""
         payload = self.load_disk(key)
         if payload is None:
             return None

@@ -37,7 +37,8 @@ Environment knobs:
   (default: a per-user tmp directory).  Objects are content-addressed
   by tape hash + mask + compiler, so warm starts skip the compiler.
 * ``REPRO_NATIVE_THREADS`` — worker threads for the threaded kernel
-  (default: the machine's CPU count; ``1`` forces serial execution).
+  (default: the CPUs in this process's affinity mask; ``1`` forces
+  serial execution).
   Read at kernel-build time.
 """
 
@@ -58,6 +59,7 @@ import numpy as np
 
 from ..symbolic.tape import (NATIVE_OPS, OP_ADD, OP_DIV, OP_MUL, OP_POW,
                              OpTape, tape_for)
+from .backends import available_cpus
 
 __all__ = ["NativeUnavailable", "native_kernel_for", "build_native_kernel"]
 
@@ -78,14 +80,15 @@ _THREAD_MIN_POINTS = 2048
 
 def _native_threads() -> int:
     """Worker-thread count for parallel kernels (``REPRO_NATIVE_THREADS``,
-    default CPU count).  Values < 1 and junk fall back to 1."""
+    default the CPUs this process may run on).  Values < 1 and junk fall
+    back to 1."""
     raw = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
     if raw:
         try:
             return max(1, int(raw))
         except ValueError:
             logger.warning("ignoring invalid REPRO_NATIVE_THREADS=%r", raw)
-    return max(1, os.cpu_count() or 1)
+    return available_cpus()
 
 
 _POOL: ThreadPoolExecutor | None = None

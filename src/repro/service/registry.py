@@ -128,13 +128,14 @@ class ModelRegistry:
         The tape (see :mod:`repro.symbolic.tape`) is loaded and
         integrity-verified immediately — a corrupt artifact is refused at
         registration, not at first request — and the rebuilt
-        :class:`~repro.symbolic.tape.TapeModel` goes straight into the
+        :class:`~repro.core.compiled_model.TapeModel` goes straight into the
         warm pool: loading *is* the compile, so the first request pays
         nothing.  The entry's identity is the tape content hash; if the
         warm handle is later evicted, :meth:`ensure` re-loads from
         ``path``.  Returns the registry key.
         """
-        from ..symbolic.tape import TapeModel, load_tape
+        from ..core.compiled_model import TapeModel
+        from ..symbolic.tape import load_tape
 
         tape = load_tape(path)
         model = TapeModel(tape)
@@ -251,7 +252,8 @@ class ModelRegistry:
         if tape_path is not None:
             # tape-backed entry evicted from the warm pool: re-warming is
             # a load + integrity check, never a compile
-            from ..symbolic.tape import TapeModel, load_tape
+            from ..core.compiled_model import TapeModel
+            from ..symbolic.tape import load_tape
             return _TapeResult(TapeModel(load_tape(tape_path)))
         return self.cache.get_or_build(
             recipe.circuit, recipe.output, symbols=recipe.symbols,

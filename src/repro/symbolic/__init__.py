@@ -16,10 +16,12 @@ surface is:
   common-subexpression elimination
 * :class:`~repro.symbolic.matrix.PolyMatrix` — small dense symbolic
   matrices with division-free determinant / adjugate / Cramer solve
-* :class:`~repro.symbolic.tape.OpTape` / :class:`~repro.symbolic.tape.TapeModel`
-  — the op tape every compiled program is generated from, which is also
-  its portable, versioned, integrity-hashed artifact (save/load,
-  cross-process wire format, native-kernel input)
+* :class:`~repro.symbolic.tape.OpTape` — the op tape every compiled
+  program is generated from, which is also its portable, versioned,
+  integrity-hashed artifact (save/load, cross-process wire format,
+  native-kernel input); the model over a tape,
+  :class:`~repro.core.compiled_model.TapeModel`, stays importable from
+  here
 """
 
 from .symbols import Symbol, SymbolSpace
@@ -28,7 +30,7 @@ from .rational import Rational
 from .expr import Expr, ExprBuilder
 from .matrix import PolyMatrix, SymbolicLinearSolver
 from .compile import CompiledFunction, compile_exprs, compile_rationals
-from .tape import (OpTape, TapeModel, load_tape, tape_for, tape_from_json,
+from .tape import (OpTape, load_tape, tape_for, tape_from_json,
                    tape_from_model)
 
 __all__ = [
@@ -50,3 +52,10 @@ __all__ = [
     "tape_from_json",
     "tape_from_model",
 ]
+
+
+def __getattr__(name: str):
+    if name == "TapeModel":  # lives in repro.core.compiled_model
+        from ..core.compiled_model import TapeModel
+        return TapeModel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -217,9 +217,8 @@ class CompiledFunction:
         self.n_ops = tape.n_ops
         self.output_names = tape.output_names
         self._instrumented = None
-        # vectorized in-place kernels, keyed by (array-argument mask,
-        # aliasing): 1-point batches run the kernel without aliasing
-        self._kernels: dict[tuple, object] = {}
+        # vectorized in-place kernels, keyed by array-argument mask
+        self._kernels: dict[tuple[bool, ...], object] = {}
         # native (C) kernels by mask; masks that failed to build are
         # remembered so the warning logs once and later batches go
         # straight to the ufunc kernel
@@ -257,19 +256,19 @@ class CompiledFunction:
 
     def eval_batch(self, args: Sequence, n_points: int,
                    kernel: str | None = None):
-        """Evaluate a batch of ``n_points`` through the in-place kernel.
+        """Evaluate a batch of ``n_points``.
 
         ``args`` is positional like :meth:`eval_raw`, where each entry is
         either a scalar or a flat float64 column of length ``n_points``.
-        The first call per array-argument pattern and batch kind generates
-        and caches a liveness-buffered ufunc kernel from the tape
-        (:meth:`~repro.symbolic.tape.OpTape.kernel_source`): batches of two
-        or more points run the kernel that writes each op into the buffer
-        of an operand dying at it, 1-point batches the one that never
-        aliases (numpy's aliased-output call costs about 2x at n = 1).
-        Anything the kernel cannot specialize on (complex columns, odd
-        shapes, all scalars) falls back to :meth:`eval_raw`, which is
-        always value-identical.
+        A 1-point or all-scalar batch runs the scalar program on numpy
+        float64 scalars (IEEE inf/NaN where Python floats would raise
+        ``ZeroDivisionError``); outputs come back as scalars, which
+        broadcast over the batch.  Otherwise the first call per
+        array-argument pattern generates and caches a liveness-buffered
+        ufunc kernel from the tape
+        (:meth:`~repro.symbolic.tape.OpTape.kernel_source`).  Anything
+        the kernel cannot specialize on (complex columns, odd shapes)
+        falls back to :meth:`eval_raw`.  Every route is value-identical.
 
         ``kernel="native"`` requests the compiled C evaluator for this
         batch shape; if it cannot be built — no toolchain, an ineligible
@@ -280,9 +279,12 @@ class CompiledFunction:
             isinstance(a, np.ndarray) and a.ndim == 1
             and a.shape[0] == n_points and a.dtype == np.float64
             for a in args)
-        if not any(mask) or any(isinstance(a, np.ndarray) and not m
-                                for a, m in zip(args, mask)):
+        if any(isinstance(a, np.ndarray) and not m
+               for a, m in zip(args, mask)):
             return self._fn(*args)
+        if n_points == 1 or not any(mask):
+            return self._fn(*(np.float64(a[0] if m else a)
+                              for a, m in zip(args, mask)))
         if kernel == "native" and mask not in self._native_failed:
             from ..runtime import native as _native  # lazy
             if _native.disabled():
@@ -309,14 +311,12 @@ class CompiledFunction:
                         kern = None
                 if kern is not None:
                     return kern(args, n_points)
-        key = (mask, n_points > 1)
-        vec = self._kernels.get(key)
+        vec = self._kernels.get(mask)
         if vec is None:
-            source, _n_ops, _n_buffers = self.tape.kernel_source(
-                mask, alias=key[1])
+            source, _n_ops, _n_buffers = self.tape.kernel_source(mask)
             namespace = vector_namespace()
             exec(compile(source, "<awesymbolic-vector>", "exec"), namespace)
-            vec = self._kernels[key] = namespace["_vector"]
+            vec = self._kernels[mask] = namespace["_vector"]
         return vec(*args, _n=n_points)
 
     def instrumented(self):

@@ -9,9 +9,17 @@ the space's ordering.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..errors import SymbolicError
+
+#: element-value -> symbol-value transforms by name — the one table the
+#: partition (element type -> name), saved models and model tapes share.
+#: Resistance is stamped as conductance, hence ``"inverse"``.
+TRANSFORMS: dict[str, Callable[[float], float]] = {
+    "identity": lambda v: v,
+    "inverse": lambda v: 1.0 / v,
+}
 
 
 class Symbol:

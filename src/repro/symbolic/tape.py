@@ -26,6 +26,11 @@ Tapes are also the portable artifact.  They are versioned
 entries) and content-addressed: the integrity hash is a SHA-256 over the
 canonical JSON payload, verified on load, so a corrupted or tampered
 artifact is refused rather than executed.
+
+This module is the IR only: the tape, its lowerings and its loading.
+The model that evaluates a *model tape*,
+:class:`~repro.core.compiled_model.TapeModel`, lives with the compiled
+model it generalizes and stays importable from here.
 """
 
 from __future__ import annotations
@@ -34,12 +39,11 @@ import hashlib
 import json
 import os
 import struct
-import time
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ApproximationError, SymbolicError, TapeError
+from ..errors import SymbolicError, TapeError
 from .compile import (CompiledFunction, _pow_unrolls, _safe_log, _safe_sqrt,
                       runtime_namespace)
 from .cse import topological
@@ -361,7 +365,7 @@ class OpTape:
         return (f"def {fn_name}({args}):\n{body}\n"
                 f"    return ({returns},)\n")
 
-    def kernel_source(self, mask: Sequence[bool], alias: bool = True,
+    def kernel_source(self, mask: Sequence[bool],
                       fn_name: str = "_vector") -> tuple[str, int, int]:
         """In-place ufunc kernel source specialized on an array-arg mask.
 
@@ -372,17 +376,14 @@ class OpTape:
         Each batch-varying, dtype-stable op is one ufunc call writing
         into a float64 buffer (``_np_add(x0, b1, out=b2)``).  A buffer
         returns to the pool once the last reader of its register has run;
-        output buffers are never recycled.  With ``alias`` an op writes
-        into the buffer of an operand that dies at that op
-        (``_np_add(b1, x0, out=b1)``), which keeps the fewest buffers
-        live; without it the output buffer is taken before any operand is
-        released, so no call's output aliases an input — the cheaper
-        call for 1-point batches.  Ops with no array input below them
-        stay plain scalar statements, and ops with ``sqrt``/``log``
-        below them are allocating statements (their dtype is
-        data-dependent, so a float64 buffer cannot hold them).  The
-        kernel performs the tape's IEEE operations in the tape's order,
-        bit-identical to :meth:`program_source`.
+        output buffers are never recycled.  An op writes into the buffer
+        of an operand that dies at that op (``_np_add(b1, x0, out=b1)``),
+        which keeps the fewest buffers live.  Ops with no array input
+        below them stay plain scalar statements, and ops with
+        ``sqrt``/``log`` below them are allocating statements (their
+        dtype is data-dependent, so a float64 buffer cannot hold them).
+        The kernel performs the tape's IEEE operations in the tape's
+        order, bit-identical to :meth:`program_source`.
         """
         mask = tuple(bool(m) for m in mask)
         if len(mask) != self.n_inputs:
@@ -409,12 +410,10 @@ class OpTape:
                 text.append(f"r{i}")
             else:
                 buf = None
-                if alias:
-                    for p in operands:
-                        if p in buffer_of and \
-                                remaining[p] == operands.count(p):
-                            buf = buffer_of.pop(p)
-                            break
+                for p in operands:
+                    if p in buffer_of and remaining[p] == operands.count(p):
+                        buf = buffer_of.pop(p)
+                        break
                 if buf is None:
                     if pool:
                         buf = pool.pop()
@@ -696,72 +695,20 @@ def fuse_moments(tape: OpTape) -> OpTape:
                   meta=tape.meta, fused={"moments": len(numerators)})
 
 
-def _transform_name(transform) -> str:
-    """Recover the serializable name of an element-value transform by
-    probing it (transforms are pure scalar maps — see
-    :data:`repro.core.serialize._TRANSFORMS`)."""
-    from ..core.serialize import _TRANSFORMS
-    for name, known in _TRANSFORMS.items():
-        if transform is known:
-            return name
-    try:
-        if transform(2.0) == 2.0 and transform(0.25) == 0.25:
-            return "identity"
-        if transform(2.0) == 0.5 and transform(0.25) == 4.0:
-            return "inverse"
-    except Exception:
-        pass
-    raise TapeError(
-        f"cannot serialize element transform {transform!r} onto an op tape")
+def tape_from_model(model, *, fused: bool = False) -> OpTape:
+    """A compiled model's *model* tape: the moment program plus what a
+    :class:`~repro.core.compiled_model.TapeModel` needs to evaluate and
+    sweep it — moment order, Padé order, output node, and the
+    element→symbol slot table.
 
-
-def tape_from_model(model, title: str | None = None, *,
-                    fused: bool = False) -> OpTape:
-    """Lower a compiled model's moment program to a *model* tape.
-
-    Accepts an ``AWESymbolicResult``, a ``CompiledAWEModel`` or a
-    ``TapeModel``; the result carries everything a
-    :class:`TapeModel` needs to evaluate and sweep — moment order, Padé
-    order, output node, and the element→symbol slot table.
-
-    With ``fused=True`` the returned tape is the schema-2 fused form
+    Accepts an ``AWESymbolicResult`` or any ``TapeModel`` (a
+    ``CompiledAWEModel`` is the ``TapeModel`` of its own tape).  With
+    ``fused=True`` the returned tape is the schema-2 fused form
     (:func:`fuse_moments`): its outputs are finished moments plus the
     determinant, evaluated in one register-machine pass.
     """
-    inner = getattr(model, "model", model)  # AWESymbolicResult -> model
-    existing = getattr(inner, "tape", None)
-    if isinstance(existing, OpTape):
-        if fused and existing.fused is None:
-            return fuse_moments(existing)
-        return existing
-    cm = inner.compiled_moments
-    fn = cm.fn
-    elements = []
-    for name, (pos, transform) in inner.element_slots.items():
-        elements.append([str(name), int(pos), _transform_name(transform)])
-    if title is None:
-        title = getattr(inner, "title", None)
-        if title is None:  # AWESymbolicResult: title lives on the circuit
-            partition = getattr(model, "partition", None)
-            title = getattr(getattr(partition, "circuit", None), "title", "")
-    output = getattr(inner, "output", None)
-    if output is None:  # AWESymbolicResult: output lives on the moments
-        output = getattr(getattr(model, "moments", None), "output", "")
-    meta = {
-        "kind": "awesymbolic-moments",
-        "title": str(title),
-        "output": str(output),
-        "order": int(inner.order),
-        "moment_order": int(cm.order),
-        "elements": elements,
-    }
-    tape = tape_for(fn)
-    if tape.meta != meta:
-        tape = OpTape(tape.symbols, tape.consts, tape.ops, tape.outputs,
-                      tape.output_names, meta=meta, fused=tape.fused)
-    if fused and tape.fused is None:
-        tape = fuse_moments(tape)
-    return tape
+    tape = getattr(model, "model", model).tape  # AWESymbolicResult -> model
+    return fuse_moments(tape) if fused else tape
 
 
 # ----------------------------------------------------------------------
@@ -831,125 +778,11 @@ def load_tape(path) -> OpTape:
     return tape_from_json(text)
 
 
-# ----------------------------------------------------------------------
-# evaluatable model over a tape
-# ----------------------------------------------------------------------
-class TapeModel:
-    """A sweep-ready, circuit-free model over a *model* tape.
-
-    The evaluate-only model type: ``.tape`` artifacts and saved-model
-    JSON (:func:`~repro.core.serialize.model_from_dict`) both load into
-    it.  It exposes ``compiled_moments`` / ``element_slots`` / ``order`` /
-    ``sweep`` so it is a full citizen of the batched runtime and the
-    serving registry; the program is ``exec``'d straight off the tape,
-    or passed in as ``fn`` when the caller already compiled it.
-    """
-
-    def __init__(self, tape: OpTape,
-                 fn: CompiledFunction | None = None) -> None:
-        from ..core.serialize import _TRANSFORMS
-        from ..partition.composite import CompiledMoments
-
-        meta = tape.meta
-        if meta.get("kind") != "awesymbolic-moments":
-            raise TapeError(
-                "this op tape is a bare program, not a model artifact "
-                "(missing awesymbolic-moments metadata); build it with "
-                "tape_from_model or `repro compile --emit-tape`")
-        self.tape = tape
-        self.title = str(meta.get("title", ""))
-        self.output = str(meta.get("output", ""))
-        self.order = int(meta.get("order", 1))
-        t0 = time.perf_counter()
-        if fn is None:
-            fn = tape.build_function()
-        moment_order = int(meta.get("moment_order",
-                                    len(tape.outputs) - 2))
-        self.compiled_moments = CompiledMoments(fn=fn, order=moment_order)
-        self.compile_seconds = time.perf_counter() - t0
-        self.space = fn.space
-        slots: dict[str, tuple] = {}
-        for entry in meta.get("elements", []):
-            name, pos, tname = entry
-            try:
-                transform = _TRANSFORMS[tname]
-            except KeyError:
-                raise TapeError(
-                    f"op tape names unknown transform {tname!r}") from None
-            slots[str(name)] = (int(pos), transform)
-        self.element_slots = slots
-
-    @property
-    def n_ops(self) -> int:
-        return self.tape.n_ops
-
-    @property
-    def key(self) -> str:
-        return self.tape.content_hash
-
-    def _values_vector(self, element_values: Mapping[str, float] | None,
-                       ) -> list[float]:
-        vec = [float(s.nominal) for s in self.space.symbols]
-        for name, value in (element_values or {}).items():
-            try:
-                pos, transform = self.element_slots[name]
-            except KeyError:
-                raise ApproximationError(
-                    f"{name!r} is not a symbolic element of this "
-                    "model") from None
-            vec[pos] = transform(float(value))
-        return vec
-
-    def moments_at(self, element_values: Mapping[str, float] | None = None,
-                   ) -> np.ndarray:
-        """Transfer-function moments at one operating point: the fused
-        program's scalar pass, so the same unscaling ladder as the
-        batched evaluator and :meth:`CompiledMoments.scalars`."""
-        vec = self._values_vector(element_values)
-        try:
-            raw = self.compiled_moments.fused.eval_raw(*vec)
-        except ZeroDivisionError:
-            raise ApproximationError("model singular at this point") from None
-        if raw[-1] == 0.0:  # array-semantics inputs: inf/nan, no raise
-            raise ApproximationError("model singular at this point")
-        return np.array(raw[:-1])
-
-    def rom(self, element_values: Mapping[str, float] | None = None,
-            order: int | None = None, require_stable: bool = True):
-        """Reduced-order model at one operating point — the serving
-        layer's degraded path calls this with ``order=1``."""
-        from ..awe.stability import rom_from_moments  # lazy: avoids cycle
-
-        q = self.order if order is None else order
-        moments = self.moments_at(element_values)
-        if len(moments) < 2 * q:
-            raise ApproximationError(
-                f"tape model has {len(moments)} moments; order {q} "
-                f"needs {2 * q}")
-        return rom_from_moments(list(moments), q,
-                                require_stable=require_stable)
-
-    def sweep(self, grids: Mapping[str, np.ndarray],
-              metric: Callable, order: int | None = None,
-              require_stable: bool = True, *,
-              shards: int | None = None,
-              max_workers: int | None = None,
-              stats=None, strict: bool = False, resilience=None,
-              backend: str | None = None, cancel=None,
-              chunk_points: int | None = None):
-        """Batched metric sweep — same contract as
-        :meth:`~repro.core.compiled_model.CompiledAWEModel.sweep`,
-        streamed through cache-resident chunks of ``chunk_points`` points
-        (token or not)."""
-        from ..runtime.batched import batched_sweep  # lazy: avoids cycle
-
-        return batched_sweep(self, grids, metric, order=order,
-                             require_stable=require_stable, shards=shards,
-                             max_workers=max_workers, stats=stats,
-                             strict=strict, resilience=resilience,
-                             backend=backend, cancel=cancel,
-                             chunk_points=chunk_points)
-
-    def __repr__(self) -> str:
-        return (f"TapeModel({self.title!r}, output={self.output!r}, "
-                f"order={self.order}, {self.tape.n_ops} ops)")
+def __getattr__(name: str):
+    # the model type lives with the compiled model it generalizes; this
+    # keeps ``repro.symbolic.tape.TapeModel`` importable without the IR
+    # module importing the layers above it
+    if name == "TapeModel":
+        from ..core.compiled_model import TapeModel
+        return TapeModel
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -240,11 +240,13 @@ class TestResolution:
             resolve_backend("gpu", 4)
 
     def test_workers_default_follows_shards(self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.batched.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("repro.runtime.batched.available_cpus",
+                            lambda: 8)
         n_shards, workers = _resolve_sharding(1000, 4, None)
         assert (n_shards, workers) == (4, 4)
-        # capped by the machine
-        monkeypatch.setattr("repro.runtime.batched.os.cpu_count", lambda: 2)
+        # capped by the CPUs the process may run on
+        monkeypatch.setattr("repro.runtime.batched.available_cpus",
+                            lambda: 2)
         n_shards, workers = _resolve_sharding(1000, 6, None)
         assert (n_shards, workers) == (6, 2)
         # explicit worker count still wins
@@ -253,6 +255,24 @@ class TestResolution:
         # unsharded sweeps stay serial
         n_shards, workers = _resolve_sharding(1000, None, None)
         assert (n_shards, workers) == (1, 1)
+
+    def test_cpu_count_follows_the_affinity_mask(self, monkeypatch):
+        """``taskset``/cpusets cap the default shard workers and native
+        kernel threads; ``os.cpu_count()`` only stands in where the OS
+        has no affinity mask."""
+        import os
+
+        from repro.runtime.native import _native_threads
+
+        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                            raising=False)
+        assert _resolve_sharding(1000, 8, None) == (8, 3)
+        assert _native_threads() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _resolve_sharding(1000, 8, None) == (8, 8)
+        assert _native_threads() == 16
 
     def test_serial_backend_forces_one_worker(self, fig1_model):
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 6)}

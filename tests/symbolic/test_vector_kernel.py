@@ -200,8 +200,8 @@ class TestCodegen:
             tape.kernel_source((True,))
 
     def test_aliasing_writes_into_dying_operand(self, space2):
-        """Only the aliasing kernel writes an op into an operand's
-        buffer; the 1-point kernel never aliases output and input."""
+        """The kernel writes an op into the buffer of an operand that
+        dies at it."""
         tape = compile_exprs(space2, build_rational_like(space2)).tape
 
         def aliased(source):
@@ -210,12 +210,8 @@ class TestCodegen:
                     and ln.split("out=")[1].rstrip(")") in
                     ln[ln.index("(") + 1:ln.index("out=")].split(", ")]
 
-        alias_src, _, alias_bufs = tape.kernel_source((True, True))
-        plain_src, _, plain_bufs = tape.kernel_source((True, True),
-                                                      alias=False)
+        alias_src, _, _ = tape.kernel_source((True, True))
         assert aliased(alias_src)
-        assert not aliased(plain_src)
-        assert alias_bufs <= plain_bufs
 
     def test_instrumented_matches_lowered_ops(self, space2):
         """The profiler's op labels still map 1:1 onto DAG nodes."""
@@ -240,8 +236,9 @@ def moment_programs():
 
 
 class TestKernelBySize:
-    """The kernel is chosen by batch size — aliasing from 2 points up,
-    non-aliasing at 1 — and either one equals ``eval_raw`` bit for bit."""
+    """The evaluator is chosen by batch size — the ufunc kernel from 2
+    points up, the scalar program on numpy scalars at 1 — and either one
+    equals ``eval_raw`` bit for bit."""
 
     @pytest.mark.parametrize("name", ["fig1", "741"])
     @pytest.mark.parametrize("n", [1, 2, 4096])
@@ -267,8 +264,8 @@ class TestKernelBySize:
             w = np.broadcast_to(np.asarray(w, dtype=np.float64), (n,))
             g = np.broadcast_to(np.asarray(g, dtype=np.float64), (n,))
             assert w.tobytes() == g.tobytes()
-        # a 1-point batch never runs the aliasing kernel
-        assert list(fn._kernels) == [(mask, n > 1)]
+        # a 1-point batch specializes no ufunc kernel
+        assert list(fn._kernels) == ([mask] if n > 1 else [])
 
 
 class TestAllocations:
@@ -308,9 +305,9 @@ class TestAllocations:
         xs = np.linspace(0.1, 1.0, 16)
         with np.errstate(all="ignore"):
             fn.eval_batch([xs, 2.0], 16)
-            kernel = fn._kernels[((True, False), True)]
+            kernel = fn._kernels[(True, False)]
             fn.eval_batch([xs, 3.0], 16)
-        assert fn._kernels[((True, False), True)] is kernel
+        assert fn._kernels[(True, False)] is kernel
         assert len(fn._kernels) == 1
 
 
