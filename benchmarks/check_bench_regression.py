@@ -13,6 +13,13 @@ CI machines are slower than whatever produced the baseline more often
 than not, which is exactly why the gate is a wide ratio rather than an
 absolute floor.
 
+When both payloads carry a host-speed calibration
+(``host_calibration_s``: seconds for a fixed integer loop, recorded by
+``run_bench_sweep.py``), the current figures are first scaled by the
+current calibration over the baseline's, so a host running at half
+speed is held to half the baseline.  Payloads without one (older
+baselines, BENCH_serve, BENCH_scenarios) compare uncalibrated.
+
 Legs that want a hard guarantee can add repeatable ``--floor
 LABEL=VALUE`` options: an absolute points/s minimum for one tracked
 figure, which fails when the figure is below the floor *or missing*
@@ -92,26 +99,52 @@ def check_floors(current: dict, floors: dict[str, float]) -> list[str]:
     return failures
 
 
+def host_slowdown(baseline: dict, current: dict) -> float | None:
+    """How many times slower the current host ran than the baseline's:
+    the ratio of the payloads' calibration times (None when either
+    payload has no calibration)."""
+    base = baseline.get("host_calibration_s")
+    cur = current.get("host_calibration_s")
+    if not base or not cur:
+        return None
+    return float(cur) / float(base)
+
+
 def compare(baseline: dict, current: dict,
             tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
-    """Return a list of regression messages (empty means the gate passes)."""
+    """Return a list of regression messages (empty means the gate passes).
+
+    Each current figure is scaled by :func:`host_slowdown` when both
+    payloads are calibrated; the raw ratio is printed beside it.
+    """
     base = dict(iter_throughputs(baseline))
     cur = dict(iter_throughputs(current))
+    slowdown = host_slowdown(baseline, current)
+    if slowdown is None:
+        print("  no host-speed calibration on both sides: raw ratios")
+    else:
+        print(f"  host {slowdown:.2f}x slower than the baseline's: "
+              "figures scaled by it")
     failures = []
     for label in sorted(base):
         if label not in cur:
             print(f"  {label:<18} missing from current run (skipped)")
             continue
-        ratio = cur[label] / base[label]
+        raw = cur[label] / base[label]
+        ratio = raw if slowdown is None else raw * slowdown
         status = "OK"
         if ratio < 1.0 - tolerance:
             status = "REGRESSION"
             failures.append(
                 f"{label}: {cur[label]:.0f} points/s is "
                 f"{(1.0 - ratio) * 100.0:.1f}% below baseline "
-                f"{base[label]:.0f} (tolerance {tolerance * 100.0:.0f}%)")
+                f"{base[label]:.0f}"
+                + ("" if slowdown is None else " at equal host speed")
+                + f" (tolerance {tolerance * 100.0:.0f}%)")
+        shown = (f"{raw:5.2f}x" if slowdown is None
+                 else f"raw {raw:5.2f}x, calibrated {ratio:5.2f}x")
         print(f"  {label:<18} {base[label]:>12.0f} -> {cur[label]:>12.0f} "
-              f"points/s  ({ratio:5.2f}x)  {status}")
+              f"points/s  ({shown})  {status}")
     for label in sorted(set(cur) - set(base)):
         print(f"  {label:<18} new (no baseline): "
               f"{cur[label]:.0f} points/s")

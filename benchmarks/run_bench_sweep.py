@@ -11,7 +11,9 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    this figure sees cache effects — a serial 128x128 ``phase_margin``
    sweep (Fig. 7's surface), whose metric stage is the gain-crossing
    root solve, and a serial 32x32 order-4 ``dominant_pole_hz`` sweep of
-   an order-4 compile, whose Padé stage is the stable-order ladder;
+   an order-4 compile, whose Padé stage is the stable-order ladder —
+   and serial 1-point sweeps (the paper's Table 1 iteration through
+   ``sweep``: the per-sweep fixed cost and the scalar lane);
 3. time the same sweep once per execution backend (serial / thread /
    process / native), after an unmeasured warm-up pass so pool spawn,
    the per-worker program cache, and the native kernel build are
@@ -24,13 +26,15 @@ Runs the paper's §3.1 workload end to end under the observability layer:
 5. op-profile the compiled moment program over the same grid batch;
 6. write ``BENCH_sweep.json`` — points/sec overall, per backend and on
    the 512x512, margin and order-4 grids (each with a per-stage
-   breakdown), and
+   breakdown), 1-point sweeps per second, the host-speed calibration
+   the regression gate scales by, and
    per kernel, compile and evaluate seconds, the top-3 hot ops with symbolic
    provenance, and the full stats/metrics snapshots — and, with
    ``--trace``, a Chrome/Perfetto trace of the whole run.
 
 ``benchmarks/check_bench_regression.py`` compares this payload against
-the committed baseline and fails CI on a >25 % throughput regression.
+the committed baseline and fails CI on a >25 % throughput regression,
+after scaling by the two payloads' host-speed calibrations.
 
 Usage (what the CI bench-sweep job runs)::
 
@@ -43,6 +47,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -64,10 +69,30 @@ LARGE_GRID_N = 512
 MARGIN_GRID_N = 128
 Q4_GRID_N = 32
 SHARDS = 8
+#: 1-point sweeps per timed batch, and batches (the figure is the best)
+POINT_SWEEPS = 200
+POINT_BATCHES = 5
 BACKENDS = ("serial", "thread", "process", "native")
 STAGES = (("columns", "columns_seconds"), ("moments", "evaluate_seconds"),
           ("health", "health_seconds"), ("pade", "pade_seconds"),
           ("metric", "metric_seconds"), ("finalize", "finalize_seconds"))
+
+
+def calibrate() -> float:
+    """Seconds for a fixed 20 000-iteration integer loop: the host's speed
+    right now for arithmetic-bound interpreted code (the loop
+    ``perfbench/worker.py``'s ``calibrate`` times)."""
+    t0 = time.perf_counter()
+    acc = 0
+    for i in range(20_000):
+        acc += i * i
+    return time.perf_counter() - t0
+
+
+def host_calibration(samples: int = 9) -> float:
+    """The calibration loop's best of ``samples`` runs: the host's speed
+    at its fastest right now, as the best-of figures measure it."""
+    return min(calibrate() for _ in range(samples))
 
 
 def stage_breakdown(stats: RuntimeStats) -> dict:
@@ -158,6 +183,29 @@ def bench_serial_grid(model, grids, metric=dominant_pole_hz,
     }
 
 
+def bench_one_point(model, go_nom: float, sweeps: int = POINT_SWEEPS,
+                    batches: int = POINT_BATCHES) -> dict:
+    """Serial 1-point ``dominant_pole_hz`` sweeps at random points, best
+    of ``batches`` batches: the paper's per-iteration cost through the
+    public ``sweep`` API, where the per-sweep fixed cost is nearly all of
+    it."""
+    rng = np.random.default_rng(0)
+    grids = [{"go_Q14": np.array([go_nom * rng.uniform(0.5, 4.0)]),
+              "Ccomp": np.array([rng.uniform(10e-12, 60e-12)])}
+             for _ in range(sweeps)]
+    for g in grids[:20]:  # warm-up
+        model.sweep(g, dominant_pole_hz)
+    best = float("inf")
+    for _ in range(batches):
+        t0 = time.perf_counter()
+        for g in grids:
+            model.sweep(g, dominant_pole_hz)
+        best = min(best, time.perf_counter() - t0)
+    return {"sweeps": sweeps, "batches": batches,
+            "sweeps_per_second": sweeps / best,
+            "us_per_sweep": 1e6 * best / sweeps}
+
+
 def bench_kernels(model, grids, repeats: int = 5) -> dict:
     """Raw kernel throughput on the full grid batch, no sweep layer.
 
@@ -232,6 +280,7 @@ def surface_grids(go_nom: float, grid_n: int) -> dict:
 
 
 def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
+    calibrations = [host_calibration()]
     ss = small_signal_741()
     res = awesymbolic(ss.circuit, "out", symbols=["go_Q14", "Ccomp"],
                       order=2)
@@ -245,17 +294,23 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
     finite = int(np.isfinite(np.asarray(z)).sum())
 
     backends = bench_backends(model, grids, z, shards)
+    calibrations.append(host_calibration())
     large = bench_serial_grid(model, surface_grids(go_nom, LARGE_GRID_N))
     margin = bench_serial_grid(model, surface_grids(go_nom, MARGIN_GRID_N),
                                metric=phase_margin)
+    calibrations.append(host_calibration())
     res4 = awesymbolic(ss.circuit, "out", symbols=["go_Q14", "Ccomp"],
                        order=4)
     q4 = bench_serial_grid(res4.model, surface_grids(go_nom, Q4_GRID_N))
+    point = bench_one_point(model, go_nom)
+    calibrations.append(host_calibration())
     kernels = bench_kernels(model, grids)
+    calibrations.append(host_calibration())
     throughputs = {
         f"grid{LARGE_GRID_N}:serial": large["points_per_second"],
         f"margin{MARGIN_GRID_N}:serial": margin["points_per_second"],
         f"q4grid{Q4_GRID_N}:serial": q4["points_per_second"],
+        "point1:serial": point["sweeps_per_second"],
         "kernel:ufunc": kernels["ufunc"]["points_per_second"],
     }
     if kernels["native"].get("available"):
@@ -284,7 +339,10 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
         "q4_grid": {"metric": "dominant_pole_hz", "order": 4,
                     "grid": {"go_Q14": Q4_GRID_N, "Ccomp": Q4_GRID_N},
                     **q4},
+        "one_point": {"metric": "dominant_pole_hz", **point},
         "kernels": kernels,
+        # median of best-of-9 calibration loops taken through the run
+        "host_calibration_s": statistics.median(calibrations),
         "throughputs": throughputs,
         "n_ops": model.n_ops,
         "points_per_second": stats.points_per_second,
@@ -345,6 +403,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {label} {entry['grid']['go_Q14']}^2 serial "
               f"{entry['points_per_second']:>10.0f} points/s"
               f"  {stage_text(entry['stages'])}")
+    point = payload["one_point"]
+    print(f"  point1 serial {point['sweeps_per_second']:>10.0f} sweeps/s"
+          f"  ({point['us_per_sweep']:.1f} us per 1-point sweep)")
+    print(f"  host calibration {payload['host_calibration_s'] * 1e3:.3f} ms")
     kernels = payload["kernels"]
     print(f"  kernel  ufunc    "
           f"{kernels['ufunc']['points_per_second']:>12.0f} points/s")

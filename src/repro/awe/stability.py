@@ -64,27 +64,36 @@ def stable_reduction(moments: np.ndarray, order: int,
         moment_scale=a, order=order)
 
 
+def closed_form_rom(moments, order: int,
+                    require_stable: bool = True) -> ReducedOrderModel | None:
+    """The order 1-2 closed-form model :func:`rom_from_moments` returns
+    when it can, or None where the closed form is degenerate (or unstable
+    when stability is required) and the general path must run."""
+    try:
+        poles, residues = fast_poles_residues(moments, order)
+        model = ReducedOrderModel(poles, residues, order_requested=order)
+    except ApproximationError:
+        return None
+    return model if model.stable or not require_stable else None
+
+
 def rom_from_moments(moments, order: int,
                      require_stable: bool = True) -> ReducedOrderModel:
     """Reduced-order model from already-computed numeric moments.
 
     The shared per-point evaluation tail of every compiled-model path
     (:meth:`CompiledAWEModel.rom`, :meth:`TapeModel.rom`, and the
-    batched runtime's fallback): orders 1-2 take the closed-form
-    pure-Python Padé, anything degenerate/unstable or higher-order goes
-    through the general scaled Hankel solve with stable order fallback.
+    batched runtime's scalar lane and fallback): orders 1-2 take the
+    closed-form pure-Python Padé (:func:`closed_form_rom`), anything
+    degenerate/unstable or higher-order goes through the general scaled
+    Hankel solve with stable order fallback.
 
     Raises:
         ApproximationError: no (stable) model at any order down to 1.
     """
     q = int(order)
-    if q <= 2:
-        try:
-            poles, residues = fast_poles_residues(moments, q)
-            model = ReducedOrderModel(poles, residues, order_requested=q)
-            if model.stable or not require_stable:
-                return model
-        except ApproximationError:
-            pass  # fall through to the general path
-    return stable_reduction(np.asarray(moments, dtype=float), q,
-                            require_stable=require_stable)
+    model = closed_form_rom(moments, q, require_stable) if q <= 2 else None
+    if model is None:
+        model = stable_reduction(np.asarray(moments, dtype=float), q,
+                                 require_stable=require_stable)
+    return model

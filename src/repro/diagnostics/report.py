@@ -131,6 +131,15 @@ class HealthSummary:
         self.vmax = max(self.vmax, float(finite.max()))
         self.total += float(finite.sum())
 
+    def add_value(self, value: float) -> None:
+        """Fold in one value, ignored unless finite: :meth:`add` of a
+        one-element array without the array."""
+        if math.isfinite(value):
+            self.count += 1
+            self.vmin = min(self.vmin, value)
+            self.vmax = max(self.vmax, value)
+            self.total += value
+
     def merge(self, other: "HealthSummary") -> None:
         if other.count == 0:
             return

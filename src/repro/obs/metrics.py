@@ -21,7 +21,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 __all__ = [
     "Counter",
@@ -166,6 +166,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._bound: dict = {}
+        self._generation = 0  # bumped by reset(), which drops _bound
         self._lock = threading.Lock()
 
     def _get_or_make(self, cls, name: str, help: str):
@@ -187,6 +189,20 @@ class MetricsRegistry:
 
     def histogram(self, name: str, help: str = "") -> Histogram:
         return self._get_or_make(Histogram, name, help)
+
+    def bind(self, build: Callable[["MetricsRegistry"], object]):
+        """``build(self)``, built once per registry (and again after
+        :meth:`reset`): an emitter that runs per sweep or per request
+        looks its instruments up once, not once per update."""
+        bound = self._bound.get(build)
+        if bound is None:
+            generation = self._generation
+            bound = build(self)
+            with self._lock:
+                # a reset() while building orphaned what was built
+                if generation == self._generation:
+                    bound = self._bound.setdefault(build, bound)
+        return bound
 
     @contextmanager
     def time(self, name: str, help: str = "") -> Iterator[None]:
@@ -212,6 +228,8 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._instruments.clear()
+            self._bound.clear()
+            self._generation += 1
 
     def __len__(self) -> int:
         with self._lock:

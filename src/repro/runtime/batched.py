@@ -14,7 +14,7 @@ gap.  A batched sweep:
    across outputs and performing the determinant unscaling inside the
    kernel; it is the program
    :meth:`~repro.partition.composite.CompiledMoments.scalars` runs per
-   point, and a 1-point chunk runs its scalar code;
+   point;
 3. extracts poles and residues: for orders 1-2 with vectorized closed
    forms, exact array transcriptions of
    :func:`repro.awe.pade.fast_poles_residues`; above that with the
@@ -33,6 +33,13 @@ gap.  A batched sweep:
    path, which raises the error that quarantines a point.  Every order
    is bit-identical to the per-point sweep
    (``tests/runtime/test_differential.py`` enforces this).
+
+A chunk of at most :data:`SCALAR_LANES` points skips the array
+machinery, whose ~100 numpy calls cost more than a few lanes of
+arithmetic: it runs lane by lane through the per-point path (the fused
+program's scalar code, :func:`repro.awe.stability.rom_from_moments`'s
+Padé, the scalar metric) while keeping the chunk's stage ledger, fault
+site and health summaries (:func:`_scalar_chunk`).
 
 Shards split the flattened grid into contiguous ranges evaluated
 independently (optionally on a thread pool or in worker processes), and
@@ -60,7 +67,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ..awe.model import ReducedOrderModel
-from ..awe.stability import rom_from_moments
+from ..awe.stability import closed_form_rom, rom_from_moments, stable_reduction
 from ..core import metrics as _metrics
 from ..diagnostics import (QuarantinedPoint, ShardFailure, SweepDiagnostics,
                            SweepResult)
@@ -75,6 +82,7 @@ from .stats import RuntimeStats
 
 __all__ = [
     "CANCEL_CHUNK_POINTS",
+    "SCALAR_LANES",
     "batched_sweep",
     "grid_columns",
     "sample_columns",
@@ -97,6 +105,16 @@ logger = logging.getLogger("repro.runtime.batched")
 #: observes its cancel token, i.e. the bound on wasted work after a
 #: deadline/timeout/interrupt.
 CANCEL_CHUNK_POINTS = 4096
+
+#: chunks of at most this many points run lane by lane
+#: (:func:`_scalar_chunk`): the fused program's scalar code, the
+#: per-point Padé and the scalar metric, instead of ~100 numpy calls on
+#: few-lane arrays.  It is the measured crossover of the slowest
+#: registered metric: on one pinned vCPU of the 2-vCPU bench box the
+#: vector path overtakes the scalar lane at ~4 lanes for
+#: ``phase_margin`` and at ~8-10 for ``dominant_pole_hz``/``dc_gain``
+#: (``docs/runtime.md``).
+SCALAR_LANES = 4
 
 #: scalar metric -> vectorized implementation ``(poles, residues) -> values``
 #: where ``poles``/``residues`` are ``(order, n_points)`` complex arrays.
@@ -176,7 +194,9 @@ def grid_columns(model, grids: Mapping[str, np.ndarray],
     shape = tuple(len(a) for a in axes)
     columns: list = [float(s.nominal) for s in model.space.symbols]
     if axes:
-        mesh = np.meshgrid(*axes, indexing="ij")
+        # one axis, or axes of one value each, are their own mesh
+        mesh = (axes if len(axes) == 1 or math.prod(shape) == 1
+                else np.meshgrid(*axes, indexing="ij"))
         for (pos, transform), grid in zip(slots, mesh):
             columns[pos] = np.asarray(transform(grid.reshape(-1)),
                                       dtype=float)
@@ -537,10 +557,7 @@ def _chunk_moments(model, columns: Sequence, n_points: int,
     (:attr:`~repro.partition.composite.CompiledMoments.fused`) emits every
     moment *and* the determinant.  Returns ``(moments, singular, det)``
     where ``singular`` marks points whose symbolic system determinant
-    ``det`` is exactly zero.  In strict mode any such point raises
-    :class:`PartitionError` (the pre-quarantine behavior); in lenient
-    mode those points are quarantined with stage ``"moments"`` and their
-    moment columns are NaN.
+    ``det`` is exactly zero (see :func:`_scan_singular`).
     """
     fn = model.compiled_moments.fused
     with stats.stage("evaluate"):
@@ -551,18 +568,28 @@ def _chunk_moments(model, columns: Sequence, n_points: int,
             moments = np.empty((len(raw) - 1, n_points))
             for k in range(len(raw) - 1):
                 moments[k] = raw[k]
-            singular = det == 0.0
-            if singular.any():
-                if diag.strict:
-                    raise PartitionError(_SINGULAR_MSG)
-                for i in np.flatnonzero(singular):
-                    diag.quarantine(QuarantinedPoint(
-                        index=offset + int(i), stage="moments",
-                        error="PartitionError", message=_SINGULAR_MSG))
-                moments[:, singular] = np.nan
+            singular = _scan_singular(moments, det, diag, offset)
     if _faults.ACTIVE is not None:
         _faults.fault_point("sweep.moments", moments=moments, offset=offset)
     return moments, singular, det
+
+
+def _scan_singular(moments: np.ndarray, det: np.ndarray,
+                   diag: SweepDiagnostics, offset: int) -> np.ndarray:
+    """Mark the points whose determinant is exactly zero.  In strict mode
+    any such point raises :class:`PartitionError` (the pre-quarantine
+    behavior); in lenient mode those points are quarantined with stage
+    ``"moments"`` and their moment columns become NaN."""
+    singular = det == 0.0
+    if singular.any():
+        if diag.strict:
+            raise PartitionError(_SINGULAR_MSG)
+        for i in np.flatnonzero(singular):
+            diag.quarantine(QuarantinedPoint(
+                index=offset + int(i), stage="moments",
+                error="PartitionError", message=_SINGULAR_MSG))
+        moments[:, singular] = np.nan
+    return singular
 
 
 def _hankel_cond2(moments: np.ndarray) -> np.ndarray:
@@ -598,6 +625,105 @@ def _chunk_health(moments: np.ndarray, det: np.ndarray, order: int,
         diag.hankel_condition.add(_hankel_cond2(moments))
 
 
+def _hankel_cond2_lane(m0: float, m1: float, m2: float) -> float:
+    """:func:`_hankel_cond2` of one point in Python floats: the same IEEE
+    operations in the same order, so every finite value is bit-identical
+    (the guards stand in for ``np.where``; non-finite values, which the
+    health summary drops, may differ)."""
+    a = abs(m0 / m1) if m0 != 0.0 and m1 != 0.0 else 1.0
+    s0, s1, s2 = m0, m1 * a, m2 * a * a
+    frob = s0 * s0 + 2.0 * s1 * s1 + s2 * s2
+    absdet = abs(s1 * s1 - s0 * s2)
+    root = math.sqrt(max(frob * frob - 4.0 * absdet * absdet, 0.0))
+    sigma2_sq = (frob - root) / 2.0
+    if not sigma2_sq > 0.0:
+        return math.inf
+    return math.sqrt((frob + root) / sigma2_sq)
+
+
+def _scalar_chunk(model, columns: Sequence, out: np.ndarray,
+                  metric: Callable[[ReducedOrderModel], float], order: int,
+                  require_stable: bool, offset: int,
+                  stats: RuntimeStats, diag: SweepDiagnostics) -> None:
+    """:func:`_sweep_chunk` of at most :data:`SCALAR_LANES` points, lane
+    by lane through the per-point path.
+
+    Each lane runs the fused program's scalar code (``eval_batch`` of one
+    point), the closed form or stable-order ladder of
+    :func:`~repro.awe.stability.rom_from_moments`, and the scalar metric,
+    so its value, quarantine record and dropped orders are the per-point
+    sweep's by construction.  The chunk keeps the vector path's contract:
+    it times its ``evaluate``/``health``/``pade``/``metric`` stages, fires
+    the ``sweep.moments`` fault site on a ``(rows, n)`` moment slab that
+    its Padé then reads, folds the same per-point health values as
+    :func:`_chunk_health`, and counts as fallback the lanes the vector
+    path routes per point (a degenerate or unstable closed form, or no
+    order settling).
+    """
+    n_points = len(out)
+    fn = model.compiled_moments.fused
+    with stats.stage("evaluate"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # one row per lane: its moments, then its determinant
+            lanes = np.array([
+                fn.eval_batch([c[i:i + 1] if isinstance(c, np.ndarray)
+                               else c for c in columns], 1)
+                for i in range(n_points)], dtype=float)
+        det = lanes[:, -1]
+        moments = lanes[:, :-1].T
+        singular = _scan_singular(moments, det, diag, offset).tolist()
+    if _faults.ACTIVE is not None:
+        _faults.fault_point("sweep.moments", moments=moments, offset=offset)
+    rows = lanes.tolist()
+
+    with stats.stage("health"):
+        for lane in rows:
+            m0, m1 = lane[0], lane[1]
+            diag.y0_det_abs.add_value(abs(lane[-1]))
+            if m1 != 0.0:
+                diag.moment_decay.add_value(abs(m0 / m1))
+            if order == 2 and len(lane) > 3:
+                diag.hankel_condition.add_value(
+                    _hankel_cond2_lane(m0, m1, lane[2]))
+
+    roms: list = [None] * n_points
+    fallback = 0
+    with stats.stage("pade"):
+        for i, lane in enumerate(rows):
+            if singular[i]:
+                continue
+            m = lane[:-1]
+            rom = (closed_form_rom(m, order, require_stable) if order <= 2
+                   else None)
+            # the vector path routes a lane per point where the closed
+            # form fails, or where no order of the ladder settles
+            per_point = rom is None and order <= 2
+            if rom is None:
+                try:
+                    rom = stable_reduction(np.asarray(m), order,
+                                           require_stable=require_stable)
+                except ApproximationError as exc:
+                    per_point = True
+                    diag.quarantine_error(offset + i, "pade", exc)
+            fallback += per_point
+            roms[i] = rom
+    stats.points += n_points
+    diag.points += n_points
+    stats.fallback_points += fallback
+    stats.vectorized_points += n_points - sum(singular) - fallback
+
+    out[:] = np.nan
+    with stats.stage("metric"):
+        for i, rom in enumerate(roms):
+            if rom is None:
+                continue
+            diag.record_drop(rom.dropped_unstable)
+            try:
+                out[i] = metric(rom)  # NaN stays, as per point
+            except ApproximationError as exc:
+                diag.quarantine_error(offset + i, "metric", exc)
+
+
 def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
                  metric: Callable[[ReducedOrderModel], float], order: int,
                  require_stable: bool, offset: int,
@@ -607,9 +733,15 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
     ``len(out)`` points whose every entry the call overwrites.
 
     Stage times and counters accumulate into ``stats``; quarantine
-    indices recorded in ``diag`` are global (``offset`` + local).
+    indices recorded in ``diag`` are global (``offset`` + local).  A
+    chunk of at most :data:`SCALAR_LANES` points runs the scalar lane
+    (:func:`_scalar_chunk`).
     """
     n_points = len(out)
+    if n_points <= SCALAR_LANES:
+        _scalar_chunk(model, columns, out, metric, order, require_stable,
+                      offset, stats, diag)
+        return
     moments, singular, det = _chunk_moments(model, columns, n_points, stats,
                                             diag, offset, kernel=kernel)
     with stats.stage("health"):
@@ -754,7 +886,7 @@ def _collapse_dtype(out: np.ndarray) -> np.ndarray:
     """Return a float array when every value is real (NaN counts as real),
     keeping complex only when the metric genuinely produced complex values."""
     imag = out.imag
-    if np.all((imag == 0.0) | np.isnan(imag)):
+    if not imag.any() or np.all((imag == 0.0) | np.isnan(imag)):
         # .copy() rather than ascontiguousarray: the latter promotes 0-d
         # (no-grid) results to shape (1,)
         return out.real.copy()
@@ -894,7 +1026,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         stats.backend = backend_name
         stats.shards = n_shards
         stats.workers = workers
-        bounds = np.linspace(0, n_points, n_shards + 1, dtype=int)
+        bounds = ((0, n_points) if n_shards == 1 else
+                  np.linspace(0, n_points, n_shards + 1, dtype=int))
 
         # worker threads have no span stack of their own; adopt the
         # sweep.total span as logical parent so shards nest in the trace
@@ -1012,10 +1145,10 @@ def _finalize_diagnostics(diagnostics: SweepDiagnostics,
     """Fill grid coordinates and totals once all shards are spliced."""
     diagnostics.points = int(flat_out.size)
     diagnostics.nan_points = int(np.isnan(flat_out.real).sum())
+    if not diagnostics.quarantined or not shape:
+        return
     axes = [np.asarray(grids[n], dtype=float).reshape(-1) for n in names]
     for point in diagnostics.quarantined:
-        if not shape:
-            continue
         if paired:
             # one flat sample index addresses every column
             point.grid_index = (int(point.index),)

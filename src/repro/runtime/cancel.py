@@ -10,17 +10,19 @@ This module closes that hole cooperatively:
 * the batched shard loop (:mod:`repro.runtime.batched`) splits its range
   into bounded *chunks* and checks the token between chunk evaluations,
   so a cancelled or timed-out attempt stops within one chunk of work;
-* a :class:`Deadline` is a wall-clock budget that arms a token when it
-  expires, giving the serving layer end-to-end deadline propagation.
+* a :class:`Deadline` is a wall-clock budget whose token fires once the
+  clock passes it, giving the serving layer end-to-end deadline
+  propagation.
 
 Tokens are hierarchical: cancelling a parent cancels every child, while
 a child (e.g. one timed-out attempt) can be cancelled without touching
 its siblings.  Everything is thread-safe — tokens are shared between the
-caller, pool threads, and (for deadlines) a timer.
+caller and pool threads.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -78,22 +80,39 @@ class CancelToken:
                                  reason=self.reason)
 
 
-class Deadline:
-    """A monotonic-clock budget that cancels a token when it runs out.
+class _DeadlineToken(CancelToken):
+    """A token that fires on read: :attr:`cancelled` compares the
+    monotonic clock with ``expires_at``, so no timer thread is needed."""
 
-    The token is armed lazily by a daemon timer on first access, so a
-    deadline that is only ever *checked* (``remaining()`` / ``expired``)
-    costs nothing.  Deadlines compose with token hierarchies: pass
-    ``deadline.token`` (or a child of it) anywhere a
-    :class:`CancelToken` is accepted.
+    __slots__ = ("expires_at",)
+
+    def __init__(self, expires_at: float) -> None:
+        super().__init__()
+        self.expires_at = expires_at
+
+    @property
+    def cancelled(self) -> bool:
+        if (not self._event.is_set()
+                and time.monotonic() >= self.expires_at):
+            self.cancel("deadline exceeded")
+        return self._event.is_set()
+
+
+class Deadline:
+    """A monotonic-clock budget whose token fires once it runs out.
+
+    The token is built on first access and checks the clock whenever it
+    is read, so a deadline costs no thread, and one that is only ever
+    *checked* (``remaining()`` / ``expired``) costs nothing.  Deadlines
+    compose with token hierarchies: pass ``deadline.token`` (or a child
+    of it) anywhere a :class:`CancelToken` is accepted.
     """
 
-    __slots__ = ("expires_at", "_token", "_timer", "_lock")
+    __slots__ = ("expires_at", "_token", "_lock")
 
     def __init__(self, expires_at: float) -> None:
         self.expires_at = float(expires_at)
-        self._token: CancelToken | None = None
-        self._timer: threading.Timer | None = None
+        self._token: _DeadlineToken | None = None
         self._lock = threading.Lock()
 
     @classmethod
@@ -111,26 +130,19 @@ class Deadline:
 
     @property
     def token(self) -> CancelToken:
-        """The token this deadline fires; armed with a timer on first use."""
+        """The token this deadline fires."""
         with self._lock:
             if self._token is None:
-                self._token = CancelToken()
-                delay = self.remaining()
-                if delay <= 0.0:
-                    self._token.cancel("deadline exceeded")
-                else:
-                    self._timer = threading.Timer(
-                        delay, self._token.cancel, args=("deadline exceeded",))
-                    self._timer.daemon = True
-                    self._timer.start()
+                self._token = _DeadlineToken(self.expires_at)
             return self._token
 
     def close(self) -> None:
-        """Stop the timer (idempotent; call when the work finished early)."""
+        """Disarm the token (idempotent; call when the work finished
+        early): it keeps a cancellation that already fired, and fires on
+        no later read."""
         with self._lock:
-            if self._timer is not None:
-                self._timer.cancel()
-                self._timer = None
+            if self._token is not None:
+                self._token.expires_at = math.inf
 
     def __enter__(self) -> "Deadline":
         return self

@@ -7,12 +7,17 @@ that accounting honest for batched sweeps: per-stage wall times, point
 counters splitting the vectorized fast path from the per-point fallback,
 and the op count of the compiled program, so benchmarks can report
 compile-vs-evaluate cost instead of one opaque total.
+
+Its bookkeeping costs a fixed handful of calls per sweep, because a
+1-point sweep is the paper's per-iteration operation: a stage is a
+slotted timer, :meth:`RuntimeStats.merge` walks a field tuple computed
+once, and :meth:`RuntimeStats.publish` updates instruments it looked up
+once per metrics registry.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 from ..obs import metrics as _metrics
@@ -47,7 +52,8 @@ class RuntimeStats:
             behind :attr:`parallel_efficiency` for multi-worker runs.
         n_ops: arithmetic op count of the compiled moment program.
         compile_seconds: time spent compiling the symbolic model
-            (amortized setup, not per-sweep; copied from the model).
+            (amortized setup, not per-sweep; copied from the model, and
+            published as a gauge of the swept model, not per sweep).
         columns_seconds: building the flattened argument columns from
             the grids (meshgrid + element→symbol transforms).
         evaluate_seconds: evaluating the compiled moment program over the
@@ -86,8 +92,7 @@ class RuntimeStats:
     spawn_seconds: float = 0.0
     worker_busy: dict = field(default_factory=dict)
 
-    @contextmanager
-    def stage(self, name: str):
+    def stage(self, name: str) -> "_Stage":
         """Accumulate wall time of the enclosed block into ``<name>_seconds``.
 
         Also opens an obs span ``sweep.<name>`` so traced runs see every
@@ -95,31 +100,19 @@ class RuntimeStats:
         ``sweep.metric`` on worker threads); when tracing is disabled the
         span is a shared no-op.
         """
-        attr = f"{name}_seconds"
-        t0 = time.perf_counter()
-        try:
-            with _trace.span(f"sweep.{name}"):
-                yield self
-        finally:
-            setattr(self, attr, getattr(self, attr) + time.perf_counter() - t0)
+        return _Stage(self, name)
 
     def merge(self, other: "RuntimeStats") -> "RuntimeStats":
         """Fold a shard's partial stats into this one (counters and stage
         times add; ``workers``/``n_ops``/``total_seconds`` are whole-sweep
         quantities and keep the maximum; ``backend`` is whole-sweep and
         keeps this sweep's value; ``worker_busy`` adds per worker)."""
-        for f in fields(self):
-            if f.name in ("workers", "n_ops", "total_seconds"):
-                setattr(self, f.name, max(getattr(self, f.name),
-                                          getattr(other, f.name)))
-            elif f.name == "backend":
-                continue
-            elif f.name == "worker_busy":
-                for key, busy in other.worker_busy.items():
-                    self.worker_busy[key] = (
-                        self.worker_busy.get(key, 0.0) + busy)
-            else:
-                setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in _ADDED_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in _MAX_FIELDS:
+            setattr(self, name, max(getattr(self, name), getattr(other, name)))
+        for key, busy in other.worker_busy.items():
+            self.worker_busy[key] = self.worker_busy.get(key, 0.0) + busy
         return self
 
     @property
@@ -183,33 +176,26 @@ class RuntimeStats:
 
         Called once per sweep by the batched runtime — RuntimeStats is
         the per-sweep struct, the registry is the process-wide rollup.
+        The model's one-time compile cost is a gauge of the swept model,
+        not a per-sweep observation: N sweeps of one model report one
+        compile.
         """
         reg = registry if registry is not None else _metrics.registry()
-        reg.counter("repro_sweep_runs_total", "batched sweeps executed").inc()
-        reg.counter("repro_sweep_points_total",
-                    "grid points evaluated").inc(self.points)
-        reg.counter("repro_sweep_vectorized_points_total",
-                    "points served by the vectorized closed form"
-                    ).inc(self.vectorized_points)
-        reg.counter("repro_sweep_fallback_points_total",
-                    "points routed through the per-point fallback"
-                    ).inc(self.fallback_points)
-        reg.counter("repro_sweep_nan_points_total",
-                    "NaN results").inc(self.nan_points)
-        for name in ("compile", "columns", "evaluate", "health", "pade",
-                     "metric", "finalize", "total"):
-            reg.histogram(f"repro_sweep_{name}_seconds",
-                          f"per-sweep {name} stage wall time"
-                          ).observe(getattr(self, f"{name}_seconds"))
+        m = reg.bind(_SweepInstruments)
+        m.runs.inc()
+        m.points.inc(self.points)
+        m.vectorized.inc(self.vectorized_points)
+        m.fallback.inc(self.fallback_points)
+        m.nan.inc(self.nan_points)
+        for histogram, attr in m.stages:
+            histogram.observe(getattr(self, attr))
         if self.spawn_seconds > 0.0:
             reg.histogram("repro_sweep_spawn_seconds",
                           "process-pool spawn cost paid by this sweep"
                           ).observe(self.spawn_seconds)
-        reg.gauge("repro_sweep_program_ops",
-                  "ops/point of the last swept program").set(self.n_ops)
-        reg.gauge("repro_sweep_parallel_efficiency",
-                  "stage busy-time over worker-time of the last sweep"
-                  ).set(self.parallel_efficiency)
+        m.compile.set(self.compile_seconds)
+        m.ops.set(self.n_ops)
+        m.efficiency.set(self.parallel_efficiency)
 
     def summary(self) -> str:
         """One-paragraph human-readable accounting."""
@@ -233,3 +219,71 @@ class RuntimeStats:
             f"{self.parallel_efficiency * 100.0:.0f}% parallel efficiency)",
         ]
         return "\n".join(lines)
+
+
+#: fields :meth:`RuntimeStats.merge` keeps the maximum of; every other
+#: field but ``backend`` and ``worker_busy`` adds
+_MAX_FIELDS = ("workers", "n_ops", "total_seconds")
+_ADDED_FIELDS = tuple(f.name for f in fields(RuntimeStats)
+                      if f.name not in _MAX_FIELDS + ("backend",
+                                                      "worker_busy"))
+#: the per-sweep stages :meth:`RuntimeStats.publish` observes
+_STAGES = ("columns", "evaluate", "health", "pade", "metric", "finalize",
+           "total")
+
+
+class _Stage:
+    """The context manager :meth:`RuntimeStats.stage` returns: a slotted
+    timer around the stage's span, adding the block's wall time to one
+    ``<stage>_seconds`` field."""
+
+    __slots__ = ("stats", "attr", "span", "t0")
+
+    def __init__(self, stats: RuntimeStats, name: str) -> None:
+        self.stats = stats
+        self.attr = name + "_seconds"
+        self.span = _trace.span("sweep." + name)
+
+    def __enter__(self) -> RuntimeStats:
+        self.t0 = time.perf_counter()
+        self.span.__enter__()
+        return self.stats
+
+    def __exit__(self, *exc_info) -> None:
+        self.span.__exit__(*exc_info)
+        stats, attr = self.stats, self.attr
+        setattr(stats, attr,
+                getattr(stats, attr) + time.perf_counter() - self.t0)
+
+
+class _SweepInstruments:
+    """The instruments :meth:`RuntimeStats.publish` updates, looked up
+    once per registry (:meth:`~repro.obs.metrics.MetricsRegistry.bind`)."""
+
+    __slots__ = ("runs", "points", "vectorized", "fallback", "nan",
+                 "stages", "compile", "ops", "efficiency")
+
+    def __init__(self, reg) -> None:
+        self.runs = reg.counter("repro_sweep_runs_total",
+                                "batched sweeps executed")
+        self.points = reg.counter("repro_sweep_points_total",
+                                  "grid points evaluated")
+        self.vectorized = reg.counter(
+            "repro_sweep_vectorized_points_total",
+            "points served by the vectorized closed form")
+        self.fallback = reg.counter(
+            "repro_sweep_fallback_points_total",
+            "points routed through the per-point fallback")
+        self.nan = reg.counter("repro_sweep_nan_points_total", "NaN results")
+        self.stages = tuple(
+            (reg.histogram(f"repro_sweep_{name}_seconds",
+                           f"per-sweep {name} stage wall time"),
+             f"{name}_seconds") for name in _STAGES)
+        self.compile = reg.gauge(
+            "repro_sweep_model_compile_seconds",
+            "one-time compile cost of the last swept model")
+        self.ops = reg.gauge("repro_sweep_program_ops",
+                             "ops/point of the last swept program")
+        self.efficiency = reg.gauge(
+            "repro_sweep_parallel_efficiency",
+            "stage busy-time over worker-time of the last sweep")

@@ -99,6 +99,46 @@ class TestDeadline:
         time.sleep(0.15)
         assert not token.cancelled
 
+    def test_child_of_deadline_token_fires_on_read(self):
+        deadline = Deadline.after(0.05)
+        child = deadline.token.child()
+        assert not child.cancelled
+        time.sleep(0.1)
+        assert child.cancelled
+        assert child.reason == "deadline exceeded"
+
+    def test_served_request_starts_no_timer_thread(self, monkeypatch):
+        """Every served request carries a deadline
+        (``ServiceConfig.default_deadline_s``); its token fires on read,
+        so a served batch starts and cancels no timer thread."""
+        import asyncio
+
+        from repro.service import AWEService, ModelRegistry, ServiceConfig
+
+        started = []
+        real_start = threading.Timer.start
+
+        def start(timer):
+            started.append(timer)
+            real_start(timer)
+
+        monkeypatch.setattr(threading.Timer, "start", start)
+
+        async def scenario():
+            registry = ModelRegistry()
+            registry.register("fig1", fig1_circuit(), "out",
+                              symbols=["G1", "C2"], order=2)
+            service = AWEService(ServiceConfig(max_delay_s=0.001),
+                                 registry=registry)
+            try:
+                return await service.handle_eval(
+                    {"model": "fig1", "values": {"G1": 1.5}})
+            finally:
+                await service.drain()
+
+        assert np.isfinite(asyncio.run(scenario())["value"])
+        assert started == []
+
 
 class TestDrainSemantics:
     def test_no_token_is_bit_identical(self, model):

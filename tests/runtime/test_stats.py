@@ -27,6 +27,16 @@ class TestStages:
                 raise RuntimeError("boom")
         assert stats.pade_seconds > 0.0
 
+    def test_traced_stage_opens_a_span(self):
+        from repro.obs import trace
+
+        stats = RuntimeStats()
+        with trace.tracing() as tracer:
+            with stats.stage("health") as entered:
+                assert entered is stats
+        assert [s["name"] for s in tracer.snapshot()] == ["sweep.health"]
+        assert stats.health_seconds > 0.0
+
 
 class TestMerge:
     def test_counters_add_and_maxima_kept(self):
@@ -152,6 +162,40 @@ class TestSerialization:
             assert reg.get(f"repro_sweep_{stage}_seconds").count == 1
         stats.publish(registry=reg)
         assert reg.get("repro_sweep_points_total").value == 200
+
+    def test_publish_rebinds_after_reset(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        reg = MetricsRegistry()
+        RuntimeStats(points=5).publish(registry=reg)
+        reg.reset()
+        RuntimeStats(points=7).publish(registry=reg)
+        assert reg.get("repro_sweep_points_total").value == 7
+        assert reg.get("repro_sweep_runs_total").value == 1
+
+    def test_compile_cost_is_one_gauge_not_a_per_sweep_sample(
+            self, fig1_model):
+        """The model's one-time compile cost is published as a gauge of
+        the swept model: three sweeps of one model read one compile."""
+        from repro.obs import metrics as obs_metrics
+        from repro.obs.export import prometheus_text
+
+        reg = obs_metrics.MetricsRegistry()
+        previous = obs_metrics.set_registry(reg)
+        try:
+            for _ in range(3):
+                fig1_model.model.sweep(
+                    {"C1": np.linspace(0.5e-12, 5e-12, 3)}, metrics.dc_gain)
+        finally:
+            obs_metrics.set_registry(previous)
+        assert reg.get("repro_sweep_runs_total").value == 3
+        assert reg.get("repro_sweep_total_seconds").count == 3
+        assert reg.get("repro_sweep_compile_seconds") is None
+        gauge = reg.get("repro_sweep_model_compile_seconds")
+        assert gauge.value == fig1_model.model.compile_seconds
+        lines = [line for line in prometheus_text(reg).splitlines()
+                 if "compile_seconds" in line and not line.startswith("#")]
+        assert len(lines) == 1
 
 
 class TestFilledBySweep:
