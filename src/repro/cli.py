@@ -790,17 +790,18 @@ def cmd_doctor(args) -> int:
         checked = True
     if args.cache_dir is not None:
         from .runtime import CondensationCache, ProgramCache
+        from .runtime.native import native_store
 
-        cache = ProgramCache(disk_dir=args.cache_dir)
-        condensation = CondensationCache(disk_dir=args.cache_dir)
-        report = cache.scan_disk(fix=args.fix)
-        condense_report = condensation.scan_disk(fix=args.fix)
-        bad = [r for r in report + condense_report if r["status"] != "ok"]
-        print(f"cache {args.cache_dir}: {len(report)} program entries, "
-              f"{len(condense_report)} condensation entries, "
+        layers = (("program cache", ProgramCache(disk_dir=args.cache_dir)),
+                  ("condensation cache",
+                   CondensationCache(disk_dir=args.cache_dir)))
+        reports = [layer.scan_disk(fix=args.fix) for _, layer in layers]
+        bad = [r for report in reports for r in report
+               if r["status"] != "ok"]
+        print(f"cache {args.cache_dir}: {len(reports[0])} program entries, "
+              f"{len(reports[1])} condensation entries, "
               f"{len(bad)} unhealthy")
-        for label, layer in (("program cache", cache),
-                             ("condensation cache", condensation)):
+        for label, layer in layers:
             health = layer.health()
             rate = health["hit_rate"]
             budget = health.get("max_disk_bytes")
@@ -809,6 +810,14 @@ def cmd_doctor(args) -> int:
                   f"{health['disk_bytes']} bytes ({budget_s}), "
                   f"schema {health['schema']}, hit rate "
                   f"{'n/a' if rate is None else f'{rate:.0%}'} this process")
+        # the per-user kernel store lives outside --cache-dir and
+        # rebuilds a bad kernel at load: listed, never fixed or graded
+        native = native_store()
+        health = native.health()
+        print(f"  native kernel store {native.directory}: "
+              f"{health['disk_entries']} entries, {health['disk_bytes']} "
+              f"bytes ({health['max_disk_bytes']} budget), "
+              f"{sum(r['status'] != 'ok' for r in native.scan())} unverified")
         for r in bad:
             line = f"  {r['file']}: {r['status']}"
             if r["detail"]:

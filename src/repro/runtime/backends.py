@@ -23,8 +23,10 @@ second a one-time kernel compilation).
 
 The process backend never pickles the compiled function or bulk arrays:
 the program travels as a ~200-byte :class:`ProgramSpec` pointing at a
-content-addressed **op-tape artifact** spooled on local disk, loaded
-and integrity-verified once per worker process (see
+content-addressed **op-tape artifact** spooled on local disk — published
+through an :class:`~repro.runtime.store.ArtifactStore` in a per-process
+temp directory (atomic, with a digest sidecar, no budget) — loaded and
+integrity-verified once per worker process (see
 :mod:`repro.runtime.procworker`).  Small sweeps ship their grid-column
 slices inline in the job pickle and get values back the same way; bulk
 sweeps stack columns into a shared-memory input slab and splice results
@@ -55,6 +57,7 @@ from ..obs import trace as _trace
 from ..testing import faults as _faults
 from .procworker import (ProgramSpec, ShardJob, run_worker_shard,
                          run_worker_shards)
+from .store import ArtifactStore
 
 __all__ = [
     "BACKENDS",
@@ -155,29 +158,29 @@ atexit.register(shutdown_pools)
 # ----------------------------------------------------------------------
 # op-tape spool: the cross-process wire format
 # ----------------------------------------------------------------------
-_SPOOL_DIR: str | None = None
+_SPOOL: ArtifactStore | None = None
 _SPOOLED: dict[str, str] = {}
 
 
 def _spool_tape(tape) -> str | None:
-    """Write ``tape`` once into the parent's spool directory.
+    """Publish ``tape`` once into the parent's spool store.
 
     Content-addressed, so every sweep of the same program reuses one
-    file; the directory lives for the parent process and is removed
-    atexit.  Returns ``None`` when the filesystem refuses (the spec then
-    inlines the tape JSON instead).
+    file; the store's directory lives for the parent process (no
+    budget) and is removed atexit.  Returns ``None`` when the filesystem
+    refuses (the spec then inlines the tape JSON instead).
     """
-    global _SPOOL_DIR
+    global _SPOOL
     path = _SPOOLED.get(tape.content_hash)
     if path is not None:
         return path
     try:
-        if _SPOOL_DIR is None:
-            _SPOOL_DIR = tempfile.mkdtemp(prefix="repro-tapes-")
-            atexit.register(shutil.rmtree, _SPOOL_DIR, ignore_errors=True)
-        path = os.path.join(_SPOOL_DIR, f"{tape.content_hash[:32]}.tape")
-        if not os.path.exists(path):
-            tape.save(path)
+        if _SPOOL is None:
+            directory = tempfile.mkdtemp(prefix="repro-tapes-")
+            atexit.register(shutil.rmtree, directory, ignore_errors=True)
+            _SPOOL = ArtifactStore(directory, "", ".tape")
+        path = str(_SPOOL.publish(tape.content_hash,
+                                  tape.to_json().encode()))
     except OSError:
         return None
     _SPOOLED[tape.content_hash] = path

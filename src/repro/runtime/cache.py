@@ -16,12 +16,12 @@ skip straight to evaluation:
   key they were saved under; any mismatch — a stale file, a changed
   partition, a tampered entry — is rejected and the model is rebuilt.
 
-The disk layer is crash-safe: entries are written to a temp file and
-published with ``os.replace`` (a reader never observes a half-written
-entry, even if the writer dies mid-write), carry a schema version
-(:data:`CACHE_SCHEMA`), and any entry that fails validation — truncated
-JSON, wrong key, old schema — is moved into a ``quarantine/`` sidecar
-directory for post-mortem instead of being silently trusted or deleted.
+Both disk layers are typed wrappers over one
+:class:`~repro.runtime.store.ArtifactStore` (atomic publish, sha256
+digest, quarantine, LRU byte budget, ``repro doctor`` scan).  They add a
+JSON envelope — :data:`CACHE_SCHEMA` and the key the entry was saved
+under — and check it before the store checks the digest, so a bad entry
+is quarantined as ``schema``, ``stale`` or ``corrupt``.
 
 Keys are content hashes: the circuit fingerprint covers every element's
 type, name, terminals and value, so *any* circuit edit invalidates the
@@ -32,8 +32,8 @@ Two further layers serve the fast compile path:
 * :class:`CondensationCache` persists the numeric block condensations
   (the Maclaurin port-admittance arrays ``Y0..Yq``) under content hashes
   of the block itself, so editing the symbol set or one block re-condenses
-  only what changed — across processes, since the layer is disk-backed
-  with the same atomic-write/quarantine machinery as the program cache.
+  only what changed — across processes, when the caller passes a
+  disk-backed instance as the ``condense_cache`` option.
 * :class:`ProgramCache` keeps a small LRU of live
   :class:`~repro.core.awesymbolic.CompileSession` objects keyed on
   everything *except* the Padé order, so an order-change miss extends the
@@ -45,7 +45,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -57,14 +56,13 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..core.awesymbolic import (AWESymbolicResult, CompileSession,
                                 awesymbolic)
-from ..core.compiled_model import CompiledAWEModel, TapeModel
+from ..core.compiled_model import CompiledAWEModel
 from ..partition.ports import NumericBlockExpansion
-from ..core.serialize import FORMAT_VERSION, model_from_dict, model_to_dict
-from ..errors import SymbolicError
+from ..core.serialize import FORMAT_VERSION, model_to_dict
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import trace as _trace
-from ..testing import faults as _faults
+from .store import ArtifactStore, BadEntry
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -76,109 +74,11 @@ __all__ = [
     "default_cache",
 ]
 
-#: on-disk payload schema; bumped whenever the payload envelope changes.
-#: Entries with any other value (including pre-versioning files that have
-#: none) are quarantined and rebuilt.
-CACHE_SCHEMA = 2
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (temp file + ``os.replace``).
-
-    A reader either sees the previous entry or the complete new one,
-    never a torn write.  The temp file lives in the same directory so the
-    replace stays on one filesystem; it is removed if the write dies.
-    The ``cache.write`` fault site sits between two half-writes so tests
-    can kill the writer with the temp file truncated on disk.
-    """
-    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    try:
-        half = len(text) // 2
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text[:half])
-            fh.flush()
-            _faults.fault_point("cache.write", path=path, tmp=tmp)
-            fh.write(text[half:])
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def _evict_disk_lru(disk_dir: Path, pattern: str, max_bytes: int,
-                    ) -> tuple[int, int]:
-    """Evict oldest entries matching ``pattern`` until the layer fits.
-
-    LRU by mtime — disk hits refresh their entry's mtime, so recency
-    survives across processes.  Only files matching the cache's own
-    ``pattern`` are candidates (the quarantine sidecar, the other
-    cache's entries, and foreign files are never touched), and each
-    eviction is a single ``unlink`` — atomic with respect to the
-    atomic-write publish protocol, so a concurrent reader sees either
-    the whole entry or a plain miss.
-
-    Returns ``(files_removed, bytes_removed)``.
-    """
-    entries = []
-    total = 0
-    for path in disk_dir.glob(pattern):
-        try:
-            st = path.stat()
-        except OSError:
-            continue
-        entries.append((st.st_mtime, st.st_size, path))
-        total += st.st_size
-    if total <= max_bytes:
-        return 0, 0
-    removed = freed = 0
-    for _, size, path in sorted(entries):
-        if total <= max_bytes:
-            break
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        freed += size
-        removed += 1
-    if removed:
-        reg = _metrics.registry()
-        reg.counter("repro_cache_evicted_files_total",
-                    "disk cache entries evicted by the max_bytes LRU"
-                    ).inc(removed)
-        reg.counter("repro_cache_evicted_bytes_total",
-                    "bytes reclaimed by the disk cache LRU").inc(freed)
-    return removed, freed
-
-
-def _touch(path: Path) -> None:
-    """Refresh a disk entry's mtime (its LRU recency) on a hit."""
-    try:
-        os.utime(path)
-    except OSError:
-        pass
-
-
-def _quarantine_path(disk_dir: Path, path: Path, reason: str) -> Path | None:
-    """Move ``path`` into ``disk_dir/quarantine``, suffixed with ``reason``.
-
-    Returns the destination, or None if the move failed (e.g. the file
-    vanished under us; callers must keep working regardless).
-    """
-    qdir = disk_dir / "quarantine"
-    try:
-        qdir.mkdir(parents=True, exist_ok=True)
-        dest = qdir / f"{path.name}.{reason}"
-        n = 0
-        while dest.exists():
-            n += 1
-            dest = qdir / f"{path.name}.{reason}.{n}"
-        os.replace(path, dest)
-    except OSError:
-        return None
-    return dest
+#: on-disk payload schema; bumped whenever the payload envelope changes
+#: (3: every entry carries a sha256 digest sidecar).  Entries with any
+#: other value (including pre-versioning files that have none) are
+#: quarantined and rebuilt.
+CACHE_SCHEMA = 3
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -221,22 +121,23 @@ class CacheStats:
                 f"{self.build_seconds * 1e3:.1f} ms building")
 
 
-class ProgramCache:
-    """LRU cache of compiled AWEsymbolic results, with an optional disk layer.
+class _StoreCache:
+    """A memory LRU over an optional :class:`ArtifactStore` of JSON
+    envelopes ``<prefix><key32>.json`` in ``disk_dir``.
 
     Args:
-        maxsize: in-memory entry budget; least-recently-used entries are
-            evicted beyond it.
-        disk_dir: directory for serialized models (created on demand);
-            ``None`` disables the disk layer.
-        max_disk_bytes: disk-layer byte budget; after every save, the
-            oldest entries (LRU by mtime, refreshed on hit) are evicted
-            until the layer's own ``awesym-*.json`` files fit.  ``None``
-            (the default) leaves growth unbounded.
+        maxsize: in-memory entry budget (LRU beyond it).
+        disk_dir: directory for persisted entries; ``None`` keeps the
+            cache memory-only.
+        max_disk_bytes: byte budget for this cache's entries, evicted
+            LRU by mtime (refreshed on hit) after every save; ``None``
+            leaves growth unbounded.
     """
 
-    def __init__(self, maxsize: int = 16, disk_dir: Path | str | None = None,
-                 max_disk_bytes: int | None = None) -> None:
+    _PREFIX = ""
+
+    def __init__(self, maxsize: int, disk_dir: Path | str | None,
+                 max_disk_bytes: int | None) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         if max_disk_bytes is not None and max_disk_bytes < 0:
@@ -245,14 +146,94 @@ class ProgramCache:
         self.maxsize = maxsize
         self.max_disk_bytes = max_disk_bytes
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._entries: OrderedDict[str, AWESymbolicResult] = OrderedDict()
+        self.stats = CacheStats()
+        self._entries: OrderedDict = OrderedDict()
+        self._store = None if self.disk_dir is None else ArtifactStore(
+            self.disk_dir, self._PREFIX, ".json", max_disk_bytes, self.stats)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _remember(self, key: str, value) -> None:
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+
+    def _disk_path(self, key: str) -> Path | None:
+        return None if self._store is None else self._store.path(key)
+
+    def _publish(self, key: str, body: dict) -> Path | None:
+        if self._store is None:
+            return None
+        envelope = {"schema": CACHE_SCHEMA, "cache_key": key,
+                    "saved_at": time.time(), **body}
+        return self._store.publish(key, json.dumps(envelope).encode())
+
+    def _read(self, key: str):
+        if self._store is None:
+            return None
+        return self._store.load(key, lambda data: self._decode(data, key))
+
+    def _decode(self, data: bytes, key: str | None):
+        """The store's validator: the envelope, then :meth:`_payload`."""
+        payload = json.loads(data)
+        if not isinstance(payload, dict):
+            raise BadEntry("corrupt", "entry is not a JSON object")
+        if payload.get("schema") != CACHE_SCHEMA:
+            # written by another code version: the envelope may not
+            # mean what we think it means
+            raise BadEntry("schema", f"schema {payload.get('schema')!r}, "
+                                     f"expected {CACHE_SCHEMA}")
+        if key is not None and payload.get("cache_key") != key:
+            # stale or foreign entry (e.g. copied over): never trust it
+            raise BadEntry("stale", "saved under another key")
+        return self._payload(payload)
+
+    def scan_disk(self, fix: bool = False) -> list[dict]:
+        """``repro doctor``'s scan: one ``{"file", "status", "detail"}``
+        record per entry (``ok`` / ``corrupt`` / ``schema``) and per
+        orphaned temp file (``orphan-tmp``); ``fix`` quarantines bad
+        entries and deletes temp files."""
+        if self._store is None:
+            return []
+        return self._store.scan(fix, lambda data: self._decode(data, None))
+
+    def health(self) -> dict:
+        """Summary for ``repro doctor``: size, budget, schema, hit rate."""
+        disk = (self._store.health() if self._store is not None else
+                {"disk_entries": 0, "disk_bytes": 0,
+                 "max_disk_bytes": self.max_disk_bytes})
+        lookups = self.stats.hits + self.stats.misses
+        return {
+            "schema": CACHE_SCHEMA,
+            "memory_entries": len(self._entries),
+            **disk,
+            "hits": self.stats.hits,
+            "misses": self.stats.misses,
+            "hit_rate": (self.stats.hits / lookups) if lookups else None,
+            "stale_rejects": self.stats.stale_rejects,
+            "quarantined": self.stats.quarantined,
+        }
+
+
+class ProgramCache(_StoreCache):
+    """LRU cache of compiled AWEsymbolic results, with an optional disk
+    layer of ``awesym-<key32>.json`` entries (arguments as
+    :class:`_StoreCache`)."""
+
+    _PREFIX = "awesym-"
+
+    def __init__(self, maxsize: int = 16, disk_dir: Path | str | None = None,
+                 max_disk_bytes: int | None = None) -> None:
+        super().__init__(maxsize, disk_dir, max_disk_bytes)
         # live CompileSessions keyed on everything *except* the Padé
         # order: an order-change miss extends the previous recursion
         # incrementally instead of rebuilding cold (explicit symbol sets
         # only — automatic selection can change with the order)
         self._sessions: OrderedDict[str, CompileSession] = OrderedDict()
         self.session_maxsize = 4
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     # keys
@@ -309,18 +290,12 @@ class ProgramCache:
 
     def put(self, key: str, result: AWESymbolicResult) -> None:
         """Insert ``key``, evicting the least-recently-used beyond maxsize."""
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
+        self._remember(key, result)
 
     def invalidate(self, key: str) -> bool:
         """Drop ``key`` from memory and disk; True if anything was removed."""
         removed = self._entries.pop(key, None) is not None
-        path = self._disk_path(key)
-        if path is not None and path.exists():
-            path.unlink()
+        if self._store is not None and self._store.remove(key):
             removed = True
         return removed
 
@@ -328,165 +303,26 @@ class ProgramCache:
         self._entries.clear()
         self._sessions.clear()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
     # ------------------------------------------------------------------
     # disk layer
     # ------------------------------------------------------------------
-    def _disk_path(self, key: str) -> Path | None:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"awesym-{key[:32]}.json"
-
-    def _quarantine_file(self, path: Path, reason: str) -> Path | None:
-        """Move a failed-validation entry into the quarantine sidecar.
-
-        The file is preserved for post-mortem (suffixed with the reason),
-        and its absence lets the next build publish a clean replacement.
-        Returns the quarantine path, or None if the move itself failed
-        (e.g. the file vanished; the cache must keep working regardless).
-        """
-        if self.disk_dir is None:
-            return None
-        dest = _quarantine_path(self.disk_dir, path, reason)
-        if dest is None:
-            return None
-        self.stats.quarantined += 1
-        _metrics.registry().counter(
-            "repro_cache_quarantined_total",
-            "disk entries moved to the quarantine sidecar").inc()
-        return dest
-
     def save_disk(self, key: str, result: AWESymbolicResult) -> Path | None:
-        """Serialize ``result``'s evaluatable core under ``key``.
-
-        The entry is published atomically — a crash mid-save leaves at
-        worst an orphaned ``*.tmp.<pid>`` file, never a torn entry under
-        the real name.
-        """
-        path = self._disk_path(key)
-        if path is None:
-            return None
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {"schema": CACHE_SCHEMA, "cache_key": key,
-                   "saved_at": time.time(), "model": model_to_dict(result)}
-        _atomic_write_text(path, json.dumps(payload))
-        if self.max_disk_bytes is not None:
-            _evict_disk_lru(self.disk_dir, "awesym-*.json",
-                            self.max_disk_bytes)
-        return path
+        """Serialize ``result``'s evaluatable core under ``key``."""
+        return self._publish(key, {"model": model_to_dict(result)})
 
     def load_disk(self, key: str) -> dict | None:
-        """Validated raw disk payload for ``key`` (None on miss/stale).
+        """Verified disk payload for ``key`` (None on a miss; an entry
+        that fails validation is quarantined, so it cannot shadow the
+        rebuilt one)."""
+        return self._read(key)
 
-        Entries that fail validation — unreadable JSON, unknown schema,
-        mismatched key — are rejected *and* moved to the quarantine
-        sidecar, so a poisoned file cannot shadow the rebuilt entry."""
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            if path is not None:
-                self.stats.disk_misses += 1
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "corrupt")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            # written by a different (usually older) code version; the
-            # envelope may not mean what we think it means
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "schema")
-            return None
-        if payload.get("cache_key") != key:
-            # stale or foreign entry (e.g. the partition changed but the
-            # file was copied over): never trust it
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "stale")
-            return None
-        self.stats.disk_hits += 1
-        _touch(path)
+    def _payload(self, payload: dict) -> dict:
+        if not isinstance(payload.get("model"), dict):
+            raise BadEntry("corrupt", "missing model payload")
         return payload
-
-    def health(self) -> dict:
-        """Summary for ``repro doctor``: size, budget, schema, hit rate."""
-        disk_entries = 0
-        disk_bytes = 0
-        if self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("awesym-*.json"):
-                try:
-                    disk_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                disk_entries += 1
-        lookups = self.stats.hits + self.stats.misses
-        return {
-            "schema": CACHE_SCHEMA,
-            "memory_entries": len(self._entries),
-            "disk_entries": disk_entries,
-            "disk_bytes": disk_bytes,
-            "max_disk_bytes": self.max_disk_bytes,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "hit_rate": (self.stats.hits / lookups) if lookups else None,
-            "stale_rejects": self.stats.stale_rejects,
-            "quarantined": self.stats.quarantined,
-        }
-
-    def scan_disk(self, fix: bool = False) -> list[dict]:
-        """Health-check every entry in the disk layer (``doctor`` backend).
-
-        Returns one record per ``awesym-*.json`` file plus any orphaned
-        temp files from crashed writers: ``{"file", "status", "detail"}``
-        with status ``ok`` / ``corrupt`` / ``schema`` / ``orphan-tmp``.
-        With ``fix=True``, bad entries are moved to the quarantine
-        sidecar and orphaned temp files are deleted.
-        """
-        report: list[dict] = []
-        if self.disk_dir is None or not self.disk_dir.exists():
-            return report
-        for path in sorted(self.disk_dir.glob("awesym-*.json.tmp.*")):
-            report.append({"file": path.name, "status": "orphan-tmp",
-                           "detail": "temp file from an interrupted write"})
-            if fix:
-                path.unlink(missing_ok=True)
-        for path in sorted(self.disk_dir.glob("awesym-*.json")):
-            status, detail = "ok", ""
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                status, detail = "corrupt", str(exc)
-            else:
-                if payload.get("schema") != CACHE_SCHEMA:
-                    status = "schema"
-                    detail = (f"schema {payload.get('schema')!r}, "
-                              f"expected {CACHE_SCHEMA}")
-                elif not isinstance(payload.get("model"), dict):
-                    status, detail = "corrupt", "missing model payload"
-            report.append({"file": path.name, "status": status,
-                           "detail": detail})
-            if fix and status != "ok":
-                self._quarantine_file(path, status)
-        return report
-
-    def load_model(self, key: str) -> TapeModel | None:
-        """Circuit-free evaluatable model from the disk layer (None on miss):
-        the saved polynomials compiled once into a
-        :class:`~repro.core.compiled_model.TapeModel`."""
-        payload = self.load_disk(key)
-        if payload is None:
-            return None
-        try:
-            return model_from_dict(payload["model"])
-        except (KeyError, SymbolicError):
-            self.stats.stale_rejects += 1
-            self.stats.disk_hits -= 1
-            return None
 
     def _rebuild_from_disk(self, circuit: Circuit, output: str, order: int,
                            payload: dict) -> AWESymbolicResult | None:
@@ -610,12 +446,11 @@ class ProgramCache:
                       "full symbolic build wall time"
                       ).observe(time.perf_counter() - t0)
         self.put(key, result)
-        if self.disk_dir is not None:
-            self.save_disk(key, result)
+        self.save_disk(key, result)
         return result
 
 
-class CondensationCache:
+class CondensationCache(_StoreCache):
     """Content-addressed cache of numeric block condensations.
 
     Condensing a numeric block (clamping its ports and reading the
@@ -623,8 +458,8 @@ class CondensationCache:
     LU solves) depends only on the block's elements, its port list and
     the expansion order — so the result is cached under a content hash of
     exactly those, in memory (LRU) and optionally on disk beside the
-    program cache's entries (``condense-<key>.json``), reusing the same
-    atomic-write, schema-version and quarantine machinery.
+    program cache's entries (``condense-<key32>.json``, same store
+    protocol; arguments as :class:`_StoreCache`).
 
     Entries store the *highest* order condensed so far; a request for a
     lower order is served by truncating ``Y[:order + 1]`` (the Maclaurin
@@ -632,29 +467,14 @@ class CondensationCache:
     and its :meth:`put` upgrades the entry.  Floats round-trip through
     JSON exactly, so a disk hit reproduces bit-identical compiled moments
     (enforced by tests).
-
-    Args:
-        maxsize: in-memory entry budget (LRU beyond it).
-        disk_dir: directory for persisted entries; ``None`` keeps the
-            cache memory-only.
-        max_disk_bytes: byte budget for the ``condense-*.json`` layer —
-            LRU-evicted (by mtime, refreshed on hit) after every save;
-            ``None`` leaves growth unbounded.
     """
+
+    _PREFIX = "condense-"
 
     def __init__(self, maxsize: int = 64,
                  disk_dir: Path | str | None = None,
                  max_disk_bytes: int | None = None) -> None:
-        if maxsize < 1:
-            raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
-        if max_disk_bytes is not None and max_disk_bytes < 0:
-            raise ValueError(
-                f"max_disk_bytes must be >= 0, got {max_disk_bytes}")
-        self.maxsize = maxsize
-        self.max_disk_bytes = max_disk_bytes
-        self.disk_dir = Path(disk_dir) if disk_dir is not None else None
-        self._entries: OrderedDict[str, NumericBlockExpansion] = OrderedDict()
-        self.stats = CacheStats()
+        super().__init__(maxsize, disk_dir, max_disk_bytes)
 
     def key_for(self, block: Circuit, ports: Sequence[str]) -> str:
         """Content key of one condensation problem (block + port list).
@@ -672,9 +492,6 @@ class CondensationCache:
         ]
         return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     # ------------------------------------------------------------------
     # lookup / store
     # ------------------------------------------------------------------
@@ -689,9 +506,9 @@ class CondensationCache:
         key = self.key_for(block, ports)
         exp = self._entries.get(key)
         if exp is None:
-            exp = self._load_disk(key)
+            exp = self._read(key)
             if exp is not None:
-                self._store_memory(key, exp)
+                self._remember(key, exp)
         else:
             self._entries.move_to_end(key)
         if exp is None or exp.order < order:
@@ -710,148 +527,25 @@ class CondensationCache:
         current = self._entries.get(key)
         if current is not None and current.order >= expansion.order:
             return
-        self._store_memory(key, expansion)
-        self._save_disk(key, expansion)
+        self._remember(key, expansion)
+        self._publish(key, {
+            "ports": list(expansion.ports),
+            "order": expansion.order,
+            "y": np.asarray(expansion.Y, dtype=float).tolist(),
+        })
 
-    def _store_memory(self, key: str, exp: NumericBlockExpansion) -> None:
-        self._entries[key] = exp
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    # ------------------------------------------------------------------
-    # disk layer
-    # ------------------------------------------------------------------
-    def _disk_path(self, key: str) -> Path | None:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"condense-{key[:32]}.json"
-
-    def _quarantine_file(self, path: Path, reason: str) -> None:
-        if self.disk_dir is None:
-            return
-        if _quarantine_path(self.disk_dir, path, reason) is not None:
-            self.stats.quarantined += 1
-            _metrics.registry().counter(
-                "repro_cache_quarantined_total",
-                "disk entries moved to the quarantine sidecar").inc()
-
-    def _save_disk(self, key: str, exp: NumericBlockExpansion) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "cache_key": key,
-            "saved_at": time.time(),
-            "ports": list(exp.ports),
-            "order": exp.order,
-            "y": np.asarray(exp.Y, dtype=float).tolist(),
-        }
-        _atomic_write_text(path, json.dumps(payload))
-        if self.max_disk_bytes is not None:
-            _evict_disk_lru(self.disk_dir, "condense-*.json",
-                            self.max_disk_bytes)
-
-    def _load_disk(self, key: str) -> NumericBlockExpansion | None:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            if path is not None:
-                self.stats.disk_misses += 1
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "corrupt")
-            return None
-        if payload.get("schema") != CACHE_SCHEMA:
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "schema")
-            return None
-        if payload.get("cache_key") != key:
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "stale")
-            return None
+    def _payload(self, payload: dict) -> NumericBlockExpansion:
         try:
             ports = tuple(payload["ports"])
             y = np.asarray(payload["y"], dtype=float)
-            n = len(ports)
-            if y.ndim != 3 or y.shape[1:] != (n, n) \
-                    or y.shape[0] != int(payload["order"]) + 1:
-                raise ValueError(f"shape {y.shape} inconsistent with "
-                                 f"{n} ports, order {payload.get('order')}")
-        except (KeyError, TypeError, ValueError):
-            self.stats.stale_rejects += 1
-            self._quarantine_file(path, "corrupt")
-            return None
-        self.stats.disk_hits += 1
-        _touch(path)
+            order = int(payload["order"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BadEntry("corrupt", f"malformed condensation: {exc}")
+        n = len(ports)
+        if y.ndim != 3 or y.shape[1:] != (n, n) or y.shape[0] != order + 1:
+            raise BadEntry("corrupt", f"shape {y.shape} inconsistent with "
+                                      f"{n} ports, order {order}")
         return NumericBlockExpansion(ports=ports, Y=y)
-
-    # ------------------------------------------------------------------
-    # health (``repro doctor``)
-    # ------------------------------------------------------------------
-    def scan_disk(self, fix: bool = False) -> list[dict]:
-        """Health-check every persisted condensation (``doctor`` backend).
-
-        Same report shape as :meth:`ProgramCache.scan_disk`: one record
-        per ``condense-*.json`` plus orphaned temp files, with status
-        ``ok`` / ``corrupt`` / ``schema`` / ``orphan-tmp``.
-        """
-        report: list[dict] = []
-        if self.disk_dir is None or not self.disk_dir.exists():
-            return report
-        for path in sorted(self.disk_dir.glob("condense-*.json.tmp.*")):
-            report.append({"file": path.name, "status": "orphan-tmp",
-                           "detail": "temp file from an interrupted write"})
-            if fix:
-                path.unlink(missing_ok=True)
-        for path in sorted(self.disk_dir.glob("condense-*.json")):
-            status, detail = "ok", ""
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                status, detail = "corrupt", str(exc)
-            else:
-                if payload.get("schema") != CACHE_SCHEMA:
-                    status = "schema"
-                    detail = (f"schema {payload.get('schema')!r}, "
-                              f"expected {CACHE_SCHEMA}")
-                elif not isinstance(payload.get("y"), list):
-                    status, detail = "corrupt", "missing Y payload"
-            report.append({"file": path.name, "status": status,
-                           "detail": detail})
-            if fix and status != "ok":
-                self._quarantine_file(path, status)
-        return report
-
-    def health(self) -> dict:
-        """Summary for ``repro doctor``: size, schema and hit rate."""
-        disk_entries = 0
-        disk_bytes = 0
-        if self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("condense-*.json"):
-                try:
-                    disk_bytes += path.stat().st_size
-                except OSError:
-                    continue
-                disk_entries += 1
-        lookups = self.stats.hits + self.stats.misses
-        return {
-            "schema": CACHE_SCHEMA,
-            "memory_entries": len(self._entries),
-            "disk_entries": disk_entries,
-            "disk_bytes": disk_bytes,
-            "max_disk_bytes": self.max_disk_bytes,
-            "hits": self.stats.hits,
-            "misses": self.stats.misses,
-            "hit_rate": (self.stats.hits / lookups) if lookups else None,
-            "stale_rejects": self.stats.stale_rejects,
-            "quarantined": self.stats.quarantined,
-        }
 
 
 _DEFAULT_CACHE: ProgramCache | None = None

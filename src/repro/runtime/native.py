@@ -33,9 +33,11 @@ Environment knobs:
 
 * ``REPRO_NATIVE`` — ``off`` disables native kernels entirely (any other
   value is ignored: C is the only flavor).
-* ``REPRO_NATIVE_CACHE`` — directory for compiled ``.so`` artifacts
-  (default: a per-user tmp directory).  Objects are content-addressed
-  by tape hash + mask + compiler, so warm starts skip the compiler.
+* ``REPRO_NATIVE_CACHE`` — directory of the kernel store (default: a
+  per-user tmp directory), an :class:`~repro.runtime.store.ArtifactStore`
+  of verified ``.so`` files keyed by tape hash + mask + compiler, so warm
+  starts skip the compiler; bad entries are quarantined and rebuilt, and
+  the store keeps under :data:`_STORE_MAX_BYTES`.
 * ``REPRO_NATIVE_THREADS`` — worker threads for the threaded kernel
   (default: the CPUs in this process's affinity mask; ``1`` forces
   serial execution).
@@ -60,8 +62,10 @@ import numpy as np
 from ..symbolic.tape import (NATIVE_OPS, OP_ADD, OP_DIV, OP_MUL, OP_POW,
                              OpTape, tape_for)
 from .backends import available_cpus
+from .store import ArtifactStore
 
-__all__ = ["NativeUnavailable", "native_kernel_for", "build_native_kernel"]
+__all__ = ["NativeUnavailable", "native_kernel_for", "build_native_kernel",
+           "native_store"]
 
 logger = logging.getLogger("repro.runtime.native")
 
@@ -71,6 +75,9 @@ _CODEGEN_VERSION = 2
 
 #: points in the bit-identity probe batch
 _PROBE_POINTS = 8
+
+#: byte budget of the kernel store; a kernel is ~15-30 KB
+_STORE_MAX_BYTES = 32 << 20
 
 #: batches smaller than this run on the calling thread even when a
 #: thread pool is configured — per-task dispatch (~10 µs) would dwarf
@@ -172,15 +179,14 @@ def _find_cc() -> str | None:
     return None
 
 
-def _cache_dir() -> str:
-    override = os.environ.get("REPRO_NATIVE_CACHE")
-    if override:
-        path = override
-    else:
+def native_store() -> ArtifactStore:
+    """The kernel store (``tape-<key32>.so`` in ``REPRO_NATIVE_CACHE``)."""
+    directory = os.environ.get("REPRO_NATIVE_CACHE")
+    if not directory:
         uid = getattr(os, "getuid", lambda: "na")()
-        path = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
-    os.makedirs(path, mode=0o700, exist_ok=True)
-    return path
+        directory = os.path.join(tempfile.gettempdir(),
+                                 f"repro-native-{uid}")
+    return ArtifactStore(directory, "tape-", ".so", _STORE_MAX_BYTES)
 
 
 def generate_c_source(tape: OpTape, mask: Sequence[bool],
@@ -256,37 +262,65 @@ def generate_c_source(tape: OpTape, mask: Sequence[bool],
     ])
 
 
-def _build_c_kernel(tape: OpTape, mask: Sequence[bool]):
+def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None):
+    """The C kernel from the store, or built, probed and published.
+
+    A stored kernel is dlopen'ed only once its digest matches; one that
+    fails the digest, the load or ``probe`` is quarantined and rebuilt
+    once.  ``cc`` runs in a private temp directory where the new kernel
+    is also loaded and probed, so only a verified ``.so`` is published.
+    """
+    if disabled():
+        raise NativeUnavailable("disabled via REPRO_NATIVE=off")
     cc = _find_cc()
     if cc is None:
         raise NativeUnavailable("no C compiler (cc/gcc/clang) on PATH")
     source = generate_c_source(tape, mask)
     key = hashlib.sha256(
         f"{_CODEGEN_VERSION}|{tape.content_hash}|{_mask_tag(mask)}|{cc}"
-        .encode()).hexdigest()[:32]
-    cache = _cache_dir()
-    so_path = os.path.join(cache, f"tape-{key}.so")
-    if not os.path.exists(so_path):
-        c_path = os.path.join(cache, f"tape-{key}.c")
-        tmp_so = os.path.join(cache, f"tape-{key}.{os.getpid()}.tmp.so")
+        .encode()).hexdigest()
+    store = native_store()
+    if store.load(key) is not None:
+        path = store.path(key)
+        try:
+            kernel = _bind(ctypes.CDLL(str(path)), tape, mask, source)
+            if probe is not None:
+                probe(kernel)
+            return kernel
+        except OSError:
+            store.quarantine(path, "load")
+        except NativeUnavailable:
+            store.quarantine(path, "probe")
+    os.makedirs(store.directory, mode=0o700, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix="repro-cc-") as build_dir:
+        c_path = os.path.join(build_dir, "kernel.c")
+        so_path = os.path.join(build_dir, "kernel.so")
         with open(c_path, "w") as fh:
             fh.write(source)
         cmd = [cc, "-O2", "-fPIC", "-shared",
                "-ffp-contract=off", "-fno-fast-math",
-               "-o", tmp_so, c_path, "-lm"]
+               "-o", so_path, c_path, "-lm"]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=120)
-        except Exception as exc:
+        except (OSError, subprocess.SubprocessError) as exc:
             raise NativeUnavailable(f"C compiler failed to run: {exc}")
         if proc.returncode != 0:
             raise NativeUnavailable(
                 f"C compilation failed: {proc.stderr.strip()[:500]}")
-        os.replace(tmp_so, so_path)  # atomic publish for concurrent builds
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError as exc:
-        raise NativeUnavailable(f"cannot load compiled kernel: {exc}")
+        try:
+            kernel = _bind(ctypes.CDLL(so_path), tape, mask, source)
+        except OSError as exc:
+            raise NativeUnavailable(f"cannot load compiled kernel: {exc}")
+        if probe is not None:
+            probe(kernel)
+        with open(so_path, "rb") as fh:
+            store.publish(key, fh.read())
+    return kernel
+
+
+def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str):
+    """Wrap the loaded library's entry point as ``kernel(args, n)``."""
     cfn = lib.repro_tape_kernel
     cfn.restype = None
     cfn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
@@ -393,8 +427,6 @@ def build_native_kernel(tape: OpTape, mask: Sequence[bool]):
         NativeUnavailable: ``REPRO_NATIVE=off``, an ineligible tape, no
             C compiler, or a failed build.
     """
-    if disabled():
-        raise NativeUnavailable("disabled via REPRO_NATIVE=off")
     return _build_c_kernel(tape, mask)
 
 
@@ -409,8 +441,9 @@ def native_kernel_for(fn, mask: Sequence[bool]):
         NativeUnavailable: anything prevented a verified build.
     """
     tape = tape_for(fn)
-    kernel = build_native_kernel(tape, tuple(bool(m) for m in mask))
-    _probe(fn, kernel, mask)
+    mask = tuple(bool(m) for m in mask)
+    kernel = _build_c_kernel(tape, mask,
+                             probe=lambda k: _probe(fn, k, mask))
     logger.debug("native %s kernel ready for tape %s",
                  kernel.flavor, tape.content_hash[:12])
     return kernel

@@ -772,7 +772,8 @@ def tape_from_json(text: str) -> OpTape:
 def load_tape(path) -> OpTape:
     """Load and verify a ``.tape`` artifact from disk."""
     try:
-        text = open(os.fspath(path)).read()
+        with open(os.fspath(path)) as fh:
+            text = fh.read()
     except OSError as exc:
         raise TapeError(f"cannot read op tape {path}: {exc}") from exc
     return tape_from_json(text)

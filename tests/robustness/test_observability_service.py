@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import statistics
 import time
 
 from repro.circuits.library import fig1_circuit
@@ -346,15 +347,6 @@ class TestConcurrentTraceWellFormedness:
                                         "tenant-2"}
 
 
-def _best_wall(fn, rounds: int = 5) -> float:
-    best = float("inf")
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 class TestServingOverheadGuardRails:
     """Tracing off (the default) and the always-on recorder must cost
     within the repo's standing guard-rail on the serving hot path."""
@@ -377,16 +369,30 @@ class TestServingOverheadGuardRails:
         service = make_service()
         self._serve_n(service)  # warm: compile + cache before timing
 
-        measured = _best_wall(lambda: self._serve_n(service))
+        def timed(stubbed: bool) -> float:
+            if stubbed:
+                # baseline: same pipeline with every obs touch point
+                # stubbed out
+                monkeypatch.setattr(obs_recorder, "record",
+                                    lambda *a, **k: None)
+                monkeypatch.setattr(type(service.slo), "observe",
+                                    lambda *a, **k: None)
+                monkeypatch.setattr(obs_context, "current", lambda: None)
+            try:
+                t0 = time.perf_counter()
+                self._serve_n(service)
+                return time.perf_counter() - t0
+            finally:
+                monkeypatch.undo()
 
-        # baseline: same pipeline with every obs touch point stubbed out
-        monkeypatch.setattr(obs_recorder, "record",
-                            lambda *a, **k: None)
-        monkeypatch.setattr(type(service.slo), "observe",
-                            lambda *a, **k: None)
-        monkeypatch.setattr(obs_context, "current", lambda: None)
-        baseline = _best_wall(lambda: self._serve_n(service))
-        monkeypatch.undo()
+        # interleaved rounds, alternating which side runs first, so a
+        # slow moment of the host lands on both sides instead of one
+        walls: dict[bool, list[float]] = {False: [], True: []}
+        for i in range(5):
+            for stubbed in ((False, True) if i % 2 == 0 else (True, False)):
+                walls[stubbed].append(timed(stubbed))
+        measured = statistics.median(walls[False])
+        baseline = statistics.median(walls[True])
 
         budget = baseline * (1 + self.REL_TOL) + self.ABS_SLACK_S
         assert measured <= budget, (

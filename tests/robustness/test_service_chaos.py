@@ -16,6 +16,7 @@ first test pays the symbolic compile.
 from __future__ import annotations
 
 import asyncio
+import json
 import math
 import threading
 
@@ -23,6 +24,7 @@ import pytest
 
 from repro.circuits.library import fig1_circuit
 from repro.errors import ReproError
+from repro.obs.recorder import DUMP_DIR_ENV
 from repro.runtime import ProgramCache
 from repro.service import (AWEService, BreakerConfig, BulkheadFull,
                            DeadlineExceeded, Draining, EvalRequest,
@@ -179,10 +181,15 @@ class TestInvalidRequests:
 
         asyncio.run(scenario())
 
-    def test_batch_internal_error_rejects_instead_of_stranding(self):
+    def test_batch_internal_error_rejects_instead_of_stranding(
+            self, tmp_path, monkeypatch):
         """Defense in depth: even a request poisoned *past* the front
         door (submitted straight to the coalescer) must reject every
-        member future, never kill the batch task and strand them."""
+        member future, never kill the batch task and strand them.  The
+        coalescer's flight-recorder dump lands in ``tmp_path``, not in
+        the system temp dir."""
+        monkeypatch.setenv(DUMP_DIR_ENV, str(tmp_path))
+
         async def scenario():
             service = make_service()
             try:
@@ -197,6 +204,9 @@ class TestInvalidRequests:
                 await service.drain()
 
         asyncio.run(scenario())
+        reasons = [json.loads(path.read_text().splitlines()[0])["reason"]
+                   for path in tmp_path.glob("flightrec-*.jsonl")]
+        assert reasons.count("batch-internal-error") == 1
 
 
 class TestTenantState:

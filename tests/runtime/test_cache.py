@@ -10,7 +10,6 @@ import pytest
 from repro.circuits.library import fig1_circuit
 from repro.core import metrics
 from repro.runtime import ProgramCache, circuit_fingerprint
-from repro.symbolic.tape import TapeModel
 
 
 def build(cache, circuit=None, symbols=("C1", "C2"), order=2, **kw):
@@ -103,15 +102,6 @@ class TestDiskLayer:
             reloaded.model.sweep(grids, metrics.dominant_pole_hz),
             original.model.sweep(grids, metrics.dominant_pole_hz),
             rtol=1e-9)
-
-    def test_load_model_returns_loaded_model(self, tmp_path):
-        cache = ProgramCache(disk_dir=tmp_path)
-        result = build(cache)
-        key = cache.key_for(fig1_circuit(), "out", ["C1", "C2"], 2)
-        loaded = cache.load_model(key)
-        assert isinstance(loaded, TapeModel)
-        np.testing.assert_allclose(loaded.rom({}).poles,
-                                   result.rom({}).poles, rtol=1e-9)
 
     def test_stale_key_rejected(self, tmp_path):
         cache = ProgramCache(disk_dir=tmp_path)

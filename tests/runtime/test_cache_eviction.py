@@ -19,7 +19,7 @@ import pytest
 from repro.circuits.library import fig1_circuit
 from repro.partition import condense_blocks, partition
 from repro.runtime import CondensationCache, ProgramCache
-from repro.runtime.cache import _evict_disk_lru
+from repro.runtime.store import _evict_disk_lru
 
 
 def _stale_entries(d: Path, stem: str, n: int, size: int = 100) -> list:
