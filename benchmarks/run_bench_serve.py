@@ -8,8 +8,11 @@ Drives the in-process serving pipeline (admission -> quota -> coalescer
    paired-column batches; reported as requests/second end-to-end
    (admission, quota, batching and diagnostics included in the cost);
 2. **sequential latency** — one request at a time (every batch is a
-   singleton, so the measured time is the full per-request overhead
-   including the coalescing delay); reported as p50/p99 milliseconds.
+   singleton on an idle service, which flushes it at once, so the
+   measured time is the full per-request overhead); reported as p50/p99
+   milliseconds, with ``phases_ms``: the mean of each phase of the
+   service's per-request ledger (``repro_serve_phase_seconds_<phase>``)
+   over the same requests, which sum to their mean latency.
 
 The payload carries the generic ``throughputs`` mapping that
 ``benchmarks/check_bench_regression.py`` folds into the same >25 %
@@ -31,8 +34,10 @@ import time
 from pathlib import Path
 
 from repro.circuits.library import small_signal_741
+from repro.obs import metrics
 from repro.runtime import ProgramCache
 from repro.service import AWEService, ModelRegistry, ServiceConfig
+from repro.service.server import PHASES
 
 N_REQUESTS = 2048
 WAVE = 256
@@ -79,17 +84,33 @@ async def bench_coalesced(service: AWEService, n: int, wave: int) -> dict:
     }
 
 
+def ledger() -> dict:
+    """(count, sum) of the latency histogram and of each phase's."""
+    reg = metrics.registry()
+    names = ["repro_serve_latency_seconds"] + [
+        f"repro_serve_phase_seconds_{phase}" for phase in PHASES]
+    return {name: (reg.histogram(name).count, reg.histogram(name).sum)
+            for name in names}
+
+
 async def bench_latency(service: AWEService, n: int) -> dict:
     latencies = []
+    before = ledger()
     for i in range(n):
         t0 = time.perf_counter()
         await service.handle_eval(request(i))
         latencies.append(time.perf_counter() - t0)
+    after = ledger()
+    mean_ms = {name: 1e3 * (after[name][1] - before[name][1])
+               / (after[name][0] - before[name][0]) for name in after}
     latencies.sort()
     return {
         "sequential_requests": n,
         "p50_ms": 1e3 * latencies[n // 2],
         "p99_ms": 1e3 * latencies[min(n - 1, int(n * 0.99))],
+        "mean_ms": mean_ms.pop("repro_serve_latency_seconds"),
+        "phases_ms": {phase: mean_ms[f"repro_serve_phase_seconds_{phase}"]
+                      for phase in PHASES},
     }
 
 

@@ -313,7 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "corrupt/stale entries and orphaned temp files")
     doctor.add_argument("--fix", action="store_true",
                         help="move unhealthy cache entries to quarantine/ "
-                             "and delete orphaned temp files")
+                             "and delete orphaned temp files (in the "
+                             "native kernel store too, with its stale "
+                             "tape-*.c sources)")
 
     tran = sub.add_parser("tran", parents=[obs_parent],
                           help="closed-form transient of a compiled model "
@@ -420,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-batch", type=int, default=64,
                        help="coalescer batch cap (default 64)")
     serve.add_argument("--max-delay-ms", type=float, default=5.0,
-                       help="coalescer hold time in ms (default 5)")
+                       help="longest a request waits for a busy "
+                            "evaluator, in ms (default 5; an idle "
+                            "service evaluates at once)")
     serve.add_argument("--deadline-s", type=float, default=2.0,
                        help="default per-request deadline (default 2s)")
     serve.add_argument("--no-degrade", action="store_true",
@@ -811,13 +815,29 @@ def cmd_doctor(args) -> int:
                   f"schema {health['schema']}, hit rate "
                   f"{'n/a' if rate is None else f'{rate:.0%}'} this process")
         # the per-user kernel store lives outside --cache-dir and
-        # rebuilds a bad kernel at load: listed, never fixed or graded
+        # rebuilds a bad kernel at load: never graded; --fix quarantines
+        # its unverified kernels and deletes the tape-*.c sources that
+        # builds from before the store left beside them
         native = native_store()
         health = native.health()
+        native_report = native.scan(fix=args.fix)
         print(f"  native kernel store {native.directory}: "
               f"{health['disk_entries']} entries, {health['disk_bytes']} "
               f"bytes ({health['max_disk_bytes']} budget), "
-              f"{sum(r['status'] != 'ok' for r in native.scan())} unverified")
+              f"{sum(r['status'] != 'ok' for r in native_report)} "
+              f"unverified")
+        if args.fix:
+            statuses = [r["status"] for r in native_report]
+            temps = statuses.count("orphan-tmp")
+            sources = 0
+            for source in native.directory.glob("tape-*.c"):
+                with contextlib.suppress(OSError):
+                    source.unlink()
+                    sources += 1
+            print(f"  native kernel store --fix: "
+                  f"{len(statuses) - statuses.count('ok') - temps} kernels "
+                  f"quarantined, {temps} temp files and {sources} C "
+                  f"sources removed")
         for r in bad:
             line = f"  {r['file']}: {r['status']}"
             if r["detail"]:

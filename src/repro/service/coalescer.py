@@ -3,11 +3,19 @@
 The compiled moment programs are numpy-vectorized — evaluating 64
 points costs barely more than evaluating one.  A serving layer that
 pushes each request through its own ``batched_sweep`` call wastes that;
-the coalescer holds requests for up to ``max_delay_s`` (or until
-``max_batch`` accumulate), groups them by ``(model key, metric, Padé
-order)``, and evaluates the whole group as **one paired-column sweep**:
-each request contributes one joint sample row (its element overrides,
-nominals elsewhere), exactly the Monte Carlo evaluation shape.
+the coalescer groups requests by ``(model key, metric, Padé order)`` and
+evaluates each group as **one paired-column sweep**: each request
+contributes one joint sample row (its element overrides, nominals
+elsewhere), exactly the Monte Carlo evaluation shape.
+
+A bucket flushes at ``max_batch`` members, or — while none of this
+coalescer's batches is running — at the end of the current event-loop
+turn, so requests submitted in one turn share a batch and a lone request
+on an idle service waits for nothing.  While a batch runs (in-process
+evaluation holds the GIL, so one running batch already keeps the CPU
+busy), new requests wait: their buckets flush when the last running
+batch finishes, or ``max_delay_s`` after their first member arrived,
+whichever comes first.
 
 Deadline propagation is end-to-end and cooperative:
 
@@ -99,8 +107,11 @@ class Coalescer:
 
     Args:
         max_batch: flush a bucket as soon as it holds this many.
-        max_delay_s: flush a bucket this long after its first member
-            arrived (the latency cost of coalescing).
+        max_delay_s: the longest a request waits for a busy evaluator:
+            a bucket opened while a batch is running flushes this long
+            after its first member arrived, or when the last running
+            batch finishes, whichever is first (on an idle coalescer a
+            bucket flushes at the end of the current loop turn).
         executor: thread pool for the numpy evaluation (None = loop
             default).
         resilience: optional :class:`~repro.runtime.resilience.
@@ -131,7 +142,8 @@ class Coalescer:
         self.workers = workers
         self._clock = clock
         self._buckets: dict[tuple, list[EvalRequest]] = {}
-        self._timers: dict[tuple, asyncio.TimerHandle] = {}
+        #: per bucket: the end-of-turn flush (idle) or max_delay_s timer
+        self._timers: dict[tuple, asyncio.Handle] = {}
         self._inflight: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
@@ -149,8 +161,9 @@ class Coalescer:
         if len(bucket) >= self.max_batch:
             self._flush(key)
         elif key not in self._timers:
-            self._timers[key] = loop.call_later(
-                self.max_delay_s, self._flush, key)
+            self._timers[key] = (
+                loop.call_later(self.max_delay_s, self._flush, key)
+                if self._inflight else loop.call_soon(self._flush, key))
         return request.future
 
     def _flush(self, key: tuple) -> None:
@@ -163,7 +176,15 @@ class Coalescer:
         task = asyncio.get_running_loop().create_task(
             self._run_batch(requests))
         self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        """Forget a finished batch; if it was the last one running, every
+        waiting bucket flushes now."""
+        self._inflight.discard(task)
+        if not self._inflight:
+            for key in list(self._buckets):
+                self._flush(key)
 
     async def drain(self) -> None:
         """Flush every bucket and wait for all in-flight batches."""

@@ -8,10 +8,17 @@ order); they are *compiled* lazily on first use through the process-wide
 symbol set, order and schema — is the registry's identity too: two
 names registering byte-identical recipes share one compiled program.
 
+Registration is a **snapshot**: :meth:`ModelRegistry.register` copies
+the circuit (elements are immutable, so the copy is one dict) and keys
+the copy once, so no request hashes the circuit again, and editing the
+caller's circuit afterwards changes nothing that is served until the
+name is registered again.
+
 Compilation is **single-flight**: N concurrent requests for a cold
-model trigger exactly one compile (an :class:`asyncio.Future` per cache
-key; followers await it).  Compiles run in the server's thread-pool
-executor so the event loop stays responsive.
+model trigger exactly one compile (the first caller compiles; each
+follower awaits a future of its own that the compile resolves).
+Compiles run in the server's thread-pool executor so the event loop
+stays responsive.
 
 Each entry carries its own :class:`~repro.service.policies.
 CircuitBreaker` and a pre-built **degraded fallback**: the same
@@ -42,13 +49,15 @@ __all__ = ["ModelEntry", "ModelRegistry", "RegisteredRecipe"]
 
 @dataclass(frozen=True)
 class RegisteredRecipe:
-    """Everything needed to (re)compile one served model."""
+    """Everything needed to (re)compile one served model, and its
+    registry key, computed once at registration."""
 
     name: str
-    circuit: Circuit
+    circuit: Circuit | None  #: a private snapshot; None for a tape
     output: str
     symbols: tuple[str, ...] | None
     order: int
+    key: str
     options: dict = field(default_factory=dict)
 
 
@@ -106,7 +115,8 @@ class ModelRegistry:
         self._clock = clock
         self._recipes: dict[str, RegisteredRecipe] = {}
         self._entries: dict[str, ModelEntry] = {}   # cache key -> entry
-        self._compiling: dict[str, asyncio.Future] = {}
+        # cache key -> futures of the callers waiting on its compile
+        self._compiling: dict[str, list[asyncio.Future]] = {}
 
     # ------------------------------------------------------------------
     # registration
@@ -114,13 +124,18 @@ class ModelRegistry:
     def register(self, name: str, circuit: Circuit, output: str,
                  symbols: Sequence[str] | None = None, order: int = 2,
                  **options) -> str:
-        """Register a recipe under ``name``; returns its cache key."""
+        """Register a snapshot of the recipe under ``name``; returns its
+        cache key.  Later edits to ``circuit`` are not served until
+        ``name`` is registered again."""
+        circuit = circuit.copy()
+        symbols = tuple(symbols) if symbols is not None else None
         recipe = RegisteredRecipe(
-            name=name, circuit=circuit, output=output,
-            symbols=tuple(symbols) if symbols is not None else None,
-            order=order, options=dict(options))
+            name=name, circuit=circuit, output=output, symbols=symbols,
+            order=order, options=dict(options),
+            key=self.cache.key_for(circuit, output, symbols, order,
+                                   **options))
         self._recipes[name] = recipe
-        return self.key_of(recipe)
+        return recipe.key
 
     def register_tape(self, path: str, name: str | None = None) -> str:
         """Register a preloaded **op-tape artifact** and warm it now.
@@ -146,8 +161,8 @@ class ModelRegistry:
         recipe = RegisteredRecipe(
             name=name, circuit=None, output=model.output,
             symbols=tuple(s.name for s in model.space.symbols),
-            order=model.order,
-            options={"tape_path": str(path), "tape_key": key})
+            order=model.order, key=key,
+            options={"tape_path": str(path)})
         self._recipes[name] = recipe
         entry = ModelEntry(
             key=key, recipe=recipe, result=_TapeResult(model),
@@ -156,13 +171,10 @@ class ModelRegistry:
         self._store(key, entry)
         return key
 
-    def key_of(self, recipe: RegisteredRecipe) -> str:
-        tape_key = recipe.options.get("tape_key")
-        if tape_key is not None:
-            return tape_key
-        return self.cache.key_for(recipe.circuit, recipe.output,
-                                  recipe.symbols, recipe.order,
-                                  **recipe.options)
+    @staticmethod
+    def key_of(recipe: RegisteredRecipe) -> str:
+        """The recipe's registry key (stored at registration)."""
+        return recipe.key
 
     @property
     def names(self) -> list[str]:
@@ -181,11 +193,10 @@ class ModelRegistry:
         out = []
         for name in self.names:
             recipe = self._recipes[name]
-            key = self.key_of(recipe)
-            entry = self._entries.get(key)
+            entry = self._entries.get(recipe.key)
             out.append({
                 "name": name,
-                "key": key[:16],
+                "key": recipe.key[:16],
                 "output": recipe.output,
                 "order": recipe.order,
                 "warm": entry is not None,
@@ -201,28 +212,33 @@ class ModelRegistry:
                      executor=None) -> ModelEntry:
         """The warm entry for ``name``, compiling at most once.
 
-        Concurrent callers for the same cold key all await one compile
-        future; the winner runs ``cache.get_or_build`` in ``executor``
-        (or the loop's default).  A failed compile rejects every waiter
-        and clears the single-flight slot so the next request retries.
+        Concurrent callers for the same cold key wait for one compile:
+        the winner runs ``cache.get_or_build`` in ``executor`` (or the
+        loop's default) and resolves each follower's own future before
+        its own request goes on, so the whole cold burst wakes in one
+        loop turn and coalesces into one batch (cancelling a follower
+        leaves the compile and the others alone).  A failed compile
+        rejects every waiter and clears the single-flight slot so the
+        next request retries.
         """
         recipe = self.recipe(name)
-        key = self.key_of(recipe)
+        key = recipe.key
         entry = self._entries.get(key)
         if entry is not None:
             entry.last_used = self._clock()
             return entry
 
-        pending = self._compiling.get(key)
-        if pending is not None:
+        loop = asyncio.get_running_loop()
+        waiters = self._compiling.get(key)
+        if waiters is not None:
             _metrics.registry().counter(
                 "repro_serve_compile_coalesced_total",
                 "compile requests satisfied by an in-flight compile").inc()
-            return await asyncio.shield(pending)
+            waiter = loop.create_future()
+            waiters.append(waiter)
+            return await waiter
 
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._compiling[key] = future
+        waiters = self._compiling[key] = []
         try:
             result = await loop.run_in_executor(
                 executor, self._compile_sync, recipe)
@@ -231,15 +247,17 @@ class ModelRegistry:
                 breaker=CircuitBreaker(self.breaker_config,
                                        clock=self._clock, name=name))
             self._store(key, entry)
-            future.set_result(entry)
-            return entry
         except BaseException as exc:
-            future.set_exception(exc)
-            # consume the exception if nobody else awaits the future
-            future.exception()
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_exception(exc)
             raise
         finally:
             self._compiling.pop(key, None)
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(entry)
+        return entry
 
     def _compile_sync(self, recipe: RegisteredRecipe):
         _metrics.registry().counter(
@@ -281,5 +299,5 @@ class ModelRegistry:
         recipe = self._recipes.pop(name, None)
         if recipe is None:
             return False
-        self._entries.pop(self.key_of(recipe), None)
+        self._entries.pop(recipe.key, None)
         return True

@@ -51,7 +51,31 @@ from .policies import (AdmissionController, BreakerConfig, Bulkhead,
                        RetryBudget, TokenBucket)
 from .registry import ModelRegistry
 
-__all__ = ["AWEService", "ServiceConfig"]
+__all__ = ["AWEService", "PHASES", "ServiceConfig"]
+
+#: the consecutive phases of a request served at full order, published
+#: as ``repro_serve_phase_seconds_<phase>``; they sum to its
+#: ``repro_serve_latency_seconds`` observation
+PHASES = ("admit", "lookup", "queue", "eval", "respond")
+
+
+class _RequestInstruments:
+    """The instruments :meth:`AWEService.handle_eval` updates, looked up
+    once per registry (:meth:`~repro.obs.metrics.MetricsRegistry.bind`)."""
+
+    __slots__ = ("requests", "ok", "latency", "phases")
+
+    def __init__(self, reg) -> None:
+        self.requests = reg.counter("repro_serve_requests_total",
+                                    "eval requests")
+        self.ok = reg.counter("repro_serve_requests_total_ok",
+                              "requests served at full order")
+        self.latency = reg.histogram("repro_serve_latency_seconds",
+                                     "end-to-end request latency")
+        self.phases = tuple(
+            reg.histogram(f"repro_serve_phase_seconds_{phase}",
+                          f"full-order request latency spent in {phase}")
+            for phase in PHASES)
 
 
 @dataclass
@@ -165,9 +189,11 @@ class AWEService:
         subclasses for every typed refusal; the HTTP front maps them to
         status codes, in-process callers catch them directly.
         """
-        reg = _metrics.registry()
-        reg.counter("repro_serve_requests_total", "eval requests").inc()
+        m = _metrics.registry().bind(_RequestInstruments)
+        m.requests.inc()
         t0 = self._clock()
+        # admit, lookup, queue and eval seconds, filled at full order
+        ledger: list[float] = []
         tenant = str(payload.get("tenant", "default"))
         ctx = obs_context.current()
         if ctx is None:  # in-process caller: start a fresh trace
@@ -195,7 +221,8 @@ class AWEService:
                                  trace_id=ctx.trace_id,
                                  inflight=self.admission.inflight)
                 try:
-                    result = await self._admitted(payload, tenant, t0)
+                    result = await self._admitted(payload, tenant, t0,
+                                                  ledger)
                     outcome = ("degraded" if result.get("degraded")
                                else "ok")
                     return result
@@ -206,16 +233,22 @@ class AWEService:
             raise
         finally:
             latency = self._clock() - t0
-            reg.histogram("repro_serve_latency_seconds",
-                          "end-to-end request latency").observe(latency)
+            m.latency.observe(latency)
+            if ledger:  # served at full order
+                m.ok.inc()
+                ledger.append(max(0.0, latency - sum(ledger)))  # respond
+                for histogram, seconds in zip(m.phases, ledger):
+                    histogram.observe(seconds)
             self.slo.observe(tenant, str(payload.get("model", "")) or None,
                              latency, outcome, trace_id=ctx.trace_id)
             if span is not None:
-                span.set(outcome=outcome)
+                span.set(outcome=outcome,
+                         **{f"phase_{phase}_s": seconds
+                            for phase, seconds in zip(PHASES, ledger)})
                 span.finish()
 
-    async def _admitted(self, payload: dict, tenant: str,
-                        t0: float) -> dict:
+    async def _admitted(self, payload: dict, tenant: str, t0: float,
+                        ledger: list[float]) -> dict:
         bucket, bulkhead = self._tenant_state(tenant)
         if not bucket.try_acquire():
             self._count_reject("quota")
@@ -226,7 +259,7 @@ class AWEService:
                 f"tenant {tenant!r} already has {bulkhead.limit} "
                 f"requests in flight")
         try:
-            return await self._evaluate(payload, tenant, t0)
+            return await self._evaluate(payload, tenant, t0, ledger)
         finally:
             bulkhead.exit()
 
@@ -256,7 +289,9 @@ class AWEService:
             del self._tenants[victim]
         return state
 
-    async def _evaluate(self, payload: dict, tenant: str, t0: float) -> dict:
+    async def _evaluate(self, payload: dict, tenant: str, t0: float,
+                        ledger: list[float]) -> dict:
+        admitted = self._clock()
         entry = await self.registry.ensure(str(payload["model"]),
                                            executor=self.executor)
         metric, order, values, timeout = self._validate(payload, entry)
@@ -271,14 +306,16 @@ class AWEService:
                 f"{entry.breaker.state} and degradation is unavailable")
 
         ctx = obs_context.current()
-        outcome = await self.coalescer.submit(EvalRequest(
+        request = EvalRequest(
             entry=entry, metric=metric, order=order, values=values,
             deadline=deadline, tenant=tenant,
             trace_id=ctx.trace_id if ctx is not None else None,
-            parent_span=ctx.local_parent if ctx is not None else None))
+            parent_span=ctx.local_parent if ctx is not None else None)
+        outcome = await self.coalescer.submit(request)
+        # lookup ends where the coalescer's queue wait begins
+        ledger.extend((admitted - t0, request.enqueued - admitted,
+                       outcome.queue_s, outcome.eval_s))
         rung, rtol = "nominal", self.ladder.nominal
-        _metrics.registry().counter("repro_serve_requests_total_ok",
-                                    "requests served at full order").inc()
         return {
             "model": entry.recipe.name,
             "metric": metric,

@@ -209,6 +209,40 @@ class TestNativeStore:
             native.native_kernel_for(fn, mask)
         assert {p.name for p in native_dir.iterdir()} == names
 
+    def test_doctor_fix_sweeps_pre_store_files(self, native_dir,
+                                               fig1_tape_file, tmp_path,
+                                               capsys):
+        """Kernel builds from before the store left ``tape-*.c`` sources
+        and digest-less ``.so`` files; ``doctor --fix`` removes the
+        sources, quarantines the kernels and keeps the published one."""
+        from repro.cli import main
+
+        built = _load_in_subprocess(fig1_tape_file)
+        assert built.returncode == 0, built.stderr
+        (published,) = _kernel_entries(native_dir)
+        data = published.read_bytes()
+        legacy = native_dir / ("tape-" + "0" * 32 + ".so")
+        legacy.write_bytes(b"\x7fELF from before the store")
+        source = native_dir / ("tape-" + "0" * 32 + ".c")
+        source.write_text("/* generated kernel source */\n")
+
+        rc = main(["doctor", "--cache-dir", str(tmp_path / "cache"),
+                   "--fix"])
+        assert rc == 0  # the kernel store never grades the exit status
+        out = capsys.readouterr().out
+        assert "1 kernels quarantined" in out
+        assert "1 C sources removed" in out
+        assert not source.exists() and not legacy.exists()
+        (moved,) = (native_dir / "quarantine").iterdir()
+        assert moved.name == legacy.name + ".corrupt"
+
+        again = _load_in_subprocess(fig1_tape_file)
+        assert again.returncode == 0, again.stderr
+        assert _kernel_entries(native_dir) == [published]
+        assert published.read_bytes() == data
+        assert list((native_dir / "quarantine").iterdir()) == [moved]
+        assert [r["status"] for r in native.native_store().scan()] == ["ok"]
+
     def test_budget_keeps_the_newest_kernel(self, native_dir, monkeypatch):
         ss = small_signal_741()
         res = awesymbolic(ss.circuit, "out", symbols=["go_Q14", "Ccomp"],

@@ -299,24 +299,35 @@ class TestAdmissionUnderLoad:
 
 class TestDeadlines:
     def test_expired_in_queue_is_rejected_before_eval(self):
-        """Queue wait ate the budget: typed rejection, zero CPU spent."""
+        """Queue wait behind a busy evaluator ate the budget: typed
+        rejection, zero CPU spent."""
         async def scenario():
             service = make_service(max_batch=8, max_delay_s=0.1)
+            await service.registry.ensure("fig1")
             injector = FaultInjector()
             chunks: list[int] = []
             injector.on("sweep.moments",
                         lambda p: chunks.append(p["offset"]), times=None)
+            # the first batch stalls past the next request's deadline
+            injector.sleeps("sweep.moments", 0.3, times=1)
             try:
                 with injector.armed():
+                    busy = asyncio.ensure_future(
+                        service.handle_eval({"model": "fig1"}))
+                    for _ in range(1000):  # until the stall starts (5 s)
+                        if chunks:
+                            break
+                        await asyncio.sleep(0.005)
                     with pytest.raises(DeadlineExceeded):
                         await service.handle_eval(
                             {"model": "fig1", "timeout_s": 0.005})
+                    await busy
             finally:
                 await service.drain()
             return chunks
 
         chunks = asyncio.run(scenario())
-        assert chunks == []  # never evaluated
+        assert chunks == [0]  # the stalled batch's chunk; never evaluated
 
     def test_mid_batch_deadline_stops_within_one_chunk(self):
         """The acceptance criterion: once every member's deadline has
