@@ -4,8 +4,8 @@ Measures the three compile regimes this repo's fast compile path
 provides, per circuit, on the paper's workloads:
 
 * **cold** — a from-scratch :func:`repro.awesymbolic` call (partition,
-  condensation, adjugate, moment recursion, CSE/codegen), with the
-  process-wide program memo cleared first so nothing is reused;
+  condensation, adjugate, moment recursion, CSE/codegen); the compiler
+  keeps no process-wide memo, so nothing is reused;
 * **warm** — the same compile served by a :class:`ProgramCache` disk hit
   (a fresh cache instance on a populated directory, i.e. the
   cross-process restart case);
@@ -14,12 +14,10 @@ provides, per circuit, on the paper's workloads:
   previous moment recursion instead of restarting (741 only: the
   q=4 -> q=5 bump on the paper's ``go_Q14``/``Ccomp`` workload).
 
-Measurement hygiene matters here: the content-keyed program memo in
-:mod:`repro.symbolic.compile` is cleared before *every* timed compile —
-otherwise a cold run earlier in the process hands the incremental
-compile exactly the CSE program it would otherwise build, inflating the
-ratio.  Each regime reports the best of ``--repeats`` runs (the noise on
-a busy CI box is one-sided).
+Each regime reports the best of ``--repeats`` runs (the noise on a busy
+CI box is one-sided).  Every timed compile lowers and execs its moment
+program itself: the compiler keeps no process-wide program memo that an
+earlier run could hand it.
 
 Every workload is also checked **bit-identical** across regimes and
 against the reference (kernel-free) implementation via serialized-model
@@ -49,7 +47,6 @@ from repro.circuits.library import (fig1_circuit, small_signal_741,
 from repro.core.awesymbolic import CompileSession, awesymbolic
 from repro.core.serialize import model_to_dict
 from repro.runtime.cache import CondensationCache, ProgramCache
-from repro.symbolic import compile as symbolic_compile
 from repro.symbolic import polykernel
 
 REPEATS = 3
@@ -67,16 +64,10 @@ def _dump(result) -> str:
     return json.dumps(model_to_dict(result), sort_keys=True)
 
 
-def _clear_process_memos() -> None:
-    """Drop process-wide compile state a cold compile must not reuse."""
-    symbolic_compile._PROGRAM_MEMO.clear()
-
-
 def bench_cold(circuit, symbols, order, repeats: int) -> tuple[float, str]:
     best = float("inf")
     digest = ""
     for _ in range(repeats):
-        _clear_process_memos()
         t0 = time.perf_counter()
         res = awesymbolic(circuit, "out", symbols=symbols, order=order)
         best = min(best, time.perf_counter() - t0)
@@ -93,7 +84,6 @@ def bench_warm(circuit, symbols, order, repeats: int,
     digest = ""
     for _ in range(repeats):
         cache = ProgramCache(disk_dir=tmpdir)  # empty memory, warm disk
-        _clear_process_memos()  # the seed build must not subsidize CSE
         t0 = time.perf_counter()
         res = cache.get_or_build(circuit, "out", symbols=symbols,
                                  order=order)
@@ -112,7 +102,6 @@ def bench_incremental(circuit, symbols, order_from, order_to,
     for _ in range(repeats):
         session = CompileSession(circuit, "out", symbols=symbols)
         session.compile(order_from)
-        _clear_process_memos()
         t0 = time.perf_counter()
         res = session.compile(order_to)
         best = min(best, time.perf_counter() - t0)

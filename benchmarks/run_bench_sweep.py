@@ -20,10 +20,10 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    amortized the way a real sweep sees them, and cross-check every
    backend against the serial values bit-for-bit;
 4. time the raw moment-program kernels (ufunc vs native ``eval_batch``
-   vs the fused multi-output native kernel) on the full grid batch —
-   end-to-end gains are bounded by the Padé/metric stages, so the
-   kernel-level figures are recorded separately;
-5. op-profile the compiled moment program over the same grid batch;
+   of the model's one program, the fused tape every sweep runs) on the
+   full grid batch — end-to-end gains are bounded by the Padé/metric
+   stages, so the kernel-level figures are recorded separately;
+5. op-profile that moment program over the same grid batch;
 6. write ``BENCH_sweep.json`` — points/sec overall, per backend and on
    the 512x512, margin and order-4 grids (each with a per-stage
    breakdown), 1-point sweeps per second, the host-speed calibration
@@ -213,7 +213,8 @@ def bench_kernels(model, grids, repeats: int = 5) -> dict:
     reduction, which are identical across backends — Amdahl's law caps
     the visible end-to-end native gain well below the kernel speedup.
     Timing ``eval_batch`` alone (best of ``repeats``) records what the
-    compiled kernel actually buys.  A missing toolchain records a
+    compiled kernel actually buys, on the model's one moment program
+    (the fused tape every sweep runs).  A missing toolchain records a
     reason instead of failing the benchmark.
     """
     fn = model.compiled_moments.fn
@@ -251,23 +252,6 @@ def bench_kernels(model, grids, repeats: int = 5) -> dict:
         "threads": int(getattr(kernel, "threads", 1)),
         "points_per_second": n / native_seconds,
         "speedup_vs_ufunc": ufunc_seconds / native_seconds,
-    }
-    try:
-        from repro.runtime.native import build_native_kernel
-        from repro.symbolic.tape import fuse_moments, tape_for
-        fused_kernel = build_native_kernel(fuse_moments(tape_for(fn)), mask)
-    except Exception as exc:
-        out["fused_native"] = {"available": False, "reason": str(exc)}
-        return out
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        fused_seconds = best_of(lambda: fused_kernel(list(cols), n))
-    out["fused_native"] = {
-        "available": True,
-        "flavor": fused_kernel.flavor,
-        "parallel": bool(getattr(fused_kernel, "parallel", False)),
-        "threads": int(getattr(fused_kernel, "threads", 1)),
-        "points_per_second": n / fused_seconds,
-        "speedup_vs_ufunc": ufunc_seconds / fused_seconds,
     }
     return out
 
@@ -316,9 +300,6 @@ def run(grid_n: int = GRID_N, shards: int = SHARDS) -> dict:
     if kernels["native"].get("available"):
         throughputs["kernel:native"] = (
             kernels["native"]["points_per_second"])
-    if kernels.get("fused_native", {}).get("available"):
-        throughputs["kernel:fused-native"] = (
-            kernels["fused_native"]["points_per_second"])
 
     _, _, cols = grid_columns(model, grids)
     prof = profile_program(model.compiled_moments.fn, cols, repeats=5)
@@ -410,19 +391,16 @@ def main(argv: list[str] | None = None) -> int:
     kernels = payload["kernels"]
     print(f"  kernel  ufunc    "
           f"{kernels['ufunc']['points_per_second']:>12.0f} points/s")
-    for key, label in (("native", "native"), ("fused_native", "fused")):
-        entry = kernels.get(key)
-        if entry is None:
-            continue
-        if entry.get("available"):
-            threads = (f", {entry['threads']} threads"
-                       if entry.get("parallel") else "")
-            print(f"  kernel  {label:<8} "
-                  f"{entry['points_per_second']:>12.0f} points/s"
-                  f"  ({entry['flavor']}{threads}, "
-                  f"{entry['speedup_vs_ufunc']:.1f}x ufunc)")
-        else:
-            print(f"  kernel  {label:<8} unavailable ({entry['reason']})")
+    entry = kernels["native"]
+    if entry.get("available"):
+        threads = (f", {entry['threads']} threads"
+                   if entry.get("parallel") else "")
+        print(f"  kernel  native   "
+              f"{entry['points_per_second']:>12.0f} points/s"
+              f"  ({entry['flavor']}{threads}, "
+              f"{entry['speedup_vs_ufunc']:.1f}x ufunc)")
+    else:
+        print(f"  kernel  native   unavailable ({entry['reason']})")
     for i, op in enumerate(payload["top_ops"], start=1):
         print(f"  hot op {i}: {op['fraction'] * 100.0:5.1f}%  "
               f"{op['kind']:<5} {op['expr']}")

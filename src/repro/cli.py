@@ -129,20 +129,22 @@ def _obs_parent() -> argparse.ArgumentParser:
 
 def _add_sweep_args(p: argparse.ArgumentParser) -> None:
     """Grid/metric/sharding options shared by evaluate, sweep, trace."""
+    from .runtime.backends import BACKENDS
+
     p.add_argument("--sweep", action="append", default=[],
                    metavar="NAME=START:STOP:N",
                    help="sweep an element over a linear grid "
                         "(repeatable; grids combine cartesian)")
     p.add_argument("--metric", default="dominant_pole_hz",
-                   help="metric for --sweep (a repro.core.metrics "
-                        "function name; default dominant_pole_hz)")
+                   help="metric for --sweep (a name in "
+                        "repro.core.metrics.METRICS; default "
+                        "dominant_pole_hz)")
     p.add_argument("--shards", type=int, default=None,
                    help="split the sweep grid into N chunks")
     p.add_argument("--workers", type=int, default=None,
                    help="worker-pool width for sweep shards (default: "
                         "min(shards, cpu count) when --shards > 1)")
-    p.add_argument("--backend", default=None,
-                   choices=["auto", "serial", "thread", "process", "native"],
+    p.add_argument("--backend", default=None, choices=BACKENDS,
                    help="shard execution backend (default auto: threads "
                         "when more than one worker; process spawns "
                         "workers and shares arrays via shared memory)")
@@ -202,6 +204,8 @@ def _add_model_build_args(p: argparse.ArgumentParser,
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .runtime.backends import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="AWEsymbolic: compiled symbolic circuit analysis "
@@ -302,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="split the check sweep into N chunks")
     doctor.add_argument("--workers", type=int, default=None,
                         help="worker-pool width for the check sweep")
-    doctor.add_argument("--backend", default=None,
-                        choices=["auto", "serial", "thread", "process",
-                                 "native"],
+    doctor.add_argument("--backend", default=None, choices=BACKENDS,
                         help="shard execution backend for the check sweep")
     doctor.add_argument("--json", type=Path, default=None, metavar="FILE",
                         help="write the diagnostics report as JSON")
@@ -349,8 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "NAME=normal%%:MEAN,RELSIGMA | "
                          "NAME=uniform:LO,HI (repeatable, required)")
     mc.add_argument("--metric", default="dominant_pole_hz",
-                    help="metric to sample (a repro.core.metrics function "
-                         "name; default dominant_pole_hz)")
+                    help="metric to sample (a name in "
+                         "repro.core.metrics.METRICS; default "
+                         "dominant_pole_hz)")
     mc.add_argument("--samples", type=int, default=1000,
                     help="sample count (default 1000)")
     mc.add_argument("--seed", type=int, default=0,
@@ -365,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="split the sample batch into N chunks")
     mc.add_argument("--workers", type=int, default=None,
                     help="worker-pool width for sample shards")
-    mc.add_argument("--backend", default=None,
-                    choices=["auto", "serial", "thread", "process", "native"],
+    mc.add_argument("--backend", default=None, choices=BACKENDS,
                     help="shard execution backend")
     mode = mc.add_mutually_exclusive_group()
     mode.add_argument("--strict", action="store_true",
@@ -432,9 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(breaker-open requests get a typed 503)")
     serve.add_argument("--warm", action="store_true",
                        help="compile every registered model before binding")
-    serve.add_argument("--backend", default=None,
-                       choices=["auto", "serial", "thread", "process",
-                                "native"],
+    serve.add_argument("--backend", default=None, choices=BACKENDS,
                        help="shard execution backend for served sweeps")
     serve.add_argument("--shards", type=int, default=None,
                        help="split each served sweep into N shards")
@@ -567,13 +567,10 @@ def _parse_sweep(spec: str):
 
 
 def _run_sweep(loaded, args) -> int:
-    from .core import metrics as metrics_mod
+    from .core.metrics import resolve_metric
     from .runtime import RuntimeStats
 
-    metric = getattr(metrics_mod, args.metric, None)
-    if not callable(metric):
-        raise ReproError(f"unknown metric {args.metric!r} "
-                         f"(see repro.core.metrics)")
+    metric = resolve_metric(args.metric)
     grids = dict(_parse_sweep(s) for s in args.sweep)
     stats = RuntimeStats()
     with _graceful_cancel() as token:
@@ -655,14 +652,11 @@ def _build_cached_model(args):
 
 
 def cmd_compile(args) -> int:
-    from .symbolic.tape import tape_from_model
-
     res = _build_cached_model(args)
     print(res.partition.summary())
-    # emitted artifacts are fused (schema 2): one register-machine pass
-    # yields every moment, so consumers skip the per-output dispatch and
-    # the numpy unscaling ladder (docs/artifacts.md)
-    tape = tape_from_model(res.model, fused=True)
+    # the model's one program: fused (schema 2), one register-machine
+    # pass yields every moment (docs/artifacts.md)
+    tape = res.model.tape
     print(f"op tape: {tape.n_ops} ops, {len(tape.symbols)} inputs, "
           f"{len(tape.consts)} consts (fused, schema 2)")
     print(f"  sha256:{tape.content_hash[:32]}")
@@ -772,13 +766,10 @@ def cmd_doctor(args) -> int:
         if not args.sweep:
             raise ReproError("doctor needs at least one --sweep range to "
                              "exercise the model")
-        from .core import metrics as metrics_mod
+        from .core.metrics import resolve_metric
         from .core.serialize import model_from_json
 
-        metric = getattr(metrics_mod, args.metric, None)
-        if not callable(metric):
-            raise ReproError(f"unknown metric {args.metric!r} "
-                             f"(see repro.core.metrics)")
+        metric = resolve_metric(args.metric)
         loaded = model_from_json(args.model.read_text())
         grids = dict(_parse_sweep(s) for s in args.sweep)
         z = loaded.sweep(grids, metric, shards=args.shards,

@@ -10,11 +10,14 @@ saved-model JSON load into it; :class:`CompiledAWEModel` is the
 form knows: the partition, the moment polynomials, the closed-form
 poles, the sensitivities and the per-point sweep oracle.
 
-Every point's moments come from the fused program
-(:attr:`~repro.partition.composite.CompiledMoments.fused`): a handful of
-arithmetic operations followed by a tiny (≤ order×order) numeric Padé —
-no matrix assembly, no LU of the circuit, and results *identical* to
-full numeric AWE at the same element values (enforced by tests).
+A model has one program: the fused moment program of its tape
+(:func:`~repro.partition.composite.moment_tape`), built once and run by
+every point, every sweep chunk, every process worker and the profiler.
+A point costs a handful of arithmetic operations followed by a tiny
+(≤ order×order) numeric Padé — no matrix assembly, no LU of the
+circuit, and results *identical* to full numeric AWE at the same element
+values (enforced by tests).  The program depends only on the model's
+content, so it is the same tape in every process.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from ..partition.blocks import CircuitPartition
 from ..partition.composite import CompiledMoments, SymbolicMoments
 from ..symbolic.compile import CompiledFunction
 from ..symbolic.symbols import TRANSFORMS
-from ..symbolic.tape import OpTape
+from ..symbolic.tape import OpTape, fuse_moments
 from .symbolic_pade import SymbolicFirstOrder, SymbolicSecondOrder
 
 #: ``meta["kind"]`` of a model tape
@@ -86,7 +89,9 @@ class TapeModel:
     ``element_slots`` / ``order`` / ``sweep``, so it is a full citizen
     of the batched runtime and the serving registry; the program is
     ``exec``'d straight off the tape, or passed in as ``fn`` when the
-    caller already compiled it.
+    caller already compiled it.  A schema-1 (unfused) model tape from an
+    older build is fused here, once, so :attr:`tape` is always the
+    schema-2 program every evaluation runs.
     """
 
     def __init__(self, tape: OpTape,
@@ -97,6 +102,8 @@ class TapeModel:
                 "this op tape is a bare program, not a model artifact "
                 "(missing awesymbolic-moments metadata); build it with "
                 "tape_from_model or `repro compile --emit-tape`")
+        if tape.fused is None:
+            tape = fuse_moments(tape)
         self.tape = tape
         self.title = str(meta.get("title", ""))
         self.output = str(meta.get("output", ""))
@@ -165,7 +172,7 @@ class TapeModel:
 
     def moments_at(self, element_values: Mapping[str, float] | None = None,
                    ) -> np.ndarray:
-        """Transfer-function moments at one operating point: the fused
+        """Transfer-function moments at one operating point: the moment
         program's scalar pass (:meth:`CompiledMoments.scalars`), the
         moment step of :meth:`rom`.
 
@@ -211,7 +218,7 @@ class TapeModel:
 
         Runs through the batched runtime, whose docstring documents every
         argument (:func:`repro.runtime.batched_sweep`): the flattened grid
-        streams through cache-resident chunks, each one call of the fused
+        streams through cache-resident chunks, each one call of the
         moment program, with the Padé solve vectorized and a per-point
         fallback only at degenerate/unstable points.  Points where the
         Padé degenerates yield NaN rather than aborting the sweep (lenient
@@ -322,24 +329,8 @@ class CompiledAWEModel(TapeModel):
         return out
 
     # ------------------------------------------------------------------
-    # sweeps (figure surfaces)
+    # the per-point oracle
     # ------------------------------------------------------------------
-    def sweep(self, grids: Mapping[str, np.ndarray],
-              metric: Callable[[ReducedOrderModel], float],
-              order: int | None = None, require_stable: bool = True, *,
-              vectorized: bool = True, strict: bool = False,
-              **options) -> np.ndarray:
-        """:meth:`TapeModel.sweep`, or with ``vectorized=False`` the
-        per-point oracle :meth:`sweep_per_point` (which takes none of the
-        batched runtime's ``options``) — differential tests hold the two
-        paths identical, NaN placement included."""
-        if not vectorized:
-            return self.sweep_per_point(grids, metric, order=order,
-                                        require_stable=require_stable,
-                                        strict=strict)
-        return super().sweep(grids, metric, order, require_stable,
-                             strict=strict, **options)
-
     def sweep_per_point(self, grids: Mapping[str, np.ndarray],
                         metric: Callable[[ReducedOrderModel], float],
                         order: int | None = None,

@@ -312,21 +312,29 @@ def group_delay(model: ReducedOrderModel, omega: float) -> float:
     return tau
 
 
-def resolve_metric(metric):
-    """Resolve a metric given by name to the module function of that name.
+#: the one-argument metrics a name resolves to — the CLI's ``--metric``,
+#: a served request's ``"metric"``, the scenario engine and the
+#: differential harness all look names up here, and nowhere else
+METRICS = {fn.__name__: fn for fn in (
+    dc_gain, dominant_pole_hz, unity_gain_frequency, phase_margin,
+    bandwidth_3db, gain_bandwidth_product, overshoot, settling_time)}
 
-    Callables pass through unchanged; strings look up a public function
-    in this module (the CLI's ``--metric`` convention, shared by the
-    scenario engine and the differential harness).
+
+def resolve_metric(metric):
+    """Resolve a metric given by name through :data:`METRICS`.
+
+    Callables pass through unchanged; strings name one of the
+    one-argument metrics of :data:`METRICS`.  Other module attributes —
+    helpers, classes, two-argument functions — are not metrics.
 
     Raises:
-        ApproximationError: unknown or non-callable name.
+        ApproximationError: a name that is not in :data:`METRICS`.
     """
     if callable(metric):
         return metric
-    import sys
-    fn = getattr(sys.modules[__name__], str(metric), None)
-    if not callable(fn) or str(metric).startswith("_"):
+    try:
+        return METRICS[metric]
+    except (KeyError, TypeError):
         raise ApproximationError(
-            f"unknown metric {metric!r} (see repro.core.metrics)")
-    return fn
+            f"unknown metric {metric!r} (one of: "
+            f"{', '.join(METRICS)})") from None

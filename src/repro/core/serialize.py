@@ -4,10 +4,12 @@ A symbolic model is expensive to *derive* (circuit partitioning, symbolic
 moment recursion) and trivial to *evaluate* — exactly the artifact worth
 saving.  ``model_to_dict`` captures everything evaluation needs (symbol
 space, moment numerator polynomials, determinant, element-value
-transforms) in a JSON-safe dict; ``model_from_dict`` compiles the saved
-polynomials once, through the op tape like every compiled program, into
-a :class:`~repro.core.compiled_model.TapeModel` that evaluates identically to
-the original without touching the circuit again.  The loaders also accept
+transforms) in a JSON-safe dict; ``model_from_dict`` lowers the saved
+polynomials to the model's moment program
+(:func:`~repro.partition.composite.moment_tape`), the same tape the
+original compiled, and execs it once into a
+:class:`~repro.core.compiled_model.TapeModel` that evaluates identically
+to the original without touching the circuit again.  The loaders also accept
 an op-tape artifact (``repro compile --emit-tape``), told apart from
 saved-model JSON by its content, so every evaluate-only command reads
 both.
@@ -19,7 +21,8 @@ import json
 import time
 
 from ..errors import SymbolicError
-from ..symbolic import Poly, Symbol, SymbolSpace, compile_rationals
+from ..partition.composite import moment_tape
+from ..symbolic import Poly, Symbol, SymbolSpace
 from ..symbolic.symbols import TRANSFORMS
 from ..symbolic.tape import tape_from_dict
 from .awesymbolic import AWESymbolicResult
@@ -84,13 +87,11 @@ def model_from_dict(data: dict) -> TapeModel:
         elements.append([entry["element"], space.index(entry["symbol"]),
                          entry["transform"]])
     t0 = time.perf_counter()
-    fn = compile_rationals(
-        space, numerators + [det],
-        output_names=[f"n{k}" for k in range(len(numerators))] + ["det"])
-    model = TapeModel(model_tape(fn.tape, title=data.get("title", ""),
+    model = TapeModel(model_tape(moment_tape(space, numerators, det),
+                                 title=data.get("title", ""),
                                  output=data["output"], order=data["order"],
                                  moment_order=len(numerators) - 1,
-                                 elements=elements), fn=fn)
+                                 elements=elements))
     model.compile_seconds = time.perf_counter() - t0
     return model
 

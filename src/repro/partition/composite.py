@@ -18,18 +18,19 @@ division-free :class:`~repro.symbolic.matrix.SymbolicLinearSolver`: every
 to the numeric AWE moment at any symbol values (the paper's headline
 exactness claim, enforced in our integration tests).
 
-:meth:`SymbolicMoments.compile` compiles the numerators and the
-determinant into one program; :class:`CompiledMoments` evaluates every
-point through its *fused* form (:func:`~repro.symbolic.tape.fuse_moments`),
-whose last ops are the ``m_k = n_k / det^(k+1)`` unscaling ladder, so
-the scalar path, the array path and the batched sweep share one
-program and one ladder.
+:meth:`SymbolicMoments.compile` builds a model's one moment program
+(:func:`moment_tape`): the numerators and the determinant lowered to an
+op tape, followed by the ``m_k = n_k / det^(k+1)`` unscaling ladder
+(:func:`~repro.symbolic.tape.fuse_moments`), exec'd once.
+:class:`CompiledMoments` evaluates every point through it, so the scalar
+path, the array path, the batched sweep, the process workers and the
+profiler all run the same program.  The lowering orders operands by
+content, so that program is the same in every process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,12 +40,26 @@ from ..circuits.elements import (VCCS, Capacitor, Conductance, CurrentSource,
                                  Inductor, Resistor, VoltageSource)
 from ..errors import PartitionError
 from ..obs import trace as _trace
-from ..symbolic import (CompiledFunction, Poly, PolyMatrix, Rational,
-                        SymbolicLinearSolver, SymbolSpace, compile_rationals)
+from ..symbolic import (CompiledFunction, OpTape, Poly, PolyMatrix,
+                        Rational, SymbolicLinearSolver, SymbolSpace,
+                        compile_rationals)
+from ..symbolic.compile import lower_rationals
+from ..symbolic.tape import fuse_moments
 from .blocks import CircuitPartition
 from .ports import NumericBlockExpansion, port_admittance_moments
 
 _SINGULAR = "global symbolic system singular at this point"
+
+
+def moment_tape(space: SymbolSpace, numerators: Sequence[Poly],
+                det: Poly) -> OpTape:
+    """The moment program of ``m_k = numerators[k] / det**(k+1)``: the
+    numerators and the determinant lowered to one op tape (full CSE),
+    then the unscaling ladder appended (schema 2).  Its outputs are
+    ``m0 .. mK, det``."""
+    return fuse_moments(lower_rationals(
+        space, [*numerators, det],
+        output_names=[f"n{k}" for k in range(len(numerators))] + ["det"]))
 
 
 @dataclass(frozen=True)
@@ -90,13 +105,12 @@ class SymbolicMoments:
         return out
 
     def compile(self) -> "CompiledMoments":
-        """Compile numerators + determinant into one flat function."""
+        """Compile the moment program (:func:`moment_tape`) — one
+        lowering, one ``exec``."""
         with _trace.span("compile.moments", order=self.order,
                          output=self.output):
-            fn = compile_rationals(
-                self.space, list(self.numerators) + [self.det],
-                output_names=[f"n{k}" for k in
-                              range(len(self.numerators))] + ["det"])
+            tape = moment_tape(self.space, self.numerators, self.det)
+            fn = tape.build_function(self.space)
         return CompiledMoments(fn=fn, order=self.order)
 
     def to_sympy(self):
@@ -151,10 +165,9 @@ class SymbolicMoments:
 class CompiledMoments:
     """Straight-line evaluator for symbolic moments.
 
-    ``fn`` is the moment program: raw numerators plus the determinant,
-    or, loaded from a fused ``.tape``, the finished moments plus the
-    determinant.  Every evaluation runs the fused program
-    (:attr:`fused`), so calling it with symbol values returns the
+    ``fn`` is the model's moment program (:func:`moment_tape`): one
+    register-machine pass returns the finished moments ``m0 .. mK`` and
+    then the determinant, so calling it with symbol values returns the
     numeric moment vector in ``n_ops`` arithmetic operations — no
     circuit solve.
     """
@@ -166,9 +179,9 @@ class CompiledMoments:
     def n_ops(self) -> int:
         return self.fn.n_ops
 
-    def _fused_raw(self, values: Mapping | Sequence[float]) -> tuple:
+    def _raw(self, values: Mapping | Sequence[float]) -> tuple:
         try:
-            return self.fused(values)
+            return self.fn(values)
         except ZeroDivisionError:  # det == 0 in Python-float arithmetic
             raise PartitionError(_SINGULAR) from None
 
@@ -176,24 +189,22 @@ class CompiledMoments:
         """Fast scalar path: moments as plain Python floats (no numpy).
 
         This is the per-iteration hot loop of Table 1: one pass of the
-        fused program, whose last ``order + 1`` divisions unscale the
-        moments.
+        program, whose last ``order + 1`` divisions unscale the moments.
 
         Raises:
             PartitionError: the symbolic system is singular here.
         """
-        raw = self._fused_raw(values)
+        raw = self._raw(values)
         if raw[-1] == 0.0:  # numpy-scalar inputs: inf/NaN, no raise
             raise PartitionError(_SINGULAR)
         return list(raw[:-1])
 
     def __call__(self, values: Mapping | Sequence[float]) -> np.ndarray:
         """Moments as an array, broadcast over array-valued symbols: the
-        fused program's outputs, so a point's moments equal
-        :meth:`scalars` bit for bit.  Array lanes at a singular point
-        hold inf/NaN; a singular scalar point raises
-        :class:`PartitionError`."""
-        raw = self._fused_raw(values)[:-1]
+        program's outputs, so a point's moments equal :meth:`scalars`
+        bit for bit.  Array lanes at a singular point hold inf/NaN; a
+        singular scalar point raises :class:`PartitionError`."""
+        raw = self._raw(values)[:-1]
         # outputs independent of some symbols come back as scalars even on
         # vectorized sweeps; broadcast everything to the common grid shape
         out = np.empty((len(raw),) + np.broadcast_shapes(
@@ -201,19 +212,6 @@ class CompiledMoments:
         for k, moment in enumerate(raw):
             out[k] = moment
         return out
-
-    @cached_property
-    def fused(self) -> CompiledFunction:
-        """The fused (schema-2) program: every moment plus the determinant
-        in one register-machine pass, unscaled inside the program by the
-        ladder ``m_k = n_k / det^(k+1)`` (see
-        :func:`~repro.symbolic.tape.fuse_moments`).  Built once per
-        compiled moment program; every evaluation runs this."""
-        from ..symbolic.tape import fuse_moments
-
-        if self.fn.tape.fused is not None:
-            return self.fn
-        return fuse_moments(self.fn.tape).build_function()
 
 
 @dataclass(frozen=True)

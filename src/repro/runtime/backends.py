@@ -252,10 +252,10 @@ class ProcessShardRunner:
 
         cm = model.compiled_moments
         fn = cm.fn
-        # spec construction is warm-path free: every program carries its
-        # tape, spooled once per content hash, and the resulting
-        # ~200-byte spec is cached on the function — repeat sweeps ship
-        # a pointer, not the program
+        # spec construction is warm-path free: the moment program carries
+        # its (fused) tape, spooled once per content hash, and the
+        # resulting ~200-byte spec is cached on the function — repeat
+        # sweeps ship a pointer, not the program
         spec = getattr(fn, "_proc_spec", None)
         if spec is None or spec.order != cm.order:
             from ..symbolic.tape import tape_for

@@ -8,7 +8,7 @@ gap.  A batched sweep:
 
 1. maps every grid axis through the element→symbol value transforms and
    flattens the cartesian product into positional argument columns;
-2. evaluates the *fused* multi-output moment tape (schema 2, see
+2. evaluates the model's moment program (the fused schema-2 tape, see
    :func:`repro.symbolic.tape.fuse_moments`) once per chunk — one
    register-machine pass emits every moment, sharing subexpressions
    across outputs and performing the determinant unscaling inside the
@@ -36,7 +36,7 @@ gap.  A batched sweep:
 
 A chunk of at most :data:`SCALAR_LANES` points skips the array
 machinery, whose ~100 numpy calls cost more than a few lanes of
-arithmetic: it runs lane by lane through the per-point path (the fused
+arithmetic: it runs lane by lane through the per-point path (the moment
 program's scalar code, :func:`repro.awe.stability.rom_from_moments`'s
 Padé, the scalar metric) while keeping the chunk's stage ledger, fault
 site and health summaries (:func:`_scalar_chunk`).
@@ -96,7 +96,7 @@ logger = logging.getLogger("repro.runtime.batched")
 
 #: default chunk size (points) of every sweep.  Each shard streams its
 #: range through chunks of at most this many points, running moments →
-#: health → Padé → metric per chunk, so every live buffer of the fused
+#: health → Padé → metric per chunk, so every live buffer of the
 #: moment kernel stays cache-resident: the 741's ~50 buffers take
 #: ~50 × 4096 × 8 B ≈ 1.6 MB, inside a 2 MB per-core L2, where whole-grid
 #: buffers would stream every op through L3/DRAM.  Of 2048..65536 on the
@@ -107,7 +107,7 @@ logger = logging.getLogger("repro.runtime.batched")
 CANCEL_CHUNK_POINTS = 4096
 
 #: chunks of at most this many points run lane by lane
-#: (:func:`_scalar_chunk`): the fused program's scalar code, the
+#: (:func:`_scalar_chunk`): the moment program's scalar code, the
 #: per-point Padé and the scalar metric, instead of ~100 numpy calls on
 #: few-lane arrays.  It is the measured crossover of the slowest
 #: registered metric: on one pinned vCPU of the 2-vCPU bench box the
@@ -551,15 +551,15 @@ def _chunk_moments(model, columns: Sequence, n_points: int,
                    stats: RuntimeStats, diag: SweepDiagnostics,
                    offset: int, kernel: str | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the fused moment program once over a flattened chunk.
+    """Run the moment program once over a flattened chunk.
 
-    One register-machine pass of the fused (schema-2) tape
-    (:attr:`~repro.partition.composite.CompiledMoments.fused`) emits every
+    One register-machine pass of the model's program
+    (:attr:`~repro.partition.composite.CompiledMoments.fn`) emits every
     moment *and* the determinant.  Returns ``(moments, singular, det)``
     where ``singular`` marks points whose symbolic system determinant
     ``det`` is exactly zero (see :func:`_scan_singular`).
     """
-    fn = model.compiled_moments.fused
+    fn = model.compiled_moments.fn
     with stats.stage("evaluate"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             raw = fn.eval_batch(columns, n_points, kernel=kernel)
@@ -648,8 +648,8 @@ def _scalar_chunk(model, columns: Sequence, out: np.ndarray,
     """:func:`_sweep_chunk` of at most :data:`SCALAR_LANES` points, lane
     by lane through the per-point path.
 
-    Each lane runs the fused program's scalar code (``eval_batch`` of one
-    point), the closed form or stable-order ladder of
+    Each lane runs the moment program's scalar code (``eval_batch`` of
+    one point), the closed form or stable-order ladder of
     :func:`~repro.awe.stability.rom_from_moments`, and the scalar metric,
     so its value, quarantine record and dropped orders are the per-point
     sweep's by construction.  The chunk keeps the vector path's contract:
@@ -661,7 +661,7 @@ def _scalar_chunk(model, columns: Sequence, out: np.ndarray,
     order settling).
     """
     n_points = len(out)
-    fn = model.compiled_moments.fused
+    fn = model.compiled_moments.fn
     with stats.stage("evaluate"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # one row per lane: its moments, then its determinant

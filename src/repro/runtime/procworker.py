@@ -8,13 +8,14 @@ function so pool startup stays cheap.  The contract with
 * the parent ships a :class:`ProgramSpec` — a ~200-byte pointer to a
   content-addressed **op tape** spooled on local disk (with the tape
   JSON inlined only when spooling is impossible), never a pickled
-  function and never per-sweep program source.  The worker loads and
-  integrity-verifies the tape once per process into :data:`_PROGRAMS`,
-  keyed by the spec's content hash; repeat shards of the same sweep
-  (and later sweeps of the same model) hit the warm cache without
-  touching the filesystem.  Vector kernels regenerate on demand from
-  the tape itself (every evaluator is generated from ``fn.tape``), so
-  no kernel source travels either;
+  function and never per-sweep program source.  The tape is the
+  model's one (fused) moment program: the worker loads,
+  integrity-verifies and execs it once per process into
+  :data:`_PROGRAMS`, keyed by the spec's content hash; repeat shards of
+  the same sweep (and later sweeps of the same model) hit the warm
+  cache without touching the filesystem.  Vector kernels regenerate on
+  demand from the tape itself (every evaluator is generated from
+  ``fn.tape``), so no kernel source travels either;
 * **small sweeps ship inline**: the parent slices each shard's grid
   columns into the job pickle and the worker returns its values in a
   ``("vals", lo, hi, stats, diag, values)`` marker — a couple of KB

@@ -290,9 +290,6 @@ class ModelRegistry:
         ).set(len(self._entries))
 
     # ------------------------------------------------------------------
-    def entry_for_key(self, key: str) -> ModelEntry | None:
-        return self._entries.get(key)
-
     def drop(self, name: str) -> bool:
         """Forget a recipe and its warm entry (compiled artifact stays
         in the program cache)."""

@@ -3,12 +3,16 @@
 This is the paper's punchline: once the symbolic moments / poles / metrics
 are known, evaluating the model at new symbol values should cost a *reduced
 set of operations* — a straight-line program — rather than a fresh circuit
-analysis.  :func:`compile_exprs` lowers the post-CSE DAG (hash-consing
-already did the CSE) to an op tape (:mod:`repro.symbolic.tape`) and
-``exec``-compiles the program generated from it.  The op tape is the only
-lowering: the scalar program, the in-place ufunc kernels, the native C
-kernel and the profiler's instrumented program are all generated from the
-tape, so they agree bit for bit by construction.
+analysis.  :func:`lower_exprs` / :func:`lower_rationals` lower the
+post-CSE DAG (hash-consing already did the CSE) to an op tape
+(:mod:`repro.symbolic.tape`), the same tape in every process, and
+:meth:`~repro.symbolic.tape.OpTape.build_function` ``exec``-compiles the
+program generated from it; :func:`compile_exprs` /
+:func:`compile_rationals` do both.  The moment program lowers, appends
+its unscaling ladder and execs once.  The op tape is the only lowering:
+the scalar program, the in-place ufunc kernels, the native C kernel and
+the profiler's instrumented program are all generated from the tape, so
+they agree bit for bit by construction.
 
 Generated functions accept positional symbol values aligned with the
 :class:`~repro.symbolic.symbols.SymbolSpace` and are numpy-vectorized: pass
@@ -23,8 +27,7 @@ import cmath
 import logging
 import math
 import time
-from collections import OrderedDict
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +39,9 @@ from .expr import Expr, ExprBuilder
 from .poly import Poly
 from .rational import Rational
 from .symbols import SymbolSpace
+
+if TYPE_CHECKING:  # tape builds on this module
+    from .tape import OpTape
 
 logger = logging.getLogger("repro.symbolic")
 
@@ -341,14 +347,10 @@ class CompiledFunction:
                 f"{self.n_ops} ops, space={list(self.space.names)})")
 
 
-def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
-                  output_names: Sequence[str] | None = None) -> CompiledFunction:
-    """Compile expression DAG roots into one fast callable returning a tuple.
-
-    The post-CSE DAG is lowered once, to an op tape
-    (:func:`~repro.symbolic.tape.tape_from_roots`), and the program is
-    generated from that tape.
-    """
+def lower_exprs(space: SymbolSpace, roots: Sequence[Expr],
+                output_names: Sequence[str] | None = None) -> OpTape:
+    """Lower expression DAG roots, post-CSE, to the op tape of one
+    program (:func:`~repro.symbolic.tape.tape_from_roots`)."""
     from .tape import tape_from_roots  # tape builds on this module
 
     roots = list(roots)
@@ -359,9 +361,9 @@ def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
     if len(names) != len(roots):
         raise SymbolicError("output_names length does not match roots")
     with _trace.span("compile.codegen", n_roots=len(roots)) as sp:
-        fn = tape_from_roots(space, roots, names).build_function(space)
+        tape = tape_from_roots(space, roots, names)
         ops_pre_cse = tree_op_count(roots)
-        sp.set(n_ops=fn.n_ops, ops_pre_cse=ops_pre_cse)
+        sp.set(n_ops=tape.n_ops, ops_pre_cse=ops_pre_cse)
     reg = _metrics.registry()
     reg.counter("repro_compile_programs_total",
                 "straight-line programs compiled").inc()
@@ -369,57 +371,30 @@ def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
               "arithmetic ops of the last program before CSE sharing"
               ).set(ops_pre_cse)
     reg.gauge("repro_compile_ops_post_cse",
-              "arithmetic ops of the last compiled program").set(fn.n_ops)
-    return fn
+              "arithmetic ops of the last compiled program").set(tape.n_ops)
+    return tape
 
 
-#: LRU memo of compiled rational programs keyed on exact content (symbol
-#: definitions, every coefficient, output names, strategy).  Recompiling an
-#: unchanged model — a truncated recompile, a cache rebuild, a repeated
-#: sweep setup — skips CSE + codegen entirely and returns the same
-#: (immutable) CompiledFunction.
-_PROGRAM_MEMO: "OrderedDict[tuple, CompiledFunction]" = OrderedDict()
-_PROGRAM_MEMO_SIZE = 32
+def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
+                  output_names: Sequence[str] | None = None) -> CompiledFunction:
+    """Compile expression DAG roots into one callable returning a tuple:
+    :func:`lower_exprs`, then the program generated from the tape."""
+    return lower_exprs(space, roots, output_names).build_function(space)
 
 
-def _program_memo_key(space: SymbolSpace,
-                      rationals: Sequence[Rational | Poly],
-                      output_names: Sequence[str] | None,
-                      strategy: str) -> tuple:
-    syms = tuple((s.name, s.nominal, s.lo, s.hi) for s in space.symbols)
-    items = []
-    for item in rationals:
-        if isinstance(item, Poly):
-            items.append(("p", tuple(item.terms.items())))
-        else:
-            items.append(("r", tuple(item.num.terms.items()),
-                          tuple(item.den.terms.items())))
-    names = tuple(output_names) if output_names is not None else None
-    return (syms, tuple(items), names, strategy)
-
-
-def compile_rationals(space: SymbolSpace, rationals: Sequence[Rational | Poly],
-                      output_names: Sequence[str] | None = None,
-                      strategy: str = "expanded") -> CompiledFunction:
-    """Compile polynomials / rational functions sharing one builder (full CSE).
+def lower_rationals(space: SymbolSpace, rationals: Sequence[Rational | Poly],
+                    output_names: Sequence[str] | None = None,
+                    strategy: str = "expanded") -> OpTape:
+    """Lower polynomials / rational functions sharing one builder (full
+    CSE) to the op tape of one program.
 
     ``strategy`` selects the polynomial lowering: ``"expanded"`` (sum of
     monomials, maximal term sharing across outputs) or ``"horner"``
-    (nested multiplication, fewer operations per polynomial).
-
-    Programs are memoized on exact content (:data:`_PROGRAM_MEMO`), so
-    compiling the same polynomials twice returns the cached function.
+    (nested multiplication, fewer operations per polynomial).  The same
+    polynomials give the same tape in every process.
     """
     if strategy not in ("expanded", "horner"):
         raise SymbolicError(f"unknown compile strategy {strategy!r}")
-    memo_key = _program_memo_key(space, rationals, output_names, strategy)
-    cached = _PROGRAM_MEMO.get(memo_key)
-    if cached is not None:
-        _PROGRAM_MEMO.move_to_end(memo_key)
-        _metrics.registry().counter(
-            "repro_compile_program_memo_hits_total",
-            "compiled programs served from the content memo").inc()
-        return cached
     builder = ExprBuilder()
     lower = (builder.from_poly if strategy == "expanded"
              else builder.from_poly_horner)
@@ -435,8 +410,13 @@ def compile_rationals(space: SymbolSpace, rationals: Sequence[Rational | Poly],
                              else builder.mul(builder.const(1.0 / den_val), num))
             else:
                 roots.append(builder.div(num, lower(item.den)))
-    fn = compile_exprs(space, roots, output_names)
-    _PROGRAM_MEMO[memo_key] = fn
-    while len(_PROGRAM_MEMO) > _PROGRAM_MEMO_SIZE:
-        _PROGRAM_MEMO.popitem(last=False)
-    return fn
+    return lower_exprs(space, roots, output_names)
+
+
+def compile_rationals(space: SymbolSpace, rationals: Sequence[Rational | Poly],
+                      output_names: Sequence[str] | None = None,
+                      strategy: str = "expanded") -> CompiledFunction:
+    """Compile polynomials / rational functions into one callable:
+    :func:`lower_rationals`, then the program generated from the tape."""
+    return lower_rationals(space, rationals, output_names,
+                           strategy).build_function(space)

@@ -9,11 +9,18 @@ assignment per multiply-referenced node".
 
 Expressions are built through an :class:`ExprBuilder`, which owns the
 interning table (one table per model keeps memory bounded).
+
+The operands of ``add`` and ``mul`` are kept in a *canonical order*,
+sorted by a key computed from content alone (:func:`content_key`), so
+every lowering and every rounding of a compiled program is the same in
+every process, whatever the memory layout or ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from typing import Iterable, Mapping, Sequence
 
 from ..errors import SymbolicError
@@ -21,33 +28,58 @@ from .poly import Poly
 from .rational import Rational
 from .symbols import Symbol, SymbolSpace
 
-#: Node kinds.  ``add`` and ``mul`` are n-ary with sorted children for
-#: canonical form; ``pow`` has an integer payload; unary functions carry
-#: their name as the kind.
-_KINDS = frozenset({"const", "sym", "add", "mul", "div", "pow",
-                    "sqrt", "exp", "log", "abs", "neg"})
+#: Node kinds and their codes in the content key (part of the canonical
+#: order: never renumber).  ``add`` and ``mul`` are n-ary with sorted
+#: children for canonical form; ``pow`` has an integer payload; unary
+#: functions carry their name as the kind.
+_KIND_CODE = {"const": 1, "sym": 2, "add": 3, "mul": 4, "div": 5, "pow": 6,
+              "sqrt": 7, "exp": 8, "log": 9, "abs": 10, "neg": 11}
 _UNARY = frozenset({"sqrt", "exp", "log", "abs", "neg"})
+
+#: FNV-1a over 64-bit words
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = (1 << 64) - 1
+
+
+def content_key(kind: str, payload, children: Sequence["Expr"]) -> int:
+    """The canonical sort key of a node: its kind code in the top 4 bits
+    (constants sort first, then symbols, sums, products, ...), then 60
+    bits of FNV-1a over the 64-bit words kind code, payload word, child
+    keys.  The payload word is a constant's float64 bit pattern, 8 bytes
+    of BLAKE2b of a symbol's name, a power's exponent, or 0.  Never
+    ``id()`` or ``hash()`` (which follows ``PYTHONHASHSEED`` for a
+    ``str``, the address for ``None`` and NaN): equal content gets an
+    equal key in every process."""
+    code = _KIND_CODE[kind]
+    if kind == "const":
+        word = int.from_bytes(struct.pack("<d", payload), "little")
+    elif kind == "sym":
+        word = int.from_bytes(hashlib.blake2b(
+            payload.encode(), digest_size=8).digest(), "little")
+    else:
+        word = payload or 0
+    h = _FNV_OFFSET
+    for w in (code, word, *(c.key for c in children)):
+        h = ((h ^ w) * _FNV_PRIME) & _MASK64
+    return (code << 60) | (h >> 4)
 
 
 class Expr:
-    """One interned DAG node.  Do not construct directly: use :class:`ExprBuilder`."""
+    """One interned DAG node.  Do not construct directly: use :class:`ExprBuilder`.
 
-    __slots__ = ("kind", "payload", "children", "_key", "_hash")
+    Equality and hashing are by identity: interning guarantees
+    structurally-equal nodes are the same object within one builder.
+    :attr:`key` is the content key that orders ``add``/``mul`` operands.
+    """
+
+    __slots__ = ("kind", "payload", "children", "key")
 
     def __init__(self, kind: str, payload, children: tuple["Expr", ...]) -> None:
         self.kind = kind
         self.payload = payload
         self.children = children
-        self._key = (kind, payload, tuple(id(c) for c in children))
-        self._hash = hash(self._key)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Identity semantics: interning guarantees structurally-equal nodes are
-    # the same object within one builder.
-    def __eq__(self, other: object) -> bool:
-        return self is other
+        self.key = content_key(kind, payload, children)
 
     def is_const(self, value: float | None = None) -> bool:
         if self.kind != "const":
@@ -139,7 +171,10 @@ class Expr:
 
 
 class ExprBuilder:
-    """Factory for interned :class:`Expr` nodes with light algebraic folding."""
+    """Factory for interned :class:`Expr` nodes with light algebraic folding.
+
+    ``add``/``mul`` sort their operands by :attr:`Expr.key`; ties (a
+    repeated operand, a key collision) keep the argument order."""
 
     def __init__(self) -> None:
         self._table: dict[tuple, Expr] = {}
@@ -181,7 +216,7 @@ class ExprBuilder:
                 flat.append(a)
         if const_sum != 0.0 or not flat:
             flat.append(self.const(const_sum))
-        flat.sort(key=lambda n: n._hash)
+        flat.sort(key=lambda n: n.key)
         if len(flat) == 1:
             return flat[0]
         return self._intern("add", None, tuple(flat))
@@ -199,7 +234,7 @@ class ExprBuilder:
             return self.const(0.0)
         if const_prod != 1.0 or not flat:
             flat.append(self.const(const_prod))
-        flat.sort(key=lambda n: n._hash)
+        flat.sort(key=lambda n: n.key)
         if len(flat) == 1:
             return flat[0]
         return self._intern("mul", None, tuple(flat))

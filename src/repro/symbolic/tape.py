@@ -1,6 +1,6 @@
 """Op tapes: the one lowering of every compiled program.
 
-:func:`~repro.symbolic.compile.compile_exprs` lowers the post-CSE
+:func:`~repro.symbolic.compile.lower_exprs` lowers the post-CSE
 expression DAG exactly once, to an **op tape** — a flat register-machine
 trace of the program:
 
@@ -19,7 +19,13 @@ generated from the tape alone: the scalar Python program
 (:meth:`OpTape.instrumented_source`).  Each performs the tape's IEEE
 operations in the tape's grouping, so all of them — and the reference
 interpreter :meth:`OpTape.evaluate` — produce **bit-identical** float64
-results, in this process or any other.
+results, in this process or any other.  The expression builder orders
+operands by content (:func:`repro.symbolic.expr.content_key`), so the
+same expressions lower to the same tape in every process.
+
+A compiled model has one program: its *moment tape*, the lowered
+numerators and determinant followed by the unscaling ladder
+(:func:`fuse_moments`, schema 2).
 
 Tapes are also the portable artifact.  They are versioned
 (:data:`TAPE_SCHEMA`, rejected on mismatch like ``CACHE_SCHEMA`` cache
@@ -65,11 +71,11 @@ __all__ = [
 ]
 
 #: newest artifact schema this build can *write*.  Schema 1 is the plain
-#: multi-output program; schema 2 adds the optional ``fused`` section for
-#: tapes whose outputs are already det-unscaled moments (see
-#: :func:`fuse_moments`).  Unfused tapes still serialize as schema 1, so
-#: every pre-existing content hash (cache keys, registry keys, native
-#: ``.so`` keys) is unchanged.
+#: multi-output program (closed forms, sensitivities); schema 2 adds the
+#: ``fused`` section of a moment program, whose outputs are already
+#: det-unscaled moments (see :func:`fuse_moments`).  Every compiled
+#: moment program, and so every model tape, is schema 2; schema-1 model
+#: tapes written by older builds still load and are fused at load.
 TAPE_SCHEMA = 2
 
 #: schema versions loaders accept (mirroring the program cache's
@@ -260,10 +266,9 @@ class OpTape:
     def payload(self) -> dict:
         """The canonical JSON-safe body (everything but the integrity hash).
 
-        Unfused tapes serialize as schema 1 — byte-for-byte the format
-        this module has always written — so their content hashes (and
-        every cache/registry key derived from them) are stable across the
-        schema-2 introduction.  Only fused tapes carry the new section.
+        Plain programs serialize as schema 1 — byte-for-byte the format
+        this module has always written — so their content hashes are
+        stable.  Only fused moment programs carry the schema-2 section.
         """
         body = {
             "schema": 2 if self.fused is not None else 1,
@@ -641,10 +646,9 @@ def tape_for(fn: CompiledFunction) -> OpTape:
 def fuse_moments(tape: OpTape) -> OpTape:
     """Fuse the det-unscaling ladder into a moment tape (schema 2).
 
-    A moment tape's outputs are the raw numerators ``n_0 .. n_K`` plus
-    the shared determinant; every consumer then divides on the Python
-    side: ``m_k = n_k / det^(k+1)``.  This appends that ladder to the
-    tape itself —
+    A lowered moment program's outputs are the raw numerators
+    ``n_0 .. n_K`` plus the shared determinant; this appends the ladder
+    ``m_k = n_k / det^(k+1)`` to the tape itself —
 
     ==========  =================================
     ``m_0``     ``div(n_0, det)``
@@ -655,18 +659,16 @@ def fuse_moments(tape: OpTape) -> OpTape:
     ==========  =================================
 
     — so one register-machine pass (one ufunc kernel, one native loop)
-    emits the finished moments.  The ladder performs exactly the IEEE
-    operations of the batched unscaling loop (``scale = det``;
-    ``scale = scale * det`` per step; one division per moment), so fused
-    outputs are bit-identical to the unfused path at every non-singular
-    point.  At singular points (``det == 0``) the divisions produce
-    infs/NaNs under array semantics — callers mask those columns to NaN,
-    matching the unfused path's ``safe_det`` behavior — and raise
+    emits the finished moments: the program every compiled model runs
+    (:func:`~repro.partition.composite.moment_tape`).  At singular
+    points (``det == 0``) the divisions produce infs/NaNs under array
+    semantics — callers mask those columns to NaN — and raise
     ``ZeroDivisionError`` under pure-Python scalar evaluation.
 
     The fused tape keeps every original op (the numerator registers are
     shared subexpressions of the ladder, preserving cross-output CSE)
-    and the original metadata; outputs become ``m0 .. mK, det``.
+    and the original metadata; outputs become ``m0 .. mK, det``.  A
+    fused tape is returned unchanged.
     """
     if tape.fused is not None:
         return tape
@@ -674,41 +676,35 @@ def fuse_moments(tape: OpTape) -> OpTape:
         raise TapeError(
             "fusing needs at least one numerator output plus the "
             f"determinant; tape has {len(tape.outputs)} outputs")
-    base = tape.n_inputs + tape.n_consts
-    ops = [(int(o), int(a), int(b)) for o, a, b in tape.ops]
     det = tape.outputs[-1]
     numerators = tape.outputs[:-1]
-
-    def emit(opcode: int, a: int, b: int) -> int:
-        ops.append((opcode, a, b))
-        return base + len(ops) - 1
-
+    first = tape.n_registers  # register of the first ladder op
+    ladder: list[tuple[int, int, int]] = []
     outputs = []
     scale = det
     for k, num in enumerate(numerators):
         if k > 0:
-            scale = emit(OP_MUL, scale, det)
-        outputs.append(emit(OP_DIV, num, scale))
+            ladder.append((OP_MUL, scale, det))
+            scale = first + len(ladder) - 1
+        ladder.append((OP_DIV, num, scale))
+        outputs.append(first + len(ladder) - 1)
     outputs.append(det)
     names = tuple(f"m{k}" for k in range(len(numerators))) + ("det",)
+    ops = np.concatenate([tape.ops, np.array(ladder, dtype=np.int64)])
     return OpTape(tape.symbols, tape.consts, ops, outputs, names,
                   meta=tape.meta, fused={"moments": len(numerators)})
 
 
-def tape_from_model(model, *, fused: bool = False) -> OpTape:
-    """A compiled model's *model* tape: the moment program plus what a
-    :class:`~repro.core.compiled_model.TapeModel` needs to evaluate and
-    sweep it — moment order, Padé order, output node, and the
-    element→symbol slot table.
+def tape_from_model(model, *, fused: bool = True) -> OpTape:
+    """A compiled model's *model* tape: its one (fused, schema-2) moment
+    program plus what a :class:`~repro.core.compiled_model.TapeModel`
+    needs to evaluate and sweep it — moment order, Padé order, output
+    node, and the element→symbol slot table.
 
-    Accepts an ``AWESymbolicResult`` or any ``TapeModel`` (a
-    ``CompiledAWEModel`` is the ``TapeModel`` of its own tape).  With
-    ``fused=True`` the returned tape is the schema-2 fused form
-    (:func:`fuse_moments`): its outputs are finished moments plus the
-    determinant, evaluated in one register-machine pass.
+    Accepts an ``AWESymbolicResult`` or any ``TapeModel``.  ``fused`` is
+    accepted for older callers and has no effect.
     """
-    tape = getattr(model, "model", model).tape  # AWESymbolicResult -> model
-    return fuse_moments(tape) if fused else tape
+    return getattr(model, "model", model).tape  # AWESymbolicResult -> model
 
 
 # ----------------------------------------------------------------------

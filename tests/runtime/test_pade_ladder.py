@@ -39,7 +39,7 @@ def slab_741() -> np.ndarray:
              "Ccomp": np.linspace(10e-12, 60e-12, 32)}
     _, shape, columns = grid_columns(res.model, grids)
     n = int(np.prod(shape))
-    raw = res.model.compiled_moments.fused.eval_batch(columns, n)
+    raw = res.model.compiled_moments.fn.eval_batch(columns, n)
     return np.stack([np.broadcast_to(np.asarray(r, dtype=float), (n,))
                      for r in raw[:-1]])
 

@@ -21,6 +21,7 @@ from repro import awesymbolic
 from repro.circuits.library import fig1_circuit
 from repro.core import metrics
 from repro.errors import TapeError
+from repro.symbolic import compile_rationals
 from repro.symbolic.tape import (OP_ADD, OP_DIV, OP_MUL, OP_POW, OpTape,
                                  TapeModel, fuse_moments, load_tape,
                                  tape_for, tape_from_json, tape_from_model)
@@ -34,6 +35,13 @@ def fig1_result():
 @pytest.fixture(scope="module")
 def fused_tape(fig1_result):
     return tape_from_model(fig1_result, fused=True)
+
+
+def _lowered(result):
+    """The model's numerators and determinant as a plain (unfused)
+    program: the prefix of the model's fused tape."""
+    sm = result.moments
+    return compile_rationals(sm.space, [*sm.numerators, sm.det])
 
 
 def _ladder(raw, n_points):
@@ -61,7 +69,7 @@ class TestSchema:
     def test_unfused_payload_stays_schema1(self, fig1_result):
         # pre-existing content hashes (cache keys, registry keys, .so
         # keys) must not move: plain tapes still serialize as schema 1
-        payload = json.loads(tape_from_model(fig1_result).to_json())
+        payload = json.loads(_lowered(fig1_result).tape.to_json())
         assert payload["schema"] == 1
         assert "fused" not in payload
 
@@ -120,7 +128,7 @@ class TestRefusal:
 
 class TestBitIdentity:
     def test_fused_matches_ladder_on_model(self, fig1_result, fused_tape):
-        fn = fig1_result.model.compiled_moments.fn
+        fn = _lowered(fig1_result)
         fused_fn = fused_tape.build_function()
         n = 64
         cols = [float(s.nominal) * (0.4 + 1.3 * np.arange(n) / n + 0.1 * p)
@@ -256,7 +264,7 @@ def test_fused_bit_identical_to_per_output_program(tape, seed, n_points):
 def test_fused_scalar_eval_matches_ladder(fig1_result):
     """Scalar (pure-Python) fused evaluation matches the per-output
     program's ladder at a non-singular point."""
-    fn = fig1_result.model.compiled_moments.fn
+    fn = _lowered(fig1_result)
     fused_fn = fuse_moments(tape_for(fn)).build_function()
     args = [float(s.nominal) * 1.31 for s in fn.space.symbols]
     raw = fn.eval_raw(*args)

@@ -226,13 +226,23 @@ class TestCodegen:
 
 @pytest.fixture(scope="module")
 def moment_programs():
+    """Per circuit, the tapes of the plain lowering of the moment
+    numerators and determinant (``False``) and of the model's fused
+    moment program (``True``)."""
     from repro import awesymbolic
     from repro.circuits.library import fig1_circuit, small_signal_741
+    from repro.symbolic import compile_rationals
     fig1 = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"], order=2)
     amp = awesymbolic(small_signal_741().circuit, "out",
                       symbols=["go_Q14", "Ccomp"], order=2)
-    return {"fig1": fig1.model.compiled_moments,
-            "741": amp.model.compiled_moments}
+    programs = {}
+    for name, res in (("fig1", fig1), ("741", amp)):
+        sm = res.moments
+        programs[name] = {
+            False: compile_rationals(sm.space,
+                                     [*sm.numerators, sm.det]).tape,
+            True: res.model.compiled_moments.fn.tape}
+    return programs
 
 
 class TestKernelBySize:
@@ -246,9 +256,8 @@ class TestKernelBySize:
     @pytest.mark.parametrize("fused", [False, True])
     def test_ufunc_kernel_equals_eval_raw(self, moment_programs, name, n,
                                           columns, fused):
-        cm = moment_programs[name]
         # a fresh function from the tape: no kernel cached yet
-        fn = (cm.fused if fused else cm.fn).tape.build_function()
+        fn = moment_programs[name][fused].build_function()
         rng = np.random.default_rng(n)
         args = []
         for pos, sym in enumerate(fn.space.symbols):
