@@ -17,12 +17,15 @@ Runs the paper's §3.1 workload end to end under the observability layer:
 3. time the same sweep once per execution backend (serial / thread /
    process / native), after an unmeasured warm-up pass so pool spawn,
    the per-worker program cache, and the native kernel build are
-   amortized the way a real sweep sees them, and cross-check every
-   backend against the serial values bit-for-bit;
-4. time the raw moment-program kernels (ufunc vs native ``eval_batch``
-   of the model's one program, the fused tape every sweep runs) on the
-   full grid batch — end-to-end gains are bounded by the Padé/metric
-   stages, so the kernel-level figures are recorded separately;
+   amortized the way a real sweep sees them (the build runs in the
+   background: the timed passes run whichever kernel is bound by then),
+   and cross-check every backend against the serial values
+   bit-for-bit;
+4. time the raw moment-program kernels (the ufunc kernel, under
+   ``REPRO_NATIVE=off``, vs the native one, of the model's one program,
+   the fused tape every sweep runs) on the full grid batch — end-to-end
+   gains are bounded by the Padé/metric stages, so the kernel-level
+   figures are recorded separately;
 5. op-profile that moment program over the same grid batch;
 6. write ``BENCH_sweep.json`` — points/sec overall, per backend and on
    the 512x512, margin and order-4 grids (each with a per-stage
@@ -212,10 +215,13 @@ def bench_kernels(model, grids, repeats: int = 5) -> dict:
     The per-backend numbers above include the Padé solve and the metric
     reduction, which are identical across backends — Amdahl's law caps
     the visible end-to-end native gain well below the kernel speedup.
-    Timing ``eval_batch`` alone (best of ``repeats``) records what the
+    Timing the kernels alone (best of ``repeats``) records what the
     compiled kernel actually buys, on the model's one moment program
-    (the fused tape every sweep runs).  A missing toolchain records a
-    reason instead of failing the benchmark.
+    (the fused tape every sweep runs): the ufunc kernel is
+    ``eval_batch`` under ``REPRO_NATIVE=off`` (it would otherwise pick
+    the native kernel), the native one the probed kernel itself.  A
+    missing toolchain records a reason instead of failing the
+    benchmark.
     """
     fn = model.compiled_moments.fn
     _, _, cols = grid_columns(model, grids)
@@ -231,8 +237,16 @@ def bench_kernels(model, grids, repeats: int = 5) -> dict:
             best = min(best, time.perf_counter() - t0)
         return best
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ufunc_seconds = best_of(lambda: fn.eval_batch(list(cols), n))
+    previous = os.environ.get("REPRO_NATIVE")
+    os.environ["REPRO_NATIVE"] = "off"
+    try:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ufunc_seconds = best_of(lambda: fn.eval_batch(list(cols), n))
+    finally:
+        if previous is None:
+            del os.environ["REPRO_NATIVE"]
+        else:
+            os.environ["REPRO_NATIVE"] = previous
     out = {
         "points": n,
         "ufunc": {"points_per_second": n / ufunc_seconds},

@@ -10,16 +10,18 @@ attempt runs:
 * ``process`` — a warm, process-wide ``ProcessPoolExecutor`` of spawned
   workers, for when the Python-level part of the program dominates and
   the GIL serializes threads;
-* ``native`` — in-process like serial/thread, but moment evaluation
-  runs through the compiled C op-tape kernel
-  (:mod:`repro.runtime.native`) instead of ~``n_ops`` separate numpy
-  calls; degrades to the ufunc kernel with a logged warning when no
-  native toolchain is available.
+* ``native`` — an accepted name for in-process shards (as
+  serial/thread with the resolved worker count).
+
+The backend picks where shards run, not how moments are computed:
+every chunk, in-process or in a worker, runs the compiled C op-tape
+kernel (:mod:`repro.runtime.native`) once it has been built in the
+background, and the ufunc kernel until then, under
+``REPRO_NATIVE=off``, or when no kernel builds.
 
 ``auto`` picks ``thread`` when more than one worker is requested and
-``serial`` otherwise — exactly the pre-backend behavior; ``process``
-and ``native`` are opt-in (the first pays a one-time spawn cost, the
-second a one-time kernel compilation).
+``serial`` otherwise — exactly the pre-backend behavior; ``process`` is
+opt-in (it pays a one-time spawn cost).
 
 The process backend never pickles the compiled function or bulk arrays:
 the program travels as a ~200-byte :class:`ProgramSpec` pointing at a
@@ -95,8 +97,10 @@ def resolve_backend(backend: str | None, workers: int) -> str:
     is in play and ``"serial"`` otherwise; an explicit ``"thread"`` with
     one worker also degrades to ``"serial"`` (a one-thread pool buys
     nothing).  ``"process"`` is honored even for one worker — the work
-    still leaves the calling process.  ``"native"`` runs in-process with
-    the compiled tape kernel.
+    still leaves the calling process.  ``"native"`` runs in-process;
+    the moment kernel is the same on every backend
+    (:meth:`~repro.symbolic.compile.CompiledFunction.eval_batch` chooses
+    it).
     """
     name = (backend or "auto").lower()
     if name not in BACKENDS:
@@ -267,12 +271,7 @@ class ProcessShardRunner:
                 tape_json=None if path is not None else tape.to_json(),
                 order=cm.order)
             fn._proc_spec = spec
-            # rational tapes evaluate through the native kernel inside
-            # workers (bit-identical by the build-time probe; ufunc
-            # fallback with a warning when no toolchain exists there)
-            fn._proc_kernel = "native" if tape.native_eligible else None
         self._spec = spec
-        self._kernel = getattr(fn, "_proc_kernel", None)
 
         # acquire the pool before creating any shm slab: a failed spawn
         # must not leak segments (nothing would close/unlink them)
@@ -347,8 +346,7 @@ class ProcessShardRunner:
             metric=self._metric, order=self._order,
             require_stable=self._require_stable, strict=self._strict,
             obs={"trace": True} if _trace.enabled() else None,
-            inline_arrays=inline_arrays,
-            kernel=self._kernel, chunk_points=self._chunk_points)
+            inline_arrays=inline_arrays, chunk_points=self._chunk_points)
         _metrics.registry().counter(
             "repro_backend_worker_shards_total",
             "shard attempts dispatched to worker processes").inc()

@@ -12,7 +12,8 @@ gap.  A batched sweep:
    :func:`repro.symbolic.tape.fuse_moments`) once per chunk — one
    register-machine pass emits every moment, sharing subexpressions
    across outputs and performing the determinant unscaling inside the
-   kernel; it is the program
+   kernel (the native C kernel once it is built in the background, the
+   ufunc kernel until then); it is the program
    :meth:`~repro.partition.composite.CompiledMoments.scalars` runs per
    point;
 3. extracts poles and residues: for orders 1-2 with vectorized closed
@@ -58,6 +59,7 @@ retried and spliced back in order.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import threading
@@ -77,6 +79,7 @@ from ..obs import trace as _trace
 from ..testing import faults as _faults
 from .backends import ProcessShardRunner, available_cpus, resolve_backend
 from .cancel import CancelToken
+from .native import serial_kernels
 from .resilience import DEFAULT_RESILIENCE, ResilienceConfig, run_shards
 from .stats import RuntimeStats
 
@@ -549,25 +552,32 @@ _SINGULAR_MSG = "global symbolic system singular at this point"
 
 def _chunk_moments(model, columns: Sequence, n_points: int,
                    stats: RuntimeStats, diag: SweepDiagnostics,
-                   offset: int, kernel: str | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                   offset: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run the moment program once over a flattened chunk.
 
     One register-machine pass of the model's program
     (:attr:`~repro.partition.composite.CompiledMoments.fn`) emits every
-    moment *and* the determinant.  Returns ``(moments, singular, det)``
-    where ``singular`` marks points whose symbolic system determinant
-    ``det`` is exactly zero (see :func:`_scan_singular`).
+    moment *and* the determinant, through whichever evaluator
+    :meth:`~repro.symbolic.compile.CompiledFunction.eval_batch` picks.
+    Returns ``(moments, singular, det)`` where ``singular`` marks points
+    whose symbolic system determinant ``det`` is exactly zero (see
+    :func:`_scan_singular`).
     """
     fn = model.compiled_moments.fn
     with stats.stage("evaluate"):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            raw = fn.eval_batch(columns, n_points, kernel=kernel)
-            det = np.broadcast_to(np.asarray(raw[-1], dtype=float),
-                                  (n_points,))
-            moments = np.empty((len(raw) - 1, n_points))
-            for k in range(len(raw) - 1):
-                moments[k] = raw[k]
+            raw = fn.eval_batch(columns, n_points)
+            if type(raw) is np.ndarray:
+                # the native kernel's (outputs, n) slab: its rows are the
+                # moments and the determinant, used in place
+                stats.native_points += n_points
+                moments, det = raw[:-1], raw[-1]
+            else:
+                det = np.broadcast_to(np.asarray(raw[-1], dtype=float),
+                                      (n_points,))
+                moments = np.empty((len(raw) - 1, n_points))
+                for k in range(len(raw) - 1):
+                    moments[k] = raw[k]
             singular = _scan_singular(moments, det, diag, offset)
     if _faults.ACTIVE is not None:
         _faults.fault_point("sweep.moments", moments=moments, offset=offset)
@@ -727,8 +737,7 @@ def _scalar_chunk(model, columns: Sequence, out: np.ndarray,
 def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
                  metric: Callable[[ReducedOrderModel], float], order: int,
                  require_stable: bool, offset: int,
-                 stats: RuntimeStats, diag: SweepDiagnostics,
-                 kernel: str | None = None) -> None:
+                 stats: RuntimeStats, diag: SweepDiagnostics) -> None:
     """Evaluate one flattened chunk into ``out``, a complex view of
     ``len(out)`` points whose every entry the call overwrites.
 
@@ -743,7 +752,7 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
                       offset, stats, diag)
         return
     moments, singular, det = _chunk_moments(model, columns, n_points, stats,
-                                            diag, offset, kernel=kernel)
+                                            diag, offset)
     with stats.stage("health"):
         _chunk_health(moments, det, order, diag)
 
@@ -831,8 +840,7 @@ def _sweep_chunk(model, columns: Sequence, out: np.ndarray,
 def _stream_shard(model, columns: Sequence, n_points: int,
                   metric: Callable[[ReducedOrderModel], float], order: int,
                   require_stable: bool, *, offset: int = 0,
-                  strict: bool = False, kernel: str | None = None,
-                  chunk_points: int | None = None,
+                  strict: bool = False, chunk_points: int | None = None,
                   cancel: CancelToken | None = None, shard: int = 0,
                   out: np.ndarray | None = None,
                   ) -> tuple[np.ndarray, RuntimeStats, SweepDiagnostics]:
@@ -878,7 +886,7 @@ def _stream_shard(model, columns: Sequence, n_points: int,
         b = min(a + step, n_points)
         cols = [c[a:b] if isinstance(c, np.ndarray) else c for c in columns]
         _sweep_chunk(model, cols, out[a:b], metric, order, require_stable,
-                     offset + a, stats, diag, kernel=kernel)
+                     offset + a, stats, diag)
     return out, stats, diag
 
 
@@ -957,10 +965,13 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             requested, else 1).
         backend: where shard attempts run — ``"serial"``, ``"thread"``,
             ``"process"``, or ``"auto"``/``None`` (thread pool when more
-            than one worker, else serial).  The process backend ships
-            the compiled program to spawned workers and moves bulk
-            arrays through shared memory; results are bit-identical
-            across backends (see :mod:`repro.runtime.backends`).
+            than one worker, else serial); ``"native"`` is accepted and
+            runs in-process.  The process backend ships the compiled
+            program to spawned workers and moves bulk arrays through
+            shared memory.  Every backend's chunks run the native moment
+            kernel once it is built (the ufunc kernel until then);
+            results are bit-identical across backends and kernels (see
+            :mod:`repro.runtime.backends`).
         stats: optional :class:`RuntimeStats` to fill with per-stage cost.
         strict: raise on the first quarantined point instead of degrading
             to NaN.
@@ -1018,11 +1029,6 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         backend_name = resolve_backend(backend, workers)
         if backend_name == "serial":
             workers = 1
-        # the native backend evaluates moments through the compiled
-        # C tape kernel; shard topology is in-process like
-        # serial/thread, and eval_batch degrades to the ufunc kernel
-        # (with a logged warning) when no native kernel can be built
-        kernel_hint = "native" if backend_name == "native" else None
         stats.backend = backend_name
         stats.shards = n_shards
         stats.workers = workers
@@ -1034,6 +1040,9 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         tracer = _trace.current_tracer()
         parent_ctx = tracer.context() if tracer is not None else None
         sweep_cancel = cancel
+        # parallel shards run each chunk's kernel on their own thread
+        kernel_threads = (serial_kernels if workers > 1
+                          else contextlib.nullcontext)
 
         if n_points and VECTOR_METRICS.get(metric) is None:
             # a VECTOR_METRICS miss drops the metric stage to per-point
@@ -1058,11 +1067,12 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             cache-resident chunks (every sweep chunks, token or not)."""
             cols = [c[lo:hi] if isinstance(c, np.ndarray) else c
                     for c in columns]
-            return _stream_shard(model, cols, hi - lo, metric, q,
-                                 require_stable, offset=lo,
-                                 strict=config.strict, kernel=kernel_hint,
-                                 chunk_points=chunk_points, cancel=token,
-                                 shard=shard)
+            with kernel_threads():
+                return _stream_shard(model, cols, hi - lo, metric, q,
+                                     require_stable, offset=lo,
+                                     strict=config.strict,
+                                     chunk_points=chunk_points,
+                                     cancel=token, shard=shard)
 
         def run_shard(lo: int, hi: int, shard: int = 0, attempt: int = 0,
                       cancel: CancelToken | None = None,

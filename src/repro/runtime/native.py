@@ -20,6 +20,17 @@ mismatch, missing toolchain, or build failure raises
 :class:`NativeUnavailable`, which callers treat as "use the ufunc
 kernel" (with a logged warning), never as an error.
 
+Kernels are built **in the background**: the first batch of a
+(program, array-mask) pair asks :func:`request_kernel` for one and runs
+the ufunc kernel meanwhile.  One builder thread per process takes the
+requests one at a time — the store lookup, ``cc`` (at ``nice`` 19) and
+the probe all run there — binds each verified kernel to its program and
+exits when its queue is empty.  A build reads the environment as it was
+when the kernel was asked for (:class:`BuildEnv`), and one asked for
+before ``REPRO_NATIVE=off`` was set is dropped.  At interpreter exit
+queued builds are dropped and the one in flight finishes, so no ``cc``
+outlives the process.
+
 Kernels are **range-based**: the generated function evaluates the
 half-open slice ``[lo, hi)`` of the batch, which makes multi-threaded
 execution a pure dispatch concern.  ``ctypes`` releases the GIL around
@@ -27,7 +38,9 @@ the call, so a chunk-threaded wrapper splits large batches across a
 persistent thread pool (disjoint output slabs — results are invariant to
 the thread count, still byte-identical to ``eval_raw``).  Batches below
 ``_THREAD_MIN_POINTS`` stay on the calling thread — at that size
-dispatch overhead exceeds the arithmetic.
+dispatch overhead exceeds the arithmetic — and so do kernels called
+inside :func:`serial_kernels`: the shards of a sweep that already runs
+them in parallel.
 
 Environment knobs:
 
@@ -41,11 +54,14 @@ Environment knobs:
 * ``REPRO_NATIVE_THREADS`` — worker threads for the threaded kernel
   (default: the CPUs in this process's affinity mask; ``1`` forces
   serial execution).
-  Read at kernel-build time.
+  Read, with ``REPRO_NATIVE_CACHE`` and ``PATH``, when a kernel is
+  asked for.
 """
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import ctypes
 import hashlib
 import logging
@@ -54,18 +70,21 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..symbolic.tape import (NATIVE_OPS, OP_ADD, OP_DIV, OP_MUL, OP_POW,
                              OpTape, tape_for)
+from ..testing import faults as _faults
 from .backends import available_cpus
 from .store import ArtifactStore
 
 __all__ = ["NativeUnavailable", "native_kernel_for", "build_native_kernel",
-           "native_store"]
+           "native_store", "request_kernel", "wait_for_builds",
+           "serial_kernels", "BuildEnv"]
 
 logger = logging.getLogger("repro.runtime.native")
 
@@ -101,6 +120,22 @@ def _native_threads() -> int:
 _POOL: ThreadPoolExecutor | None = None
 _POOL_WIDTH = 0
 _POOL_LOCK = threading.Lock()
+_SERIAL = threading.local()
+
+
+@contextlib.contextmanager
+def serial_kernels():
+    """Kernels called on this thread inside the block run on it alone.
+
+    For shard workers: their sweep already spreads over the CPUs, and a
+    split of each shard's chunks would queue on one pool behind the
+    other shards' (measured slower on two vCPUs than either alone).
+    """
+    _SERIAL.on = True
+    try:
+        yield
+    finally:
+        _SERIAL.on = False
 
 
 def _thread_pool(width: int) -> ThreadPoolExecutor:
@@ -189,6 +224,20 @@ def native_store() -> ArtifactStore:
     return ArtifactStore(directory, "tape-", ".so", _STORE_MAX_BYTES)
 
 
+class BuildEnv(NamedTuple):
+    """What a build takes from the environment: the kernel store
+    (``REPRO_NATIVE_CACHE``), the compiler on ``PATH`` and the kernel's
+    thread count (``REPRO_NATIVE_THREADS``)."""
+
+    store: ArtifactStore
+    cc: str | None
+    threads: int
+
+    @classmethod
+    def current(cls) -> "BuildEnv":
+        return cls(native_store(), _find_cc(), _native_threads())
+
+
 def generate_c_source(tape: OpTape, mask: Sequence[bool],
                       fn_name: str = "repro_tape_kernel") -> str:
     """C for one fused batch loop over the tape.
@@ -262,28 +311,32 @@ def generate_c_source(tape: OpTape, mask: Sequence[bool],
     ])
 
 
-def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None):
+def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None,
+                    env: BuildEnv | None = None):
     """The C kernel from the store, or built, probed and published.
 
     A stored kernel is dlopen'ed only once its digest matches; one that
     fails the digest, the load or ``probe`` is quarantined and rebuilt
     once.  ``cc`` runs in a private temp directory where the new kernel
     is also loaded and probed, so only a verified ``.so`` is published.
+    ``env`` defaults to the current environment.
     """
     if disabled():
         raise NativeUnavailable("disabled via REPRO_NATIVE=off")
-    cc = _find_cc()
+    env = env or BuildEnv.current()
+    cc = env.cc
     if cc is None:
         raise NativeUnavailable("no C compiler (cc/gcc/clang) on PATH")
     source = generate_c_source(tape, mask)
     key = hashlib.sha256(
         f"{_CODEGEN_VERSION}|{tape.content_hash}|{_mask_tag(mask)}|{cc}"
         .encode()).hexdigest()
-    store = native_store()
+    store = env.store
     if store.load(key) is not None:
         path = store.path(key)
         try:
-            kernel = _bind(ctypes.CDLL(str(path)), tape, mask, source)
+            kernel = _bind(ctypes.CDLL(str(path)), tape, mask, source,
+                           env.threads)
             if probe is not None:
                 probe(kernel)
             return kernel
@@ -292,7 +345,10 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None):
         except NativeUnavailable:
             store.quarantine(path, "probe")
     os.makedirs(store.directory, mode=0o700, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix="repro-cc-") as build_dir:
+    # mkdtemp, not TemporaryDirectory: the latter's exit-time finalizer
+    # could remove the directory under a build the process is finishing
+    build_dir = tempfile.mkdtemp(prefix="repro-cc-")
+    try:
         c_path = os.path.join(build_dir, "kernel.c")
         so_path = os.path.join(build_dir, "kernel.so")
         with open(c_path, "w") as fh:
@@ -300,6 +356,10 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None):
         cmd = [cc, "-O2", "-fPIC", "-shared",
                "-ffp-contract=off", "-fno-fast-math",
                "-o", so_path, c_path, "-lm"]
+        nice = shutil.which("nice")
+        if nice:
+            # a build yields the CPU to the sweeps it serves
+            cmd = [nice, "-n", "19", *cmd]
         try:
             proc = subprocess.run(cmd, capture_output=True, text=True,
                                   timeout=120)
@@ -309,18 +369,24 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None):
             raise NativeUnavailable(
                 f"C compilation failed: {proc.stderr.strip()[:500]}")
         try:
-            kernel = _bind(ctypes.CDLL(so_path), tape, mask, source)
+            kernel = _bind(ctypes.CDLL(so_path), tape, mask, source,
+                           env.threads)
         except OSError as exc:
             raise NativeUnavailable(f"cannot load compiled kernel: {exc}")
         if probe is not None:
             probe(kernel)
         with open(so_path, "rb") as fh:
             store.publish(key, fh.read())
+    finally:
+        shutil.rmtree(build_dir, ignore_errors=True)
     return kernel
 
 
-def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str):
-    """Wrap the loaded library's entry point as ``kernel(args, n)``."""
+def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str,
+          threads: int):
+    """Wrap the loaded library's entry point as ``kernel(args, n)``,
+    which returns the ``(n_outputs, n)`` float64 slab (its rows are the
+    outputs)."""
     cfn = lib.repro_tape_kernel
     cfn.restype = None
     cfn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
@@ -334,7 +400,6 @@ def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str):
     n_cols = len(col_positions)
     dptr = ctypes.POINTER(ctypes.c_double)
     PtrArray = dptr * max(1, n_cols)
-    threads = _native_threads()
 
     def kernel(args, n_points: int):
         scalars = np.zeros(max(1, n_inputs))
@@ -349,14 +414,14 @@ def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str):
         ptrs = PtrArray(*(c.ctypes.data_as(dptr) for c in cols))
         sp = scalars.ctypes.data_as(dptr)
         op = out.ctypes.data_as(dptr)
-        t = threads if n_points >= _THREAD_MIN_POINTS else 1
-        if t > 1:
+        if (threads > 1 and n_points >= _THREAD_MIN_POINTS
+                and not getattr(_SERIAL, "on", False)):
             # ctypes releases the GIL around the call, and each range
             # writes a disjoint slice of the same slab — results are
             # identical for every thread count.  The calling thread
             # takes the first slice; the pool takes the rest.
-            bounds = np.linspace(0, n_points, t + 1, dtype=int)
-            pool = _thread_pool(t - 1)
+            bounds = np.linspace(0, n_points, threads + 1, dtype=int)
+            pool = _thread_pool(threads - 1)
             futures = [
                 pool.submit(cfn, int(lo), int(hi), n_points, sp, ptrs, op)
                 for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -365,7 +430,7 @@ def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str):
                 f.result()
         else:
             cfn(0, n_points, n_points, sp, ptrs, op)
-        return tuple(out)
+        return out
 
     kernel.flavor = "c"
     kernel.source = source
@@ -430,12 +495,15 @@ def build_native_kernel(tape: OpTape, mask: Sequence[bool]):
     return _build_c_kernel(tape, mask)
 
 
-def native_kernel_for(fn, mask: Sequence[bool]):
-    """Build + probe a native kernel for a compiled function.
+def native_kernel_for(fn, mask: Sequence[bool],
+                      env: BuildEnv | None = None):
+    """Build + probe a native kernel for a compiled function (in
+    ``env``, default the current environment).
 
     The returned callable has signature ``kernel(args, n_points) ->
-    tuple[np.ndarray, ...]`` and is guaranteed (by the probe) to be
-    bit-identical to ``fn.eval_raw`` on this platform.
+    np.ndarray`` (the ``(n_outputs, n_points)`` slab) and is guaranteed
+    (by the probe) to be bit-identical to ``fn.eval_raw`` on this
+    platform.
 
     Raises:
         NativeUnavailable: anything prevented a verified build.
@@ -443,7 +511,122 @@ def native_kernel_for(fn, mask: Sequence[bool]):
     tape = tape_for(fn)
     mask = tuple(bool(m) for m in mask)
     kernel = _build_c_kernel(tape, mask,
-                             probe=lambda k: _probe(fn, k, mask))
+                             probe=lambda k: _probe(fn, k, mask), env=env)
     logger.debug("native %s kernel ready for tape %s",
                  kernel.flavor, tape.content_hash[:12])
     return kernel
+
+
+# ----------------------------------------------------------------------
+# the background builder
+# ----------------------------------------------------------------------
+#: ``(fn, mask, env)`` builds waiting for the builder thread, oldest
+#: first
+_QUEUE: deque = deque()
+#: ``(id(fn), mask)`` of every queued or in-flight build (a queued
+#: build holds its ``fn``, so the id cannot be reused meanwhile)
+_PENDING: set = set()
+_BUILDER: threading.Thread | None = None
+_BUILD_LOCK = threading.Lock()
+#: notified when the builder thread exits (its queue ran empty)
+_IDLE = threading.Condition(_BUILD_LOCK)
+_CLOSING = False
+
+
+def warn_unavailable(reason) -> None:
+    """Log that a program runs the ufunc kernel (callers log once per
+    program)."""
+    logger.warning("native kernel unavailable (%s); falling back to the "
+                   "ufunc kernel for this program", reason)
+
+
+def request_kernel(fn, mask: tuple) -> None:
+    """Ask the builder thread for ``fn``'s native kernel under ``mask``.
+
+    Returns at once.  The first request per (program, mask) queues a
+    build in the current :class:`BuildEnv` (later ones, from any thread,
+    are no-ops while it is pending) and starts the builder thread if
+    none runs.  The build ends in ``fn._native_kernels[mask]`` (a probed
+    kernel) or in ``fn._native_failed``; the program's first failure
+    logs a warning.  A build that ``REPRO_NATIVE=off`` finds still
+    queued is dropped and records nothing, so a batch after the switch
+    is back on asks again.
+    """
+    global _BUILDER
+    key = (id(fn), mask)
+    if key in _PENDING:  # every batch while it builds: re-checked below
+        return
+    env = BuildEnv.current()
+    with _BUILD_LOCK:
+        # the builder sets a result before it un-pends the key, so a
+        # caller that saw neither result before taking the lock sees it
+        # here
+        if (key in _PENDING or _CLOSING or mask in fn._native_kernels
+                or mask in fn._native_failed):
+            return
+        _PENDING.add(key)
+        _QUEUE.append((fn, mask, env))
+        if _BUILDER is None:
+            _BUILDER = threading.Thread(target=_build_queued,
+                                        name="repro-native-build",
+                                        daemon=True)
+            _BUILDER.start()
+
+
+def _build_queued() -> None:
+    """The builder thread: one build at a time until the queue is empty."""
+    global _BUILDER
+    while True:
+        with _BUILD_LOCK:
+            if not _QUEUE:
+                _BUILDER = None
+                _IDLE.notify_all()
+                return
+            fn, mask, env = _QUEUE.popleft()
+        try:
+            with _faults.muted():
+                kernel = native_kernel_for(fn, mask, env)
+        except Exception as exc:  # noqa: BLE001 — any failure means ufunc
+            if not disabled():  # switched off since the request: drop it
+                if not fn._native_failed:
+                    warn_unavailable(exc)
+                fn._native_failed.add(mask)
+        else:
+            fn._native_kernels[mask] = kernel
+        with _BUILD_LOCK:
+            _PENDING.discard((id(fn), mask))
+
+
+def wait_for_builds(timeout: float | None = None) -> bool:
+    """Block until no build is queued or in flight (``False`` when
+    ``timeout`` seconds pass first)."""
+    with _IDLE:
+        return _IDLE.wait_for(lambda: _BUILDER is None, timeout)
+
+
+def _drop_queued_builds() -> None:
+    """At interpreter exit: drop queued builds, finish the one in flight
+    (the daemon builder would otherwise die mid-``cc``)."""
+    global _CLOSING
+    with _BUILD_LOCK:
+        _CLOSING = True
+        _QUEUE.clear()
+    wait_for_builds()
+
+
+def _reset_after_fork() -> None:
+    """A forked child has no builder or kernel-pool threads, and a lock
+    another thread held at the fork would never be released."""
+    global _BUILD_LOCK, _IDLE, _BUILDER, _POOL, _POOL_WIDTH, _POOL_LOCK
+    _BUILD_LOCK = threading.Lock()
+    _IDLE = threading.Condition(_BUILD_LOCK)
+    _BUILDER = None
+    _QUEUE.clear()
+    _PENDING.clear()
+    _POOL_LOCK = threading.Lock()
+    _POOL, _POOL_WIDTH = None, 0
+
+
+atexit.register(_drop_queued_builds)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_after_fork)

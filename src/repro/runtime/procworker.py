@@ -15,7 +15,9 @@ function so pool startup stays cheap.  The contract with
   the same sweep (and later sweeps of the same model) hit the warm
   cache without touching the filesystem.  Vector kernels regenerate on
   demand from the tape itself (every evaluator is generated from
-  ``fn.tape``), so no kernel source travels either;
+  ``fn.tape``), so no kernel source travels either; a worker's chunks
+  choose their kernel as in-process ones do (the native kernel once
+  its background build lands, usually a kernel-store hit);
 * **small sweeps ship inline**: the parent slices each shard's grid
   columns into the job pickle and the worker returns its values in a
   ``("vals", lo, hi, stats, diag, values)`` marker — a couple of KB
@@ -91,8 +93,6 @@ class ShardJob:
     #: pre-sliced ``[lo, hi)`` grid columns for the inline (no-shm) path,
     #: parallel to ``array_positions``
     inline_arrays: tuple | None = None
-    #: evaluator hint forwarded to ``eval_batch`` (e.g. ``"native"``)
-    kernel: str | None = None
     #: the sweep's ``chunk_points`` (``None``: the runtime default)
     chunk_points: int | None = None
 
@@ -195,16 +195,19 @@ def _evaluate_shard(job: ShardJob) -> tuple:
     """The untraced shard evaluation: inline or shm columns streamed
     through the sweep's chunk loop."""
     from .batched import _stream_shard
+    from .native import serial_kernels
 
     t0 = time.perf_counter()
     model = _program(job.spec)
 
     def stream(columns, out=None):
-        return _stream_shard(
-            model, columns, job.hi - job.lo, job.metric, job.order,
-            job.require_stable, offset=job.lo, strict=job.strict,
-            kernel=job.kernel, chunk_points=job.chunk_points, shard=job.shard,
-            out=out)
+        # the pool spreads the sweep over processes: kernels stay on
+        # this one's thread
+        with serial_kernels():
+            return _stream_shard(
+                model, columns, job.hi - job.lo, job.metric, job.order,
+                job.require_stable, offset=job.lo, strict=job.strict,
+                chunk_points=job.chunk_points, shard=job.shard, out=out)
 
     if job.shm_out is None:
         # inline path: columns arrived pre-sliced in the job itself

@@ -36,6 +36,11 @@ class RuntimeStats:
         fallback_points: points routed through the per-point numeric
             Padé / stability fallback (degenerate or unstable fast Padé,
             or no order of the ladder settled).
+        native_points: points whose moments the native C kernel
+            computed; the rest ran the ufunc kernel (while the kernel
+            was building, under ``REPRO_NATIVE=off``, or where none
+            builds) or the scalar program (chunks of at most
+            ``SCALAR_LANES`` points).
         nan_points: points that ended up NaN (degenerate Padé).
         quarantined_points: points removed by the resilience layer (see
             the sweep's ``diagnostics`` report for the per-point records).
@@ -75,6 +80,7 @@ class RuntimeStats:
     points: int = 0
     vectorized_points: int = 0
     fallback_points: int = 0
+    native_points: int = 0
     nan_points: int = 0
     quarantined_points: int = 0
     shards: int = 0
@@ -186,6 +192,7 @@ class RuntimeStats:
         m.points.inc(self.points)
         m.vectorized.inc(self.vectorized_points)
         m.fallback.inc(self.fallback_points)
+        m.native.inc(self.native_points)
         m.nan.inc(self.nan_points)
         for histogram, attr in m.stages:
             histogram.observe(getattr(self, attr))
@@ -203,7 +210,8 @@ class RuntimeStats:
             f"runtime stats: {self.points} points "
             f"({self.vectorized_points} vectorized, "
             f"{self.fallback_points} fallback, {self.nan_points} NaN, "
-            f"{self.quarantined_points} quarantined) "
+            f"{self.quarantined_points} quarantined; "
+            f"{self.native_points} on the native kernel) "
             f"in {self.shards} shard(s) / {self.workers} worker(s) "
             f"[{self.backend}]",
             f"  compile  {self.compile_seconds * 1e3:9.3f} ms "
@@ -260,8 +268,8 @@ class _SweepInstruments:
     """The instruments :meth:`RuntimeStats.publish` updates, looked up
     once per registry (:meth:`~repro.obs.metrics.MetricsRegistry.bind`)."""
 
-    __slots__ = ("runs", "points", "vectorized", "fallback", "nan",
-                 "stages", "compile", "ops", "efficiency")
+    __slots__ = ("runs", "points", "vectorized", "fallback", "native",
+                 "nan", "stages", "compile", "ops", "efficiency")
 
     def __init__(self, reg) -> None:
         self.runs = reg.counter("repro_sweep_runs_total",
@@ -274,6 +282,9 @@ class _SweepInstruments:
         self.fallback = reg.counter(
             "repro_sweep_fallback_points_total",
             "points routed through the per-point fallback")
+        self.native = reg.counter(
+            "repro_sweep_native_points_total",
+            "points whose moments the native kernel computed")
         self.nan = reg.counter("repro_sweep_nan_points_total", "NaN results")
         self.stages = tuple(
             (reg.histogram(f"repro_sweep_{name}_seconds",

@@ -24,7 +24,6 @@ remain valid across over/under-damped regions of the sweep.
 from __future__ import annotations
 
 import cmath
-import logging
 import math
 import time
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -34,7 +33,6 @@ import numpy as np
 from ..errors import SymbolicError
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .cse import topological
 from .expr import Expr, ExprBuilder
 from .poly import Poly
 from .rational import Rational
@@ -42,8 +40,6 @@ from .symbols import SymbolSpace
 
 if TYPE_CHECKING:  # tape builds on this module
     from .tape import OpTape
-
-logger = logging.getLogger("repro.symbolic")
 
 
 def _safe_sqrt(x):
@@ -171,34 +167,6 @@ def _pow_unrolls(exponent) -> bool:
     return isinstance(exponent, int) and 2 <= exponent <= _POW_UNROLL_MAX
 
 
-#: per-node arithmetic op cost (n-ary add/mul computed at the node)
-def _node_ops(node: Expr) -> int:
-    if node.kind in ("const", "sym"):
-        return 0
-    if node.kind in ("add", "mul"):
-        return len(node.children) - 1
-    if node.kind == "pow" and _pow_unrolls(node.payload):
-        return node.payload - 1
-    return 1
-
-
-def tree_op_count(roots: Sequence[Expr]) -> int:
-    """Arithmetic op count of ``roots`` evaluated as *trees* (no sharing).
-
-    This is the pre-CSE cost: what the straight-line program would do if
-    every shared subexpression were recomputed at each use.  Compared
-    against :attr:`CompiledFunction.n_ops` it measures how much the
-    hash-consing CSE bought (reported by the observability layer).
-    """
-    memo: dict[int, int] = {}
-    for node in topological(roots):
-        total = _node_ops(node)
-        for c in node.children:
-            total += memo[id(c)]
-        memo[id(node)] = total
-    return sum(memo[id(r)] for r in roots)
-
-
 class CompiledFunction:
     """A compiled straight-line evaluator for one or more expressions.
 
@@ -225,11 +193,12 @@ class CompiledFunction:
         self._instrumented = None
         # vectorized in-place kernels, keyed by array-argument mask
         self._kernels: dict[tuple[bool, ...], object] = {}
-        # native (C) kernels by mask; masks that failed to build are
-        # remembered so the warning logs once and later batches go
-        # straight to the ufunc kernel
+        # native (C) kernels by mask, bound by the background builder;
+        # masks that failed to build are remembered so later batches go
+        # straight to the ufunc kernel without asking again
         self._native_kernels: dict[tuple[bool, ...], object] = {}
         self._native_failed: set[tuple[bool, ...]] = set()
+        self._native_off_warned = False
 
     def __call__(self, values: Mapping | Sequence[float]) -> tuple:
         """Evaluate at ``values`` (mapping by symbol/name, or aligned sequence).
@@ -260,26 +229,34 @@ class CompiledFunction:
         """Positional fast path with no argument normalization."""
         return self._fn(*args)
 
-    def eval_batch(self, args: Sequence, n_points: int,
-                   kernel: str | None = None):
-        """Evaluate a batch of ``n_points``.
+    def eval_batch(self, args: Sequence, n_points: int):
+        """Evaluate a batch of ``n_points``, choosing the evaluator.
 
         ``args`` is positional like :meth:`eval_raw`, where each entry is
         either a scalar or a flat float64 column of length ``n_points``.
-        A 1-point or all-scalar batch runs the scalar program on numpy
-        float64 scalars (IEEE inf/NaN where Python floats would raise
-        ``ZeroDivisionError``); outputs come back as scalars, which
-        broadcast over the batch.  Otherwise the first call per
-        array-argument pattern generates and caches a liveness-buffered
-        ufunc kernel from the tape
-        (:meth:`~repro.symbolic.tape.OpTape.kernel_source`).  Anything
-        the kernel cannot specialize on (complex columns, odd shapes)
-        falls back to :meth:`eval_raw`.  Every route is value-identical.
 
-        ``kernel="native"`` requests the compiled C evaluator for this
-        batch shape; if it cannot be built — no toolchain, an ineligible
-        program, or a failed bit-identity probe — the batch silently uses
-        the ufunc kernel after logging a warning once.
+        * A 1-point or all-scalar batch runs the scalar program on numpy
+          float64 scalars (IEEE inf/NaN where Python floats would raise
+          ``ZeroDivisionError``); outputs come back as scalars, which
+          broadcast over the batch.
+        * Otherwise the native C kernel of this program and
+          array-argument mask runs once it is bound.  The first batch
+          of a mask asks the background builder for it
+          (:func:`repro.runtime.native.request_kernel`) and never waits
+          on the compiler.  The kernel returns its ``(n_outputs,
+          n_points)`` float64 slab as one array, which iterates as the
+          outputs.
+        * Meanwhile — while the kernel builds, under
+          ``REPRO_NATIVE=off``, or when none builds (no compiler, an
+          ineligible program, a failed probe; one logged warning per
+          program) — the batch runs the liveness-buffered ufunc kernel
+          generated once per mask from the tape
+          (:meth:`~repro.symbolic.tape.OpTape.kernel_source`).
+        * Anything the kernels cannot specialize on (complex columns,
+          odd shapes) falls back to :meth:`eval_raw`.
+
+        Every route is value-identical: the native kernel is probed
+        against :meth:`eval_raw` byte for byte before it is bound.
         """
         mask = tuple(
             isinstance(a, np.ndarray) and a.ndim == 1
@@ -291,32 +268,19 @@ class CompiledFunction:
         if n_points == 1 or not any(mask):
             return self._fn(*(np.float64(a[0] if m else a)
                               for a, m in zip(args, mask)))
-        if kernel == "native" and mask not in self._native_failed:
-            from ..runtime import native as _native  # lazy
-            if _native.disabled():
-                # an explicit off switch beats even a warm kernel cache;
-                # warn once per program, but don't poison _native_failed
-                # (the variable may be flipped back on in this process)
-                if not getattr(self, "_native_off_warned", False):
-                    self._native_off_warned = True
-                    logger.warning(
-                        "native kernel unavailable (disabled via "
-                        "REPRO_NATIVE=off); falling back to the ufunc "
-                        "kernel for this program")
-            else:
-                kern = self._native_kernels.get(mask)
-                if kern is None:
-                    try:
-                        kern = _native.native_kernel_for(self, mask)
-                        self._native_kernels[mask] = kern
-                    except Exception as exc:
-                        self._native_failed.add(mask)
-                        logger.warning(
-                            "native kernel unavailable (%s); falling back "
-                            "to the ufunc kernel for this program", exc)
-                        kern = None
-                if kern is not None:
-                    return kern(args, n_points)
+        from ..runtime import native as _native  # lazy: runtime imports us
+        if _native.disabled():
+            # checked per batch, so the switch also stops bound kernels;
+            # it only skips them, as it may be flipped back on
+            if not self._native_off_warned:
+                self._native_off_warned = True
+                _native.warn_unavailable("disabled via REPRO_NATIVE=off")
+        else:
+            kernel = self._native_kernels.get(mask)
+            if kernel is not None:
+                return kernel(args, n_points)
+            if mask not in self._native_failed:
+                _native.request_kernel(self, mask)
         vec = self._kernels.get(mask)
         if vec is None:
             source, _n_ops, _n_buffers = self.tape.kernel_source(mask)
@@ -362,14 +326,10 @@ def lower_exprs(space: SymbolSpace, roots: Sequence[Expr],
         raise SymbolicError("output_names length does not match roots")
     with _trace.span("compile.codegen", n_roots=len(roots)) as sp:
         tape = tape_from_roots(space, roots, names)
-        ops_pre_cse = tree_op_count(roots)
-        sp.set(n_ops=tape.n_ops, ops_pre_cse=ops_pre_cse)
+        sp.set(n_ops=tape.n_ops)
     reg = _metrics.registry()
     reg.counter("repro_compile_programs_total",
                 "straight-line programs compiled").inc()
-    reg.gauge("repro_compile_ops_pre_cse",
-              "arithmetic ops of the last program before CSE sharing"
-              ).set(ops_pre_cse)
     reg.gauge("repro_compile_ops_post_cse",
               "arithmetic ops of the last compiled program").set(tape.n_ops)
     return tape

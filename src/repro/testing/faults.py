@@ -50,6 +50,7 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -60,6 +61,7 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "fault_point",
+    "muted",
     "no_active_injector",
 ]
 
@@ -210,6 +212,8 @@ class _Armed:
 #: :func:`fault_point` call.
 ACTIVE: FaultInjector | None = None
 
+_LOCAL = threading.local()
+
 
 def fault_point(site: str, **payload) -> None:
     """Fire ``site`` on the armed injector, if any.
@@ -219,8 +223,23 @@ def fault_point(site: str, **payload) -> None:
     moments array) may be modified in place by handlers.
     """
     injector = ACTIVE
-    if injector is not None:
+    if injector is not None and not getattr(_LOCAL, "muted", False):
         injector.fire(site, payload)
+
+
+@contextlib.contextmanager
+def muted():
+    """No site fires on the calling thread inside the block.
+
+    For background work no test arms faults for — the native-kernel
+    builder — so a plan armed for the code under test (``cache.write``
+    with ``times=1``, say) is not spent by a build that runs meanwhile.
+    """
+    _LOCAL.muted = True
+    try:
+        yield
+    finally:
+        _LOCAL.muted = False
 
 
 def no_active_injector() -> bool:

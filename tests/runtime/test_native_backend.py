@@ -56,11 +56,12 @@ class TestKernelIdentity:
     """Direct kernel-level byte comparison, no sweep machinery."""
 
     @pytest.mark.parametrize("n", [1, 7, 128, 1024])
-    def test_741_all_varying(self, model_741, n):
+    def test_741_all_varying(self, model_741, n, monkeypatch):
         fn = model_741.model.compiled_moments.fn
         mask = (True,) * len(fn.space)
         kernel = _kernel_or_skip(fn, mask)
         cols = _columns(fn, n)
+        monkeypatch.setenv("REPRO_NATIVE", "off")  # want: the ufunc kernel
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             want = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
                     for v in fn.eval_batch([np.asarray(c).copy()
@@ -70,13 +71,14 @@ class TestKernelIdentity:
         for w, g in zip(want, got):
             assert w.tobytes() == np.asarray(g).tobytes()
 
-    def test_mixed_mask(self, model_741):
+    def test_mixed_mask(self, model_741, monkeypatch):
         """Scalar + array arguments: scalar subexpressions hoist."""
         fn = model_741.model.compiled_moments.fn
         n = 64
         cols = _columns(fn, n, vary={1})
         mask = tuple(isinstance(c, np.ndarray) for c in cols)
         kernel = _kernel_or_skip(fn, mask)
+        monkeypatch.setenv("REPRO_NATIVE", "off")  # want: the ufunc kernel
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             want = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
                     for v in fn.eval_batch(list(cols), n)]
@@ -185,9 +187,11 @@ class TestThreadedKernel:
         assert kernel.threads == 3
 
     @pytest.mark.parametrize("n", [1, 7, 2047, 2048, 4096, 10001])
-    def test_byte_identical_across_thread_threshold(self, threaded, n):
+    def test_byte_identical_across_thread_threshold(self, threaded, n,
+                                                    monkeypatch):
         fn, kernel = threaded
         cols = _columns(fn, n)
+        monkeypatch.setenv("REPRO_NATIVE", "off")  # want: the ufunc kernel
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             want = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
                     for v in fn.eval_batch([np.asarray(c).copy()
@@ -221,7 +225,7 @@ class TestFusedKernel:
     """A schema-2 fused tape lowers to one native pass over the whole
     moment slab, byte-identical to the fused ufunc evaluation."""
 
-    def test_fused_tape_kernel_byte_identical(self, model_741):
+    def test_fused_tape_kernel_byte_identical(self, model_741, monkeypatch):
         from repro.symbolic.tape import fuse_moments
 
         fn = model_741.model.compiled_moments.fn
@@ -234,6 +238,7 @@ class TestFusedKernel:
             pytest.skip(f"no native toolchain here: {exc}")
         n = 4096
         cols = _columns(fn, n)
+        monkeypatch.setenv("REPRO_NATIVE", "off")  # want: the ufunc kernel
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             want = [np.broadcast_to(np.asarray(v, dtype=float), (n,))
                     for v in fused_fn.eval_batch([np.asarray(c).copy()

@@ -248,7 +248,12 @@ def moment_programs():
 class TestKernelBySize:
     """The evaluator is chosen by batch size — the ufunc kernel from 2
     points up, the scalar program on numpy scalars at 1 — and either one
-    equals ``eval_raw`` bit for bit."""
+    equals ``eval_raw`` bit for bit.  ``REPRO_NATIVE=off`` pins the
+    ufunc kernel, which a bound native kernel would otherwise replace."""
+
+    @pytest.fixture(autouse=True)
+    def _ufunc_kernel(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NATIVE", "off")
 
     @pytest.mark.parametrize("name", ["fig1", "741"])
     @pytest.mark.parametrize("n", [1, 2, 4096])
@@ -278,6 +283,11 @@ class TestKernelBySize:
 
 
 class TestAllocations:
+    @pytest.fixture(autouse=True)
+    def _ufunc_kernel(self, monkeypatch):
+        """The subject is the ufunc kernel: keep the native one out."""
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+
     def test_kernel_peak_tracks_buffer_pool_not_op_count(self):
         """tracemalloc: buffer reuse caps the kernel's peak allocation.
 
