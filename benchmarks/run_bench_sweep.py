@@ -15,7 +15,7 @@ Runs the paper's §3.1 workload end to end under the observability layer:
    and serial 1-point sweeps (the paper's Table 1 iteration through
    ``sweep``: the per-sweep fixed cost and the scalar lane);
 3. time the same sweep once per execution backend (serial / thread /
-   process / native), after an unmeasured warm-up pass so pool spawn,
+   process), after an unmeasured warm-up pass so pool spawn,
    the per-worker program cache, and the native kernel build are
    amortized the way a real sweep sees them (the build runs in the
    background: the timed passes run whichever kernel is bound by then),
@@ -75,7 +75,7 @@ SHARDS = 8
 #: 1-point sweeps per timed batch, and batches (the figure is the best)
 POINT_SWEEPS = 200
 POINT_BATCHES = 5
-BACKENDS = ("serial", "thread", "process", "native")
+BACKENDS = ("serial", "thread", "process")
 STAGES = (("columns", "columns_seconds"), ("moments", "evaluate_seconds"),
           ("health", "health_seconds"), ("pade", "pade_seconds"),
           ("metric", "metric_seconds"), ("finalize", "finalize_seconds"))
@@ -261,9 +261,6 @@ def bench_kernels(model, grids, repeats: int = 5) -> dict:
         native_seconds = best_of(lambda: kernel(list(cols), n))
     out["native"] = {
         "available": True,
-        "flavor": kernel.flavor,
-        "parallel": bool(getattr(kernel, "parallel", False)),
-        "threads": int(getattr(kernel, "threads", 1)),
         "points_per_second": n / native_seconds,
         "speedup_vs_ufunc": ufunc_seconds / native_seconds,
     }
@@ -407,12 +404,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{kernels['ufunc']['points_per_second']:>12.0f} points/s")
     entry = kernels["native"]
     if entry.get("available"):
-        threads = (f", {entry['threads']} threads"
-                   if entry.get("parallel") else "")
         print(f"  kernel  native   "
               f"{entry['points_per_second']:>12.0f} points/s"
-              f"  ({entry['flavor']}{threads}, "
-              f"{entry['speedup_vs_ufunc']:.1f}x ufunc)")
+              f"  ({entry['speedup_vs_ufunc']:.1f}x ufunc)")
     else:
         print(f"  kernel  native   unavailable ({entry['reason']})")
     for i, op in enumerate(payload["top_ops"], start=1):

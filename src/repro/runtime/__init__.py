@@ -14,12 +14,13 @@ provides:
   layer: point quarantine policy, shard retry/timeout/backoff, serial
   fallback (see ``docs/robustness.md``);
 * :data:`BACKENDS` / :func:`resolve_backend` — pluggable shard execution
-  (``serial`` / ``thread`` / ``process`` / ``native``); the process
-  backend ships compiled programs as content-addressed op-tape artifacts
-  to spawned workers (inline pickles for small sweeps, shared memory for
-  bulk ones), and the native backend evaluates through a compiled C
-  kernel generated from the same tape, falling back to the ufunc
-  kernel when no toolchain is available (see ``docs/runtime.md`` and
+  (``serial`` / ``thread`` / ``process``); the process backend ships
+  compiled programs as content-addressed op-tape artifacts to spawned
+  workers (inline pickles for small sweeps, shared memory for bulk
+  ones).  On every backend each shard evaluates moments on its own
+  thread through a compiled C kernel generated from the same tape
+  (:mod:`repro.runtime.native`), falling back to the ufunc kernel when
+  no toolchain is available (see ``docs/runtime.md`` and
   ``docs/artifacts.md``).
 
 ``repro.core`` imports lazily from here (never the reverse at module

@@ -9,15 +9,15 @@ attempt runs:
   array kernels, so this overlaps the heavy ufunc work);
 * ``process`` — a warm, process-wide ``ProcessPoolExecutor`` of spawned
   workers, for when the Python-level part of the program dominates and
-  the GIL serializes threads;
-* ``native`` — an accepted name for in-process shards (as
-  serial/thread with the resolved worker count).
+  the GIL serializes threads.
 
 The backend picks where shards run, not how moments are computed:
 every chunk, in-process or in a worker, runs the compiled C op-tape
 kernel (:mod:`repro.runtime.native`) once it has been built in the
 background, and the ufunc kernel until then, under
-``REPRO_NATIVE=off``, or when no kernel builds.
+``REPRO_NATIVE=off``, or when no kernel builds.  The kernel runs on its
+shard's thread, so shards are the only way a sweep uses more than one
+CPU.
 
 ``auto`` picks ``thread`` when more than one worker is requested and
 ``serial`` otherwise — exactly the pre-backend behavior; ``process`` is
@@ -72,7 +72,7 @@ __all__ = [
 ]
 
 #: accepted values for the ``backend`` sweep argument / ``--backend`` flag
-BACKENDS = ("auto", "serial", "thread", "process", "native")
+BACKENDS = ("auto", "serial", "thread", "process")
 
 #: sweeps at or below this size skip shared memory entirely: per-shard
 #: column slices ride in the job pickle and values come back the same
@@ -97,10 +97,13 @@ def resolve_backend(backend: str | None, workers: int) -> str:
     is in play and ``"serial"`` otherwise; an explicit ``"thread"`` with
     one worker also degrades to ``"serial"`` (a one-thread pool buys
     nothing).  ``"process"`` is honored even for one worker — the work
-    still leaves the calling process.  ``"native"`` runs in-process;
-    the moment kernel is the same on every backend
+    still leaves the calling process.  The moment kernel is the same on
+    every backend
     (:meth:`~repro.symbolic.compile.CompiledFunction.eval_batch` chooses
     it).
+
+    Raises:
+        ApproximationError: ``backend`` is not one of :data:`BACKENDS`.
     """
     name = (backend or "auto").lower()
     if name not in BACKENDS:

@@ -2,9 +2,9 @@
 
 The compiled straight-line programs emitted by
 :mod:`repro.symbolic.compile` are numpy-vectorized: passing arrays sweeps
-a whole grid in one call.  Historically :meth:`CompiledAWEModel.sweep`
-still walked the cartesian grid point by point; this module closes that
-gap.  A batched sweep:
+a whole grid in one call.  This module sweeps grids that way, where the
+reference :meth:`CompiledAWEModel.sweep_per_point` walks the cartesian
+grid point by point.  A batched sweep:
 
 1. maps every grid axis through the element→symbol value transforms and
    flattens the cartesian product into positional argument columns;
@@ -59,7 +59,6 @@ retried and spliced back in order.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
 import threading
@@ -79,7 +78,6 @@ from ..obs import trace as _trace
 from ..testing import faults as _faults
 from .backends import ProcessShardRunner, available_cpus, resolve_backend
 from .cancel import CancelToken
-from .native import serial_kernels
 from .resilience import DEFAULT_RESILIENCE, ResilienceConfig, run_shards
 from .stats import RuntimeStats
 
@@ -847,7 +845,7 @@ def _stream_shard(model, columns: Sequence, n_points: int,
     """Stream one shard's points through cache-resident chunks.
 
     The one chunk loop of every backend: in-process shards
-    (serial/thread/native) and process-backend workers both evaluate
+    (serial/thread) and process-backend workers both evaluate
     their range here.  ``columns`` are the shard's own argument columns
     (arrays of ``n_points`` or scalars) and ``offset`` is the shard's
     first global flat index.  Each chunk of at most ``chunk_points``
@@ -935,7 +933,7 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
     """Evaluate ``metric`` over the cartesian product of element-value grids.
 
     Drop-in vectorized replacement for the per-point
-    :meth:`CompiledAWEModel.sweep` loop: same arguments, same output
+    :meth:`CompiledAWEModel.sweep_per_point` loop: same arguments, same output
     (including NaN placement at degenerate Padé points), orders of
     magnitude faster on large grids.
 
@@ -965,12 +963,12 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             requested, else 1).
         backend: where shard attempts run — ``"serial"``, ``"thread"``,
             ``"process"``, or ``"auto"``/``None`` (thread pool when more
-            than one worker, else serial); ``"native"`` is accepted and
-            runs in-process.  The process backend ships the compiled
-            program to spawned workers and moves bulk arrays through
-            shared memory.  Every backend's chunks run the native moment
-            kernel once it is built (the ufunc kernel until then);
-            results are bit-identical across backends and kernels (see
+            than one worker, else serial).  The process backend ships
+            the compiled program to spawned workers and moves bulk
+            arrays through shared memory.  Every backend's chunks run
+            the native moment kernel once it is built (the ufunc kernel
+            until then), each on its shard's own thread; results are
+            bit-identical across backends and kernels (see
             :mod:`repro.runtime.backends`).
         stats: optional :class:`RuntimeStats` to fill with per-stage cost.
         strict: raise on the first quarantined point instead of degrading
@@ -1040,9 +1038,6 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
         tracer = _trace.current_tracer()
         parent_ctx = tracer.context() if tracer is not None else None
         sweep_cancel = cancel
-        # parallel shards run each chunk's kernel on their own thread
-        kernel_threads = (serial_kernels if workers > 1
-                          else contextlib.nullcontext)
 
         if n_points and VECTOR_METRICS.get(metric) is None:
             # a VECTOR_METRICS miss drops the metric stage to per-point
@@ -1067,12 +1062,11 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
             cache-resident chunks (every sweep chunks, token or not)."""
             cols = [c[lo:hi] if isinstance(c, np.ndarray) else c
                     for c in columns]
-            with kernel_threads():
-                return _stream_shard(model, cols, hi - lo, metric, q,
-                                     require_stable, offset=lo,
-                                     strict=config.strict,
-                                     chunk_points=chunk_points,
-                                     cancel=token, shard=shard)
+            return _stream_shard(model, cols, hi - lo, metric, q,
+                                 require_stable, offset=lo,
+                                 strict=config.strict,
+                                 chunk_points=chunk_points,
+                                 cancel=token, shard=shard)
 
         def run_shard(lo: int, hi: int, shard: int = 0, attempt: int = 0,
                       cancel: CancelToken | None = None,

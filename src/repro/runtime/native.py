@@ -31,37 +31,25 @@ before ``REPRO_NATIVE=off`` was set is dropped.  At interpreter exit
 queued builds are dropped and the one in flight finishes, so no ``cc``
 outlives the process.
 
-Kernels are **range-based**: the generated function evaluates the
-half-open slice ``[lo, hi)`` of the batch, which makes multi-threaded
-execution a pure dispatch concern.  ``ctypes`` releases the GIL around
-the call, so a chunk-threaded wrapper splits large batches across a
-persistent thread pool (disjoint output slabs — results are invariant to
-the thread count, still byte-identical to ``eval_raw``).  Batches below
-``_THREAD_MIN_POINTS`` stay on the calling thread — at that size
-dispatch overhead exceeds the arithmetic — and so do kernels called
-inside :func:`serial_kernels`: the shards of a sweep that already runs
-them in parallel.
+A kernel runs on its caller's thread: a sweep uses more than one CPU
+only through its shards (:mod:`repro.runtime.backends`), each of which
+runs its own kernel.
 
 Environment knobs:
 
 * ``REPRO_NATIVE`` — ``off`` disables native kernels entirely (any other
-  value is ignored: C is the only flavor).
+  value is ignored).
 * ``REPRO_NATIVE_CACHE`` — directory of the kernel store (default: a
   per-user tmp directory), an :class:`~repro.runtime.store.ArtifactStore`
   of verified ``.so`` files keyed by tape hash + mask + compiler, so warm
   starts skip the compiler; bad entries are quarantined and rebuilt, and
-  the store keeps under :data:`_STORE_MAX_BYTES`.
-* ``REPRO_NATIVE_THREADS`` — worker threads for the threaded kernel
-  (default: the CPUs in this process's affinity mask; ``1`` forces
-  serial execution).
-  Read, with ``REPRO_NATIVE_CACHE`` and ``PATH``, when a kernel is
-  asked for.
+  the store keeps under :data:`_STORE_MAX_BYTES`.  Read, with ``PATH``,
+  when a kernel is asked for.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import ctypes
 import hashlib
 import logging
@@ -71,7 +59,6 @@ import subprocess
 import tempfile
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,76 +66,22 @@ import numpy as np
 from ..symbolic.tape import (NATIVE_OPS, OP_ADD, OP_DIV, OP_MUL, OP_POW,
                              OpTape, tape_for)
 from ..testing import faults as _faults
-from .backends import available_cpus
 from .store import ArtifactStore
 
 __all__ = ["NativeUnavailable", "native_kernel_for", "build_native_kernel",
-           "native_store", "request_kernel", "wait_for_builds",
-           "serial_kernels", "BuildEnv"]
+           "native_store", "request_kernel", "wait_for_builds", "BuildEnv"]
 
 logger = logging.getLogger("repro.runtime.native")
 
 #: bumped when generated-code layout changes, to invalidate cached .so
-#: files (2: range-based ``(lo, hi, n)`` kernel signature)
-_CODEGEN_VERSION = 2
+#: files (3: whole-batch ``(n, scalars, cols, out)`` kernel signature)
+_CODEGEN_VERSION = 3
 
 #: points in the bit-identity probe batch
 _PROBE_POINTS = 8
 
 #: byte budget of the kernel store; a kernel is ~15-30 KB
 _STORE_MAX_BYTES = 32 << 20
-
-#: batches smaller than this run on the calling thread even when a
-#: thread pool is configured — per-task dispatch (~10 µs) would dwarf
-#: the kernel time
-_THREAD_MIN_POINTS = 2048
-
-
-def _native_threads() -> int:
-    """Worker-thread count for parallel kernels (``REPRO_NATIVE_THREADS``,
-    default the CPUs this process may run on).  Values < 1 and junk fall
-    back to 1."""
-    raw = os.environ.get("REPRO_NATIVE_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            logger.warning("ignoring invalid REPRO_NATIVE_THREADS=%r", raw)
-    return available_cpus()
-
-
-_POOL: ThreadPoolExecutor | None = None
-_POOL_WIDTH = 0
-_POOL_LOCK = threading.Lock()
-_SERIAL = threading.local()
-
-
-@contextlib.contextmanager
-def serial_kernels():
-    """Kernels called on this thread inside the block run on it alone.
-
-    For shard workers: their sweep already spreads over the CPUs, and a
-    split of each shard's chunks would queue on one pool behind the
-    other shards' (measured slower on two vCPUs than either alone).
-    """
-    _SERIAL.on = True
-    try:
-        yield
-    finally:
-        _SERIAL.on = False
-
-
-def _thread_pool(width: int) -> ThreadPoolExecutor:
-    """The persistent kernel thread pool, grown to at least ``width``."""
-    global _POOL, _POOL_WIDTH
-    with _POOL_LOCK:
-        if _POOL is None or _POOL_WIDTH < width:
-            if _POOL is not None:
-                _POOL.shutdown(wait=False)
-            _POOL = ThreadPoolExecutor(max_workers=width,
-                                       thread_name_prefix="repro-native")
-            _POOL_WIDTH = width
-        return _POOL
 
 
 class NativeUnavailable(RuntimeError):
@@ -226,16 +159,14 @@ def native_store() -> ArtifactStore:
 
 class BuildEnv(NamedTuple):
     """What a build takes from the environment: the kernel store
-    (``REPRO_NATIVE_CACHE``), the compiler on ``PATH`` and the kernel's
-    thread count (``REPRO_NATIVE_THREADS``)."""
+    (``REPRO_NATIVE_CACHE``) and the compiler on ``PATH``."""
 
     store: ArtifactStore
     cc: str | None
-    threads: int
 
     @classmethod
     def current(cls) -> "BuildEnv":
-        return cls(native_store(), _find_cc(), _native_threads())
+        return cls(native_store(), _find_cc())
 
 
 def generate_c_source(tape: OpTape, mask: Sequence[bool],
@@ -244,13 +175,11 @@ def generate_c_source(tape: OpTape, mask: Sequence[bool],
 
     Signature::
 
-        void fn(long lo, long hi, long n, const double *scalars,
+        void fn(long n, const double *scalars,
                 const double *const *cols, double *out)
 
-    The function evaluates the half-open row range ``[lo, hi)`` of an
-    ``n``-point batch — serial callers pass ``(0, n, n)``; the threaded
-    wrapper hands each worker a disjoint range over the same buffers.
-    ``scalars`` is indexed by input position (array positions unused),
+    The function evaluates all ``n`` points of the batch.  ``scalars``
+    is indexed by input position (array positions unused),
     ``cols`` holds the masked columns in position order, and ``out`` is
     a dense ``(n_outputs, n)`` row-major block.  Constants are baked in
     as C99 hex literals; batch-invariant ops are hoisted above the loop.
@@ -298,11 +227,11 @@ def generate_c_source(tape: OpTape, mask: Sequence[bool],
     return "\n".join([
         "#include <math.h>",
         "",
-        f"void {fn_name}(long lo, long hi, long n, const double *scalars,",
+        f"void {fn_name}(long n, const double *scalars,",
         "                const double *const *cols, double *out)",
         "{",
         *hoisted,
-        "    for (long i = lo; i < hi; i++) {",
+        "    for (long i = 0; i < n; i++) {",
         *body,
         *stores,
         "    }",
@@ -335,8 +264,7 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None,
     if store.load(key) is not None:
         path = store.path(key)
         try:
-            kernel = _bind(ctypes.CDLL(str(path)), tape, mask, source,
-                           env.threads)
+            kernel = _bind(ctypes.CDLL(str(path)), tape, mask, source)
             if probe is not None:
                 probe(kernel)
             return kernel
@@ -369,8 +297,7 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None,
             raise NativeUnavailable(
                 f"C compilation failed: {proc.stderr.strip()[:500]}")
         try:
-            kernel = _bind(ctypes.CDLL(so_path), tape, mask, source,
-                           env.threads)
+            kernel = _bind(ctypes.CDLL(so_path), tape, mask, source)
         except OSError as exc:
             raise NativeUnavailable(f"cannot load compiled kernel: {exc}")
         if probe is not None:
@@ -382,24 +309,20 @@ def _build_c_kernel(tape: OpTape, mask: Sequence[bool], probe=None,
     return kernel
 
 
-def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str,
-          threads: int):
+def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str):
     """Wrap the loaded library's entry point as ``kernel(args, n)``,
     which returns the ``(n_outputs, n)`` float64 slab (its rows are the
     outputs)."""
     cfn = lib.repro_tape_kernel
     cfn.restype = None
-    cfn.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_long,
-                    ctypes.POINTER(ctypes.c_double),
+    cfn.argtypes = [ctypes.c_long, ctypes.POINTER(ctypes.c_double),
                     ctypes.POINTER(ctypes.POINTER(ctypes.c_double)),
                     ctypes.POINTER(ctypes.c_double)]
 
     n_inputs = tape.n_inputs
     n_out = len(tape.outputs)
-    col_positions = tuple(p for p, m in enumerate(mask) if m)
-    n_cols = len(col_positions)
     dptr = ctypes.POINTER(ctypes.c_double)
-    PtrArray = dptr * max(1, n_cols)
+    PtrArray = dptr * max(1, sum(mask))
 
     def kernel(args, n_points: int):
         scalars = np.zeros(max(1, n_inputs))
@@ -412,30 +335,11 @@ def _bind(lib, tape: OpTape, mask: Sequence[bool], source: str,
                 scalars[pos] = float(a)
         out = np.empty((n_out, n_points))
         ptrs = PtrArray(*(c.ctypes.data_as(dptr) for c in cols))
-        sp = scalars.ctypes.data_as(dptr)
-        op = out.ctypes.data_as(dptr)
-        if (threads > 1 and n_points >= _THREAD_MIN_POINTS
-                and not getattr(_SERIAL, "on", False)):
-            # ctypes releases the GIL around the call, and each range
-            # writes a disjoint slice of the same slab — results are
-            # identical for every thread count.  The calling thread
-            # takes the first slice; the pool takes the rest.
-            bounds = np.linspace(0, n_points, threads + 1, dtype=int)
-            pool = _thread_pool(threads - 1)
-            futures = [
-                pool.submit(cfn, int(lo), int(hi), n_points, sp, ptrs, op)
-                for lo, hi in zip(bounds[1:-1], bounds[2:])]
-            cfn(int(bounds[0]), int(bounds[1]), n_points, sp, ptrs, op)
-            for f in futures:
-                f.result()
-        else:
-            cfn(0, n_points, n_points, sp, ptrs, op)
+        cfn(n_points, scalars.ctypes.data_as(dptr), ptrs,
+            out.ctypes.data_as(dptr))
         return out
 
-    kernel.flavor = "c"
     kernel.source = source
-    kernel.parallel = threads > 1
-    kernel.threads = threads
     return kernel
 
 
@@ -512,8 +416,7 @@ def native_kernel_for(fn, mask: Sequence[bool],
     mask = tuple(bool(m) for m in mask)
     kernel = _build_c_kernel(tape, mask,
                              probe=lambda k: _probe(fn, k, mask), env=env)
-    logger.debug("native %s kernel ready for tape %s",
-                 kernel.flavor, tape.content_hash[:12])
+    logger.debug("native kernel ready for tape %s", tape.content_hash[:12])
     return kernel
 
 
@@ -615,16 +518,14 @@ def _drop_queued_builds() -> None:
 
 
 def _reset_after_fork() -> None:
-    """A forked child has no builder or kernel-pool threads, and a lock
-    another thread held at the fork would never be released."""
-    global _BUILD_LOCK, _IDLE, _BUILDER, _POOL, _POOL_WIDTH, _POOL_LOCK
+    """A forked child has no builder thread, and a lock another thread
+    held at the fork would never be released."""
+    global _BUILD_LOCK, _IDLE, _BUILDER
     _BUILD_LOCK = threading.Lock()
     _IDLE = threading.Condition(_BUILD_LOCK)
     _BUILDER = None
     _QUEUE.clear()
     _PENDING.clear()
-    _POOL_LOCK = threading.Lock()
-    _POOL, _POOL_WIDTH = None, 0
 
 
 atexit.register(_drop_queued_builds)

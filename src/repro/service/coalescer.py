@@ -44,6 +44,7 @@ from ..core.metrics import resolve_metric
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import trace as _trace
+from ..runtime.backends import resolve_backend
 from ..runtime.cancel import CancelToken, Deadline
 from .errors import DeadlineExceeded
 from .registry import ModelEntry
@@ -120,6 +121,9 @@ class Coalescer:
         backend: sweep backend for the batch evaluation (``None`` keeps
             ``batched_sweep``'s default; ``"process"`` fans shards out
             to worker processes — trace context ships with the shards).
+            An unknown name raises
+            :class:`~repro.errors.ApproximationError` here, not on every
+            batch.
         shards / workers: forwarded to ``batched_sweep`` when set.
         clock: injectable monotonic clock.
     """
@@ -132,6 +136,7 @@ class Coalescer:
                  clock: Callable[[], float] = time.monotonic) -> None:
         if max_batch < 1 or max_delay_s < 0:
             raise ValueError("need max_batch >= 1 and max_delay_s >= 0")
+        resolve_backend(backend, 1)
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self.executor = executor

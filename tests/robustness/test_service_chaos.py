@@ -23,7 +23,7 @@ import threading
 import pytest
 
 from repro.circuits.library import fig1_circuit
-from repro.errors import ReproError
+from repro.errors import ApproximationError, ReproError
 from repro.obs.recorder import DUMP_DIR_ENV
 from repro.runtime import ProgramCache
 from repro.service import (AWEService, BreakerConfig, BulkheadFull,
@@ -116,6 +116,15 @@ class TestHappyPath:
             assert b["value"] == pytest.approx(s["value"], rel=1e-12)
         # distinct G1 must give distinct answers (not one smeared batch)
         assert len({round(r["value"], 9) for r in batched}) == len(g1_values)
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize("backend", ["gpu", "native"])
+    def test_unknown_backend_fails_at_construction(self, backend):
+        """Not at every batch, where the breaker would soon turn the
+        failures into degraded answers."""
+        with pytest.raises(ApproximationError, match="unknown sweep backend"):
+            make_service(backend=backend)
 
 
 class TestInvalidRequests:

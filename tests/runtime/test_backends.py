@@ -1,14 +1,14 @@
-"""Cross-backend differential tests: serial / thread / process / native.
+"""Cross-backend differential tests: serial / thread / process.
 
-The backend only decides *where* (and through which kernel) a shard
-attempt runs; every backend must produce bit-identical sweep values
-(NaN placement included), identical quarantine records, and identical
-diagnostics — on clean grids, on grids with degenerate regions, and
-under injected shard faults.  Process-backend runs go through the full
-shipping path: op-tape artifact rebuild in spawned workers, inline or
-shared-memory column transport, warm per-process program cache.  Native
-runs go through the compiled tape kernel (or its probed ufunc fallback
-— bit-identical either way, which is exactly what these tests pin).
+The backend only decides *where* a shard attempt runs; every backend
+must produce bit-identical sweep values (NaN placement included),
+identical quarantine records, and identical diagnostics — on clean
+grids, on grids with degenerate regions, and under injected shard
+faults.  Process-backend runs go through the full shipping path:
+op-tape artifact rebuild in spawned workers, inline or shared-memory
+column transport, warm per-process program cache.  Every backend's
+chunks run the same moment kernel choice (the compiled tape kernel once
+built, else the ufunc kernel — bit-identical either way).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.runtime import BACKENDS, RuntimeStats, resolve_backend
 from repro.runtime.batched import _resolve_sharding, batched_sweep
 from repro.testing.faults import FaultInjector
 
-BACKEND_NAMES = ["serial", "thread", "process", "native"]
+BACKEND_NAMES = ["serial", "thread", "process"]
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ class TestBitIdentity:
     def test_741_all_backends_identical(self, model_741, grids_741):
         base, base_stats = sweep_with(model_741.model, grids_741,
                                       metrics.dominant_pole_hz, "serial")
-        for backend in ("thread", "process", "native"):
+        for backend in ("thread", "process"):
             other, stats = sweep_with(model_741.model, grids_741,
                                       metrics.dominant_pole_hz, backend)
             assert_array_equal(np.asarray(base), np.asarray(other))
@@ -71,7 +71,7 @@ class TestBitIdentity:
                  "C2": np.linspace(0.1e-12, 3e-12, 9)}
         base, _ = sweep_with(fig1_model.model, grids, metrics.dc_gain,
                              "serial")
-        for backend in ("thread", "process", "native"):
+        for backend in ("thread", "process"):
             other, _ = sweep_with(fig1_model.model, grids, metrics.dc_gain,
                                   backend)
             assert_array_equal(np.asarray(base), np.asarray(other))
@@ -95,7 +95,7 @@ class TestBitIdentity:
         base, _ = sweep_with(fig1_model.model, grids,
                              metrics.dominant_pole_hz, "serial")
         base_arr = np.asarray(base)
-        for backend in ("thread", "process", "native"):
+        for backend in ("thread", "process"):
             other, _ = sweep_with(fig1_model.model, grids,
                                   metrics.dominant_pole_hz, backend)
             other_arr = np.asarray(other)
@@ -116,7 +116,6 @@ class TestBitIdentity:
                                 quarantine_key(diag))
         assert reports["thread"] == reports["serial"]
         assert reports["process"] == reports["serial"]
-        assert reports["native"] == reports["serial"]
 
     def test_per_point_fallback_metric_identical(self, fig1_model):
         """A metric with no vectorized implementation exercises the
@@ -224,7 +223,7 @@ class TestProcessBackendEdges:
 
 class TestResolution:
     def test_backend_names(self):
-        assert BACKENDS == ("auto", "serial", "thread", "process", "native")
+        assert BACKENDS == ("auto", "serial", "thread", "process")
 
     def test_auto_resolution(self):
         assert resolve_backend(None, 1) == "serial"
@@ -236,8 +235,10 @@ class TestResolution:
         assert resolve_backend("serial", 8) == "serial"
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ApproximationError, match="unknown sweep backend"):
-            resolve_backend("gpu", 4)
+        for name in ("gpu", "native"):
+            with pytest.raises(ApproximationError,
+                               match="unknown sweep backend"):
+                resolve_backend(name, 4)
 
     def test_workers_default_follows_shards(self, monkeypatch):
         monkeypatch.setattr("repro.runtime.batched.available_cpus",
@@ -257,22 +258,17 @@ class TestResolution:
         assert (n_shards, workers) == (1, 1)
 
     def test_cpu_count_follows_the_affinity_mask(self, monkeypatch):
-        """``taskset``/cpusets cap the default shard workers and native
-        kernel threads; ``os.cpu_count()`` only stands in where the OS
-        has no affinity mask."""
+        """``taskset``/cpusets cap the default shard workers;
+        ``os.cpu_count()`` only stands in where the OS has no affinity
+        mask."""
         import os
 
-        from repro.runtime.native import _native_threads
-
-        monkeypatch.delenv("REPRO_NATIVE_THREADS", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 16)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7},
                             raising=False)
         assert _resolve_sharding(1000, 8, None) == (8, 3)
-        assert _native_threads() == 3
         monkeypatch.delattr(os, "sched_getaffinity")
         assert _resolve_sharding(1000, 8, None) == (8, 8)
-        assert _native_threads() == 16
 
     def test_serial_backend_forces_one_worker(self, fig1_model):
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 6)}

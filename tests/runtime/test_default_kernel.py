@@ -13,11 +13,11 @@ one that fails):
 * a failed build logs one warning, is never retried, and changes no
   value;
 * however many threads ask, one (program, mask) runs one compiler;
-* the shards of a parallel sweep run their kernel on their own thread,
-  where a serial sweep splits its chunks over the kernel pool;
+* the kernel runs on its caller's thread: a sweep leaves no thread
+  behind, and the shards of a parallel sweep each run their own;
 * a build runs in the environment it was asked for in (kernel store,
-  compiler, thread count), and one that ``REPRO_NATIVE=off`` finds
-  still queued is dropped without recording a failure;
+  compiler), and one that ``REPRO_NATIVE=off`` finds still queued is
+  dropped without recording a failure;
 * a process exiting mid-build waits for the build in flight only, so no
   compiler outlives it;
 * 1- and 4-point sweeps (the scalar lane) start no build;
@@ -234,38 +234,40 @@ def test_build_runs_in_the_environment_it_was_asked_in(amp, cold_model,
     log = fake_cc(tmp_path, monkeypatch, slow_cc(0.5))
     fn = cold_model.compiled_moments.fn
     cold_model.sweep(grids, metrics.dominant_pole_hz)  # A: keeps it busy
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
     cold_model.sweep(one_axis, metrics.dominant_pole_hz)  # B: queued
-    # B runs after all three change
+    # B runs after both change
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "other"))
     monkeypatch.setenv("PATH", path)  # the real compiler first
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
     assert native.wait_for_builds(timeout=120)
     assert log_lines(log) == ["start", "end", "start", "end"]
     assert len(list(asked_store.glob("tape-*.so"))) == 2
     assert not (tmp_path / "other").exists()
-    assert fn._native_kernels[(False, True)].threads == 3
+    assert (False, True) in fn._native_kernels
+
+
+def test_a_sweep_leaves_no_thread_behind(amp, cold_model, builder):
+    grids = amp_grids(amp)  # 4096 points: one chunk
+    cold_model.sweep(grids, metrics.dominant_pole_hz)  # asks for the kernel
+    assert native.wait_for_builds(timeout=120)
+    before = set(threading.enumerate())
+    stats = RuntimeStats()
+    cold_model.sweep(grids, metrics.dominant_pole_hz, stats=stats)
+    assert stats.native_points == 64 * 64
+    assert set(threading.enumerate()) - before == set()
 
 
 def test_parallel_shards_run_their_kernel_on_their_own_thread(
-        amp, cold_model, builder, monkeypatch):
-    monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
+        amp, cold_model, builder):
     grids = amp_grids(amp)  # 4096 points: one chunk, or 2048 per shard
     cold_model.sweep(grids, metrics.dominant_pole_hz)  # asks for the kernel
     assert native.wait_for_builds(timeout=120)
-    pool = native._thread_pool
-    split = []
-    monkeypatch.setattr(native, "_thread_pool",
-                        lambda width: split.append(width) or pool(width))
     want = cold_model.sweep(grids, metrics.dominant_pole_hz)
-    assert split == [1]  # a serial sweep splits its chunk
 
     stats = RuntimeStats()
     got = cold_model.sweep(grids, metrics.dominant_pole_hz, shards=2,
                            max_workers=2, stats=stats)
     assert (stats.backend, stats.workers) == ("thread", 2)
     assert stats.native_points == 64 * 64
-    assert split == [1]  # parallel shards do not
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 

@@ -49,7 +49,7 @@ class TestProcessBackendThroughput:
         """The fix stays *visible*: the committed baseline must keep
         per-backend throughput so the assertion above has data."""
         backends = sweep_baseline["backends"]
-        assert {"serial", "thread", "process", "native"} <= set(backends)
+        assert {"serial", "thread", "process"} <= set(backends)
         for payload in backends.values():
             assert payload["points_per_second"] > 0
 

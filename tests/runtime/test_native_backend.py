@@ -1,14 +1,14 @@
 """Native op-tape kernel: differential identity and graceful degradation.
 
-The native backend's contract has two halves, both pinned here:
+The native kernel's contract has two halves, both pinned here:
 
-* **when a native kernel builds** (numba or a C toolchain), its output
-  is *byte-identical* to the ufunc kernel — the build-time probe refuses
-  any kernel that differs by even one ULP, so the sweep's `backend=`
-  argument can never change results;
-* **when nothing builds** (no numba, no compiler, or
-  ``REPRO_NATIVE=off``) the sweep degrades to the ufunc kernel with a
-  single logged warning — never an error, never different values.
+* **when a native kernel builds** (a C toolchain), its output is
+  *byte-identical* to the ufunc kernel — the build-time probe refuses
+  any kernel that differs by even one ULP, so which kernel a sweep runs
+  can never change results;
+* **when nothing builds** (no compiler, or ``REPRO_NATIVE=off``) the
+  sweep degrades to the ufunc kernel with a single logged warning —
+  never an error, never different values.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from numpy.testing import assert_array_equal
 from repro import awesymbolic
 from repro.circuits.library import fig1_circuit, small_signal_741
 from repro.core import metrics
+from repro.runtime import RuntimeStats
 from repro.runtime.native import (NativeUnavailable, build_native_kernel,
-                                  native_kernel_for)
+                                  disabled, native_kernel_for,
+                                  wait_for_builds)
 from repro.symbolic.tape import tape_for
 
 
@@ -90,38 +92,48 @@ class TestKernelIdentity:
         fn = model_741.model.compiled_moments.fn
         mask = (True,) * len(fn.space)
         kernel = _kernel_or_skip(fn, mask)
-        assert kernel.flavor in ("numba", "c")
-        assert "repro_tape_kernel" in kernel.source or "def " in kernel.source
+        assert "repro_tape_kernel" in kernel.source
 
 
 class TestSweepIdentity:
-    def test_native_sweep_matches_serial(self, model_741):
+    """Shards are the one way a sweep uses more CPUs: two shard threads,
+    each running the native kernel (once bound) on its own slice, equal
+    the serial sweep on the ufunc kernel bit for bit."""
+
+    @staticmethod
+    def _check(model, grids, monkeypatch):
+        model.sweep(grids, metrics.dominant_pole_hz)  # asks for the kernel
+        assert wait_for_builds(timeout=120)
+        fn = model.compiled_moments.fn
+        bound = ((True,) * len(fn.space) in fn._native_kernels
+                 and not disabled())
+        with monkeypatch.context() as m:
+            m.setenv("REPRO_NATIVE", "off")  # base: the ufunc kernel
+            base = model.sweep(grids, metrics.dominant_pole_hz,
+                               backend="serial")
+        stats = RuntimeStats()
+        other = model.sweep(grids, metrics.dominant_pole_hz, shards=2,
+                            max_workers=2, stats=stats)
+        assert (stats.backend, stats.workers) == ("thread", 2)
+        assert stats.points == base.size
+        assert stats.native_points == (stats.points if bound else 0)
+        assert_array_equal(np.asarray(base), np.asarray(other))
+
+    def test_native_sweep_matches_serial(self, model_741, monkeypatch):
         go_nom = model_741.partition.symbolic[0].symbol.nominal
         grids = {"go_Q14": np.linspace(0.5, 4.0, 16) * go_nom,
                  "Ccomp": np.linspace(10e-12, 60e-12, 16)}
-        base = model_741.model.sweep(grids, metrics.dominant_pole_hz,
-                                     backend="serial")
-        other = model_741.model.sweep(grids, metrics.dominant_pole_hz,
-                                      backend="native")
-        assert_array_equal(np.asarray(base), np.asarray(other))
+        self._check(model_741.model, grids, monkeypatch)
 
-    def test_native_sweep_matches_serial_fig1(self, fig1_model):
+    def test_native_sweep_matches_serial_fig1(self, fig1_model, monkeypatch):
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 11),
                  "C2": np.linspace(0.1e-12, 3e-12, 11)}
-        base = fig1_model.model.sweep(grids, metrics.dominant_pole_hz,
-                                      backend="serial")
-        other = fig1_model.model.sweep(grids, metrics.dominant_pole_hz,
-                                       backend="native")
-        assert_array_equal(np.asarray(base), np.asarray(other))
+        self._check(fig1_model.model, grids, monkeypatch)
 
-    def test_native_sweep_matches_serial_ota(self, ota_model):
+    def test_native_sweep_matches_serial_ota(self, ota_model, monkeypatch):
         grids = {"Cc": np.linspace(1e-12, 10e-12, 10),
                  "gds_M6": np.linspace(1e-6, 1e-4, 10)}
-        base = ota_model.model.sweep(grids, metrics.dominant_pole_hz,
-                                     backend="serial")
-        other = ota_model.model.sweep(grids, metrics.dominant_pole_hz,
-                                      backend="native")
-        assert_array_equal(np.asarray(base), np.asarray(other))
+        self._check(ota_model.model, grids, monkeypatch)
 
 
 class TestDegradation:
@@ -136,23 +148,20 @@ class TestDegradation:
         base = res.model.sweep(grids, metrics.dominant_pole_hz,
                                backend="serial")
         with caplog.at_level(logging.WARNING, logger="repro.symbolic"):
-            other = res.model.sweep(grids, metrics.dominant_pole_hz,
-                                    backend="native")
+            other = res.model.sweep(grids, metrics.dominant_pole_hz)
         assert_array_equal(np.asarray(base), np.asarray(other))
         warnings = [r for r in caplog.records
                     if "native kernel unavailable" in r.message]
         assert len(warnings) == 1
 
     def test_failed_mask_warns_once(self, monkeypatch, caplog):
-        """The second native sweep of a failed mask stays silent."""
+        """The second sweep of a failed mask stays silent."""
         monkeypatch.setenv("REPRO_NATIVE", "off")
         res = awesymbolic(fig1_circuit(), "out", symbols=["C2"], order=2)
         grids = {"C2": np.linspace(0.1e-12, 3e-12, 5)}
         with caplog.at_level(logging.WARNING, logger="repro.symbolic"):
-            res.model.sweep(grids, metrics.dominant_pole_hz,
-                            backend="native")
-            res.model.sweep(grids, metrics.dominant_pole_hz,
-                            backend="native")
+            res.model.sweep(grids, metrics.dominant_pole_hz)
+            res.model.sweep(grids, metrics.dominant_pole_hz)
         warnings = [r for r in caplog.records
                     if "native kernel unavailable" in r.message]
         assert len(warnings) == 1
@@ -166,30 +175,15 @@ class TestDegradation:
 
 
 class TestThreadedKernel:
-    """REPRO_NATIVE_THREADS > 1 builds the parallel flavor.
-
-    The threaded kernel splits the point range into disjoint slices of
-    the same output slab, so results must be invariant to the thread
-    count *and* to the 2048-point threshold below which the kernel runs
-    the calling thread only.
-    """
-
-    @pytest.fixture()
-    def threaded(self, model_741, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", "3")
-        fn = model_741.model.compiled_moments.fn
-        mask = (True,) * len(fn.space)
-        return fn, _kernel_or_skip(fn, mask)
-
-    def test_parallel_flavor_built(self, threaded):
-        _, kernel = threaded
-        assert kernel.parallel
-        assert kernel.threads == 3
+    """One call evaluates the whole batch on the caller's thread,
+    byte-identical to the ufunc kernel at every size, from one point to
+    more than two default sweep chunks."""
 
     @pytest.mark.parametrize("n", [1, 7, 2047, 2048, 4096, 10001])
-    def test_byte_identical_across_thread_threshold(self, threaded, n,
+    def test_byte_identical_across_thread_threshold(self, model_741, n,
                                                     monkeypatch):
-        fn, kernel = threaded
+        fn = model_741.model.compiled_moments.fn
+        kernel = _kernel_or_skip(fn, (True,) * len(fn.space))
         cols = _columns(fn, n)
         monkeypatch.setenv("REPRO_NATIVE", "off")  # want: the ufunc kernel
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -200,25 +194,6 @@ class TestThreadedKernel:
             got = kernel(cols, n)
         for w, g in zip(want, got):
             assert w.tobytes() == np.asarray(g).tobytes()
-
-    def test_single_thread_env_stays_serial(self, model_741, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", "1")
-        fn = model_741.model.compiled_moments.fn
-        kernel = _kernel_or_skip(fn, (True,) * len(fn.space))
-        assert not kernel.parallel
-        assert kernel.threads == 1
-
-    def test_threaded_native_sweep_matches_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NATIVE_THREADS", "2")
-        res = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"],
-                          order=1)
-        grids = {"C1": np.linspace(0.5e-12, 5e-12, 48),
-                 "C2": np.linspace(0.1e-12, 3e-12, 48)}
-        base = res.model.sweep(grids, metrics.dominant_pole_hz,
-                               backend="serial")
-        other = res.model.sweep(grids, metrics.dominant_pole_hz,
-                                backend="native")
-        assert_array_equal(np.asarray(base), np.asarray(other))
 
 
 class TestFusedKernel:
