@@ -46,7 +46,7 @@ SEQUENTIAL = 200
 
 def make_service() -> AWEService:
     config = ServiceConfig(
-        max_batch=64, max_delay_s=0.002,
+        max_batch=64,
         max_inflight=WAVE, max_queue=WAVE,
         tenant_rate=1e9, tenant_burst=1e9, bulkhead_limit=WAVE,
         default_deadline_s=30.0)

@@ -39,7 +39,7 @@ from repro.testing import FaultInjector
 def make_service(cache_dir: Path) -> AWEService:
     config = ServiceConfig(
         host="127.0.0.1", port=0,
-        max_batch=32, max_delay_s=0.002,
+        max_batch=32,
         max_inflight=16, max_queue=16,
         tenant_rate=1e6, tenant_burst=1e6, bulkhead_limit=64,
         default_deadline_s=1.0, drain_grace_s=10.0)

@@ -423,10 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LRU-evict the cache dir beyond this budget")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="coalescer batch cap (default 64)")
-    serve.add_argument("--max-delay-ms", type=float, default=5.0,
-                       help="longest a request waits for a busy "
-                            "evaluator, in ms (default 5; an idle "
-                            "service evaluates at once)")
     serve.add_argument("--deadline-s", type=float, default=2.0,
                        help="default per-request deadline (default 2s)")
     serve.add_argument("--no-degrade", action="store_true",
@@ -434,12 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(breaker-open requests get a typed 503)")
     serve.add_argument("--warm", action="store_true",
                        help="compile every registered model before binding")
-    serve.add_argument("--backend", default=None, choices=BACKENDS,
-                       help="shard execution backend for served sweeps")
-    serve.add_argument("--shards", type=int, default=None,
-                       help="split each served sweep into N shards")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="worker-pool width for served sweep shards")
     serve.add_argument("--slo-availability", type=float, default=None,
                        metavar="FRAC",
                        help="availability objective (default 0.999)")
@@ -1038,10 +1028,7 @@ def cmd_serve(args) -> int:
         slo_kwargs["degraded_ratio_objective"] = args.slo_degraded_ratio
     config = ServiceConfig(
         host=args.host, port=args.port, max_batch=args.max_batch,
-        max_delay_s=args.max_delay_ms / 1000.0,
         default_deadline_s=args.deadline_s, degrade=not args.no_degrade,
-        backend=args.backend, sweep_shards=args.shards,
-        sweep_workers=args.workers,
         slo=SLOConfig(**slo_kwargs),
         readyz_gate_on_burn=args.readyz_burn_gate,
         flightrec_capacity=args.flightrec_capacity,

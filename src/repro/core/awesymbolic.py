@@ -98,22 +98,18 @@ class CompileSession:
         condense_cache: optional
             :class:`~repro.runtime.cache.CondensationCache` for numeric
             block expansions (shared across sessions and processes).
-        condense_workers: condense independent blocks on a thread pool of
-            this width.
     """
 
     def __init__(self, circuit: Circuit, output: str,
                  symbols: list[str] | None = None,
                  n_symbols: int = 2,
                  extra_ports: tuple[str, ...] = (),
-                 condense_cache=None,
-                 condense_workers: int | None = None) -> None:
+                 condense_cache=None) -> None:
         self.circuit = circuit
         self.output = output
         self.n_symbols = n_symbols
         self.extra_ports = extra_ports
         self.condense_cache = condense_cache
-        self.condense_workers = condense_workers
         self.selected_automatically = symbols is None
         self.symbols: list[str] | None = (list(symbols)
                                           if symbols is not None else None)
@@ -153,8 +149,7 @@ class CompileSession:
                          n_moments=n_moments, resume_from=rec.order):
             if n_moments > rec.order:
                 expansions = condense_blocks(part, n_moments,
-                                             cache=self.condense_cache,
-                                             workers=self.condense_workers)
+                                             cache=self.condense_cache)
                 rec.extend(n_moments, expansions=expansions)
             sm = rec.moments(self.output, n_moments)
 
@@ -200,8 +195,7 @@ def awesymbolic(circuit: Circuit, output: str,
                 extra_moments: int = DEFAULT_EXTRA_MOMENTS,
                 extra_ports: tuple[str, ...] = (),
                 build_closed_forms: bool = True,
-                condense_cache=None,
-                condense_workers: int | None = None) -> AWESymbolicResult:
+                condense_cache=None) -> AWESymbolicResult:
     """Run the full AWEsymbolic analysis.
 
     Args:
@@ -216,7 +210,6 @@ def awesymbolic(circuit: Circuit, output: str,
         build_closed_forms: also derive the order-1/2 symbolic pole forms.
         condense_cache: optional persistent cache for numeric block
             condensation (see :class:`~repro.runtime.cache.CondensationCache`).
-        condense_workers: thread-pool width for parallel block condensation.
 
     Returns:
         :class:`AWESymbolicResult`.
@@ -227,7 +220,6 @@ def awesymbolic(circuit: Circuit, output: str,
     """
     session = CompileSession(circuit, output, symbols=symbols,
                              n_symbols=n_symbols, extra_ports=extra_ports,
-                             condense_cache=condense_cache,
-                             condense_workers=condense_workers)
+                             condense_cache=condense_cache)
     return session.compile(order, extra_moments=extra_moments,
                            build_closed_forms=build_closed_forms)

@@ -1,30 +1,23 @@
-"""Cached, parallel condensation of a partition's numeric blocks.
+"""Cached condensation of a partition's numeric blocks.
 
 Condensing a numeric block — clamping its ports and reading the
 Maclaurin port admittance coefficients ``Y0..Yq`` off repeated sparse LU
 solves (:func:`~repro.partition.ports.port_admittance_moments`) — is pure
 numerics, fully decoupled from the symbols.  That makes it the easiest
-part of the compile path to amortize:
+part of the compile path to amortize: a block's expansion depends only
+on its elements, its port list and the expansion order, so it is stored
+under a content hash in a :class:`~repro.runtime.cache.CondensationCache`.
+Editing one block or changing the symbol set re-condenses only what
+changed; everything else is a cache hit (and the cached float arrays
+round-trip exactly, preserving bit-identical compiled moments).
 
-* **content-addressed caching** — a block's expansion depends only on its
-  elements, its port list and the expansion order, so it is stored under
-  a content hash in a :class:`~repro.runtime.cache.CondensationCache`.
-  Editing one block or changing the symbol set re-condenses only what
-  changed; everything else is a cache hit (and the cached float arrays
-  round-trip exactly, preserving bit-identical compiled moments).
-* **parallelism** — blocks are independent, so cache misses condense
-  concurrently on a thread pool (the sparse LU work is done by numpy /
-  scipy outside the GIL).
-
-Every block emits a ``compile.condense.block`` trace span (attached to
-the caller's span even when condensed on a worker thread) and feeds the
-``repro_compile_*`` metrics.
+Every condensed block emits a ``compile.condense.block`` trace span and
+feeds the ``repro_compile_*`` metrics.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Sequence
 
 from ..obs import metrics as _metrics
@@ -40,7 +33,6 @@ __all__ = ["condense_blocks"]
 
 def condense_blocks(part: CircuitPartition, order: int,
                     cache: "CondensationCache | None" = None,
-                    workers: int | None = None,
                     ) -> list[NumericBlockExpansion]:
     """Port-admittance expansions ``Y0..Y<order>`` for every numeric block.
 
@@ -49,9 +41,6 @@ def condense_blocks(part: CircuitPartition, order: int,
         order: highest Maclaurin coefficient needed.
         cache: optional :class:`~repro.runtime.cache.CondensationCache`;
             hits skip the numeric solve entirely, misses are stored back.
-        workers: condense cache misses on a thread pool of this width
-            (``None``/``0``/``1`` = in the calling thread).  Results are
-            identical either way — only wall time changes.
 
     Returns:
         Expansions aligned with ``part.numeric_blocks``, each of exactly
@@ -77,38 +66,18 @@ def condense_blocks(part: CircuitPartition, order: int,
         reg.counter("repro_compile_condense_misses_total",
                     "numeric block condensations computed cold"
                     ).inc(len(misses))
-        tracer = _trace.current_tracer()
-        parent_ctx = tracer.context() if tracer is not None else None
-
-        def condense_one(i: int) -> NumericBlockExpansion:
+        for i in misses:
             blk = blocks[i]
             t0 = time.perf_counter()
-            if tracer is None:
-                exp = port_admittance_moments(blk.circuit, blk.ports, order)
-            else:
-                # worker threads have no span stack; adopt the caller's
-                # span as logical parent so blocks nest in the trace
-                with tracer.attach(parent_ctx), \
-                        tracer.span("compile.condense.block",
-                                    block=blk.circuit.title,
-                                    ports=len(blk.ports), order=order):
-                    exp = port_admittance_moments(blk.circuit, blk.ports,
-                                                  order)
+            with _trace.span("compile.condense.block",
+                             block=blk.circuit.title,
+                             ports=len(blk.ports), order=order):
+                results[i] = port_admittance_moments(blk.circuit, blk.ports,
+                                                     order)
             reg.histogram("repro_compile_condense_seconds",
                           "wall time condensing one numeric block"
                           ).observe(time.perf_counter() - t0)
-            return exp
-
-        pool_width = min(int(workers or 1), len(misses))
-        if pool_width > 1:
-            with ThreadPoolExecutor(max_workers=pool_width) as pool:
-                for i, exp in zip(misses, pool.map(condense_one, misses)):
-                    results[i] = exp
-        else:
-            for i in misses:
-                results[i] = condense_one(i)
-        if cache is not None:
-            for i in misses:
-                cache.put(blocks[i].circuit, blocks[i].ports, results[i])
+            if cache is not None:
+                cache.put(blk.circuit, blk.ports, results[i])
 
     return [exp for exp in results if exp is not None]

@@ -240,8 +240,8 @@ class ProgramCache(_StoreCache):
     # ------------------------------------------------------------------
     #: keyword options that change *how* a model is built but never *what*
     #: it contains; excluded from cache keys so passing a live cache object
-    #: or a worker count does not fragment (or destabilize) the key space.
-    _NON_SEMANTIC_OPTIONS = frozenset({"condense_cache", "condense_workers"})
+    #: does not fragment (or destabilize) the key space.
+    _NON_SEMANTIC_OPTIONS = frozenset({"condense_cache"})
 
     def key_for(self, circuit: Circuit, output: str,
                 symbols: Sequence[str] | None, order: int,
@@ -373,8 +373,7 @@ class ProgramCache(_StoreCache):
         session = self._sessions.get(skey)
         if session is None:
             init_kw = {k: kwargs[k] for k in ("n_symbols", "extra_ports",
-                                              "condense_cache",
-                                              "condense_workers")
+                                              "condense_cache")
                        if k in kwargs}
             session = CompileSession(circuit, output, symbols=list(symbols),
                                      **init_kw)

@@ -10,8 +10,9 @@ on asyncio:
   :class:`~repro.runtime.cache.ProgramCache` keys with single-flight
   compilation and warm-entry LRU;
 * :mod:`~repro.service.coalescer` — batches concurrent small requests
-  into one vectorized paired-column sweep with end-to-end cooperative
-  deadline propagation (down to shard-chunk granularity);
+  into one vectorized paired-column sweep, evaluated on the event loop,
+  with end-to-end cooperative deadline propagation (down to chunk
+  granularity);
 * :mod:`~repro.service.policies` — admission control with load
   shedding, per-tenant token-bucket quotas and bulkheads, a shared
   retry budget, and per-model circuit breakers keyed on sweep

@@ -8,14 +8,14 @@ evaluates each group as **one paired-column sweep**: each request
 contributes one joint sample row (its element overrides, nominals
 elsewhere), exactly the Monte Carlo evaluation shape.
 
-A bucket flushes at ``max_batch`` members, or — while none of this
-coalescer's batches is running — at the end of the current event-loop
-turn, so requests submitted in one turn share a batch and a lone request
-on an idle service waits for nothing.  While a batch runs (in-process
-evaluation holds the GIL, so one running batch already keeps the CPU
-busy), new requests wait: their buckets flush when the last running
-batch finishes, or ``max_delay_s`` after their first member arrived,
-whichever comes first.
+Batches run on the event loop's thread.  Evaluation holds the GIL, so a
+thread hop would buy no concurrency, only its round trip; and since no
+request can reach the coalescer while a batch runs, a bucket flushes
+either at ``max_batch`` members or at the end of the current event-loop
+turn: requests submitted in one turn share a batch, and a lone request
+waits for nothing.  A batch holds the loop while it runs (on one
+pinned CPU, a 64-request 741 batch took 0.29 ms for ``dominant_pole_hz``
+and 0.34 ms for ``phase_margin`` at order 2, and 1.7–3.0 ms at order 4).
 
 Deadline propagation is end-to-end and cooperative:
 
@@ -24,8 +24,8 @@ Deadline propagation is end-to-end and cooperative:
   spent);
 * the batch runs under a :class:`~repro.runtime.cancel.CancelToken`
   armed to fire at the **latest** live member's deadline, threaded down
-  through ``run_shards`` into the chunked evaluation loop — once every
-  member's deadline has passed, compute stops within one shard-chunk;
+  into the chunked evaluation loop — once every member's deadline has
+  passed, compute stops within one chunk;
 * members whose deadline passes while the batch is in flight get a
   typed :class:`~repro.service.errors.DeadlineExceeded` even when the
   batch itself completes (their answer is late, and late is wrong).
@@ -34,6 +34,7 @@ Deadline propagation is end-to-end and cooperative:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -44,7 +45,6 @@ from ..core.metrics import resolve_metric
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import trace as _trace
-from ..runtime.backends import resolve_backend
 from ..runtime.cancel import CancelToken, Deadline
 from .errors import DeadlineExceeded
 from .registry import ModelEntry
@@ -108,48 +108,24 @@ class Coalescer:
 
     Args:
         max_batch: flush a bucket as soon as it holds this many.
-        max_delay_s: the longest a request waits for a busy evaluator:
-            a bucket opened while a batch is running flushes this long
-            after its first member arrived, or when the last running
-            batch finishes, whichever is first (on an idle coalescer a
-            bucket flushes at the end of the current loop turn).
-        executor: thread pool for the numpy evaluation (None = loop
-            default).
         resilience: optional :class:`~repro.runtime.resilience.
             ResilienceConfig` threaded into ``batched_sweep`` (the
             server wires its shared retry budget through this).
-        backend: sweep backend for the batch evaluation (``None`` keeps
-            ``batched_sweep``'s default; ``"process"`` fans shards out
-            to worker processes — trace context ships with the shards).
-            An unknown name raises
-            :class:`~repro.errors.ApproximationError` here, not on every
-            batch.
-        shards / workers: forwarded to ``batched_sweep`` when set.
         clock: injectable monotonic clock.
     """
 
-    def __init__(self, max_batch: int = 64, max_delay_s: float = 0.005,
-                 executor=None, resilience=None,
+    def __init__(self, max_batch: int = 64, resilience=None,
                  chunk_points: int = SERVICE_CHUNK_POINTS,
-                 backend: str | None = None, shards: int | None = None,
-                 workers: int | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if max_batch < 1 or max_delay_s < 0:
-            raise ValueError("need max_batch >= 1 and max_delay_s >= 0")
-        resolve_backend(backend, 1)
+        if max_batch < 1:
+            raise ValueError("need max_batch >= 1")
         self.max_batch = max_batch
-        self.max_delay_s = max_delay_s
-        self.executor = executor
         self.resilience = resilience
         self.chunk_points = chunk_points
-        self.backend = backend
-        self.shards = shards
-        self.workers = workers
         self._clock = clock
         self._buckets: dict[tuple, list[EvalRequest]] = {}
-        #: per bucket: the end-of-turn flush (idle) or max_delay_s timer
+        #: per bucket: its end-of-turn flush
         self._timers: dict[tuple, asyncio.Handle] = {}
-        self._inflight: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # intake
@@ -166,9 +142,7 @@ class Coalescer:
         if len(bucket) >= self.max_batch:
             self._flush(key)
         elif key not in self._timers:
-            self._timers[key] = (
-                loop.call_later(self.max_delay_s, self._flush, key)
-                if self._inflight else loop.call_soon(self._flush, key))
+            self._timers[key] = loop.call_soon(self._flush, key)
         return request.future
 
     def _flush(self, key: tuple) -> None:
@@ -176,28 +150,13 @@ class Coalescer:
         if timer is not None:
             timer.cancel()
         requests = self._buckets.pop(key, [])
-        if not requests:
-            return
-        task = asyncio.get_running_loop().create_task(
-            self._run_batch(requests))
-        self._inflight.add(task)
-        task.add_done_callback(self._batch_done)
-
-    def _batch_done(self, task: asyncio.Task) -> None:
-        """Forget a finished batch; if it was the last one running, every
-        waiting bucket flushes now."""
-        self._inflight.discard(task)
-        if not self._inflight:
-            for key in list(self._buckets):
-                self._flush(key)
+        if requests:
+            self._run_batch(requests)
 
     async def drain(self) -> None:
-        """Flush every bucket and wait for all in-flight batches."""
+        """Evaluate every waiting bucket now."""
         for key in list(self._buckets):
             self._flush(key)
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight),
-                                 return_exceptions=True)
 
     @property
     def pending(self) -> int:
@@ -206,17 +165,17 @@ class Coalescer:
     # ------------------------------------------------------------------
     # evaluation
     # ------------------------------------------------------------------
-    async def _run_batch(self, requests: list[EvalRequest]) -> None:
+    def _run_batch(self, requests: list[EvalRequest]) -> None:
         """Outermost batch guard: **every** member future resolves.
 
         A stranded future would hold its caller's admission and
         bulkhead slots forever (their release lives in a ``finally``
         around the await), so any exception escaping the batch body —
         including bugs in our own bucketing/sampling code — rejects
-        every still-pending member instead of killing the task.
+        every still-pending member instead of escaping into the loop.
         """
         try:
-            await self._run_batch_inner(requests)
+            self._run_batch_inner(requests)
         except Exception as exc:
             _metrics.registry().counter(
                 "repro_serve_batch_internal_error_total",
@@ -228,7 +187,7 @@ class Coalescer:
             for req in requests:
                 self._reject(req, exc)
 
-    async def _run_batch_inner(self, requests: list[EvalRequest]) -> None:
+    def _run_batch_inner(self, requests: list[EvalRequest]) -> None:
         reg = _metrics.registry()
         now = self._clock()
         live: list[EvalRequest] = []
@@ -275,19 +234,15 @@ class Coalescer:
                 members=[r.parent_span for r in live],
                 member_traces=[r.trace_id for r in live]).start()
 
-        loop = asyncio.get_running_loop()
         t0 = self._clock()
         try:
-            result = await loop.run_in_executor(
-                self.executor, self._eval_sync, entry, samples, metric,
-                order, budget,
+            values, diagnostics = self._sweep(
+                entry, samples, metric, order, budget,
                 batch_span.span_id if batch_span is not None else None)
         except Exception as exc:  # library error: reject the whole batch
             entry.breaker.record(False)
             if batch_span is not None:
                 batch_span.set(error=type(exc).__name__)
-                batch_span.finish()
-                batch_span = None
             for req in live:
                 self._reject(req, exc)
             return
@@ -295,7 +250,6 @@ class Coalescer:
             if batch_span is not None:
                 batch_span.finish()
         eval_s = self._clock() - t0
-        values, diagnostics = result
         entry.breaker.observe(diagnostics)
         entry.served += len(live)
         if diagnostics is not None and getattr(diagnostics, "nan_points", 0):
@@ -326,15 +280,14 @@ class Coalescer:
                 queue_s=t0 - req.enqueued, eval_s=eval_s,
                 diagnostics=diagnostics))
 
-    def _eval_sync(self, entry: ModelEntry, samples, metric, order,
-                   budget_s: float | None,
-                   batch_span_id: int | None = None):
-        """Synchronous paired-column sweep (runs in the executor).
+    def _sweep(self, entry: ModelEntry, samples, metric, order,
+               budget_s: float | None, batch_span_id: int | None = None):
+        """The batch's paired-column sweep, serial on the calling thread.
 
         ``batch_span_id`` re-parents the sweep's span tree under the
-        batch span: the executor thread adopts it as its inherited
-        parent, so ``sweep.total`` (and everything below, including
-        worker-process shard spans) nests under the batch.
+        batch span: the loop thread opens no span of its own (request
+        and batch spans are detached), so the sweep adopts it as its
+        inherited parent and ``sweep.total`` nests under the batch.
         """
         cancel = CancelToken()
         deadline = None
@@ -342,27 +295,14 @@ class Coalescer:
             deadline = Deadline.after(budget_s)
             cancel = CancelToken(parent=deadline.token)
         from ..runtime.batched import batched_sweep  # lazy: import cycle
-        sweep_kwargs = {}
-        if self.backend is not None:
-            sweep_kwargs["backend"] = self.backend
-        if self.shards is not None:
-            sweep_kwargs["shards"] = self.shards
-        if self.workers is not None:
-            sweep_kwargs["max_workers"] = self.workers
         tracer = _trace.current_tracer()
         try:
-            if tracer is not None and batch_span_id is not None:
-                with tracer.attach(batch_span_id):
-                    result = batched_sweep(
-                        entry.model, samples, metric, order=order,
-                        resilience=self.resilience, paired=True,
-                        cancel=cancel, chunk_points=self.chunk_points,
-                        **sweep_kwargs)
-            else:
+            with (tracer.attach(batch_span_id) if tracer is not None
+                  else contextlib.nullcontext()):
                 result = batched_sweep(
                     entry.model, samples, metric, order=order,
                     resilience=self.resilience, paired=True, cancel=cancel,
-                    chunk_points=self.chunk_points, **sweep_kwargs)
+                    chunk_points=self.chunk_points)
             return np.asarray(result).reshape(-1), result.diagnostics
         finally:
             if deadline is not None:

@@ -17,8 +17,9 @@ name is registered again.
 Compilation is **single-flight**: N concurrent requests for a cold
 model trigger exactly one compile (the first caller compiles; each
 follower awaits a future of its own that the compile resolves).
-Compiles run in the server's thread-pool executor so the event loop
-stays responsive.
+Compiles run in the server's thread-pool executor, the only work the
+service moves off the event loop (batches run on it), so a cold
+compile never stalls the requests being served.
 
 Each entry carries its own :class:`~repro.service.policies.
 CircuitBreaker` and a pre-built **degraded fallback**: the same

@@ -17,10 +17,15 @@ tolerance ladder's loosest rung (see :class:`~repro.testing.
 differential.ToleranceLadder`), so callers get a bounded-accuracy
 answer plus an honest label instead of a 503.
 
+Threads: batches and degraded answers are evaluated on the event
+loop's thread (evaluation holds the GIL, so another thread would add a
+round trip and no concurrency); only cold compiles run on the
+service's small thread pool, so a compile never stalls the loop.
+
 Lifecycle: SIGINT/SIGTERM flips the service into *draining* — ``/readyz``
 goes 503, new requests get a typed ``draining`` rejection, in-flight
-batches finish (bounded by ``drain_grace_s``), diagnostics and metrics
-flush, worker pools tear down — then the loop exits cleanly.
+requests finish (bounded by ``drain_grace_s``), diagnostics and metrics
+flush, the compile pool shuts down — then the loop exits cleanly.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from ..obs import recorder as _recorder
 from ..obs import trace as _trace
 from ..obs.export import prometheus_text
 from ..obs.slo import SLOConfig, SLOTracker
-from ..runtime.backends import shutdown_pools
 from ..runtime.resilience import DEFAULT_RESILIENCE
 from ..testing.differential import ToleranceLadder
 from .coalescer import Coalescer, EvalRequest
@@ -86,7 +90,6 @@ class ServiceConfig:
     port: int = 8471
     # coalescing
     max_batch: int = 64
-    max_delay_s: float = 0.005
     # admission
     max_inflight: int = 64
     max_queue: int = 128
@@ -107,14 +110,10 @@ class ServiceConfig:
     # lifecycle
     drain_grace_s: float = 10.0
     metrics_path: Path | None = None  #: Prometheus textfile on shutdown
-    # evaluation
+    # compilation
+    #: threads for cold compiles (``registry.ensure``) only; batches
+    #: and degraded answers run on the event loop
     executor_workers: int = 4
-    #: sweep backend for coalesced batches (None = batched_sweep's
-    #: default, i.e. serial in-process; "process" fans shards out to
-    #: worker processes — trace context follows either way)
-    backend: str | None = None
-    sweep_shards: int | None = None
-    sweep_workers: int | None = None
     # observability
     slo: SLOConfig = field(default_factory=SLOConfig)
     #: when True, /readyz also goes unready while the fast-window SLO
@@ -150,12 +149,8 @@ class AWEService:
         self.resilience = dataclasses.replace(
             DEFAULT_RESILIENCE, retry_budget=self.retry_budget.spend)
         self.coalescer = Coalescer(
-            max_batch=self.config.max_batch,
-            max_delay_s=self.config.max_delay_s,
-            executor=self.executor, resilience=self.resilience,
-            backend=self.config.backend,
-            shards=self.config.sweep_shards,
-            workers=self.config.sweep_workers, clock=clock)
+            max_batch=self.config.max_batch, resilience=self.resilience,
+            clock=clock)
         self.admission = AdmissionController(self.config.max_inflight,
                                              self.config.max_queue)
         self.ladder = ToleranceLadder()
@@ -299,7 +294,7 @@ class AWEService:
 
         if not entry.breaker.allow():
             if self.config.degrade and order > 1:
-                return await self._degraded(entry, metric, values, tenant)
+                return self._degraded(entry, metric, values)
             self._count_reject("breaker_open")
             raise BreakerOpen(
                 f"model {entry.recipe.name!r} breaker is "
@@ -369,24 +364,16 @@ class AWEService:
                 f"{sorted(entry.model.element_slots)}")
         return metric, order, values, min(timeout, self.config.max_deadline_s)
 
-    async def _degraded(self, entry, metric: str, values: dict,
-                        tenant: str) -> dict:
+    def _degraded(self, entry, metric: str, values: dict) -> dict:
         """Order-1 fallback from the already-compiled program.
 
         Two moments, closed-form pole/residue, no batching — the answer
         is loose (tolerance ladder's ``degraded`` rung) but bounded,
-        explicit, and nearly free.
+        explicit, and nearly free, so it is computed on the loop.
         """
         from ..core.metrics import resolve_metric
-        fn = resolve_metric(metric)
-        loop = asyncio.get_running_loop()
-
-        def eval_order1() -> float:
-            rom = entry.model.rom(values or None, order=1,
-                                  require_stable=False)
-            return float(fn(rom))
-
-        value = await loop.run_in_executor(self.executor, eval_order1)
+        rom = entry.model.rom(values or None, order=1, require_stable=False)
+        value = float(resolve_metric(metric)(rom))
         entry.served += 1
         _metrics.registry().counter(
             "repro_serve_requests_total_degraded",
@@ -567,7 +554,6 @@ class AWEService:
         self.started = False
         self._flush()
         self.executor.shutdown(wait=True, cancel_futures=True)
-        shutdown_pools()
         self._drained.set()
 
     def _flush(self) -> None:

@@ -35,7 +35,7 @@ CACHE = ProgramCache()
 def make_service() -> AWEService:
     breaker = BreakerConfig(failure_threshold=0.5, window=4, min_samples=2,
                             cooldown_s=5.0, half_open_probes=1)
-    config = ServiceConfig(max_delay_s=0.01, breaker=breaker)
+    config = ServiceConfig(breaker=breaker)
     registry = ModelRegistry(cache=CACHE, breaker_config=breaker)
     registry.register("fig1", fig1_circuit(), "out",
                       symbols=["G1", "C2"], order=2)

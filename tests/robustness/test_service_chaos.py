@@ -23,7 +23,7 @@ import threading
 import pytest
 
 from repro.circuits.library import fig1_circuit
-from repro.errors import ApproximationError, ReproError
+from repro.errors import ReproError
 from repro.obs.recorder import DUMP_DIR_ENV
 from repro.runtime import ProgramCache
 from repro.service import (AWEService, BreakerConfig, BulkheadFull,
@@ -43,8 +43,7 @@ FAST_BREAKER = BreakerConfig(failure_threshold=0.5, window=4, min_samples=2,
 
 def make_service(clock=None, cache: ProgramCache | None = None,
                  **overrides) -> AWEService:
-    config = ServiceConfig(**{**dict(max_delay_s=0.01,
-                                     breaker=FAST_BREAKER), **overrides})
+    config = ServiceConfig(**{**dict(breaker=FAST_BREAKER), **overrides})
     kwargs = {} if clock is None else {"clock": clock}
     registry = ModelRegistry(cache=cache if cache is not None else CACHE,
                              breaker_config=config.breaker, **kwargs)
@@ -97,7 +96,7 @@ class TestHappyPath:
         metric = "dominant_pole_hz"  # G1-sensitive (dc gain is not)
 
         async def scenario():
-            service = make_service(max_batch=len(g1_values), max_delay_s=0.05)
+            service = make_service(max_batch=len(g1_values))
             try:
                 batched = await asyncio.gather(*[
                     service.handle_eval({"model": "fig1", "metric": metric,
@@ -121,9 +120,11 @@ class TestHappyPath:
 class TestConfiguration:
     @pytest.mark.parametrize("backend", ["gpu", "native"])
     def test_unknown_backend_fails_at_construction(self, backend):
-        """Not at every batch, where the breaker would soon turn the
-        failures into degraded answers."""
-        with pytest.raises(ApproximationError, match="unknown sweep backend"):
+        """The service runs every batch serially on its event loop and
+        has no sweep backend to choose: naming one fails when the
+        configuration is built, not at every batch, where the breaker
+        would soon turn the failures into degraded answers."""
+        with pytest.raises(TypeError, match="backend"):
             make_service(backend=backend)
 
 
@@ -155,7 +156,7 @@ class TestInvalidRequests:
         """Bad request coalesced with a good one: the bad one gets its
         typed 400 at the front door, the good one still resolves."""
         async def scenario():
-            service = make_service(max_batch=2, max_delay_s=0.05)
+            service = make_service(max_batch=2)
             try:
                 results = await asyncio.gather(
                     service.handle_eval({"model": "fig1",
@@ -241,7 +242,7 @@ class TestAdmissionUnderLoad:
         """A burst over both budgets sheds the excess, crashes nothing."""
         async def scenario():
             service = make_service(max_inflight=2, max_queue=1,
-                                   max_batch=4, max_delay_s=0.02)
+                                   max_batch=4)
             injector = FaultInjector()
             injector.sleeps("sweep.shard", 0.05, times=None)
             try:
@@ -284,8 +285,7 @@ class TestAdmissionUnderLoad:
 
     def test_bulkhead_caps_one_tenant(self):
         async def scenario():
-            service = make_service(bulkhead_limit=1, max_batch=1,
-                                   max_delay_s=0.0)
+            service = make_service(bulkhead_limit=1, max_batch=1)
             injector = FaultInjector()
             injector.sleeps("sweep.shard", 0.1, times=None)
             try:
@@ -308,10 +308,10 @@ class TestAdmissionUnderLoad:
 
 class TestDeadlines:
     def test_expired_in_queue_is_rejected_before_eval(self):
-        """Queue wait behind a busy evaluator ate the budget: typed
-        rejection, zero CPU spent."""
+        """Queue wait behind a batch that holds the loop ate the budget:
+        typed rejection, zero CPU spent."""
         async def scenario():
-            service = make_service(max_batch=8, max_delay_s=0.1)
+            service = make_service(max_batch=8)
             await service.registry.ensure("fig1")
             injector = FaultInjector()
             chunks: list[int] = []
@@ -321,21 +321,22 @@ class TestDeadlines:
             injector.sleeps("sweep.moments", 0.3, times=1)
             try:
                 with injector.armed():
-                    busy = asyncio.ensure_future(
-                        service.handle_eval({"model": "fig1"}))
-                    for _ in range(1000):  # until the stall starts (5 s)
-                        if chunks:
-                            break
-                        await asyncio.sleep(0.005)
-                    with pytest.raises(DeadlineExceeded):
-                        await service.handle_eval(
-                            {"model": "fig1", "timeout_s": 0.005})
-                    await busy
+                    # one turn, two buckets: the dc_gain batch runs on
+                    # the loop after the stalled dominant_pole_hz batch
+                    results = await asyncio.gather(
+                        service.handle_eval(
+                            {"model": "fig1", "metric": "dominant_pole_hz"}),
+                        service.handle_eval(
+                            {"model": "fig1", "metric": "dc_gain",
+                             "timeout_s": 0.005}),
+                        return_exceptions=True)
             finally:
                 await service.drain()
-            return chunks
+            return results, chunks
 
-        chunks = asyncio.run(scenario())
+        (busy, expired), chunks = asyncio.run(scenario())
+        assert isinstance(busy, dict) and math.isfinite(busy["value"])
+        assert isinstance(expired, DeadlineExceeded)
         assert chunks == [0]  # the stalled batch's chunk; never evaluated
 
     def test_mid_batch_deadline_stops_within_one_chunk(self):
@@ -345,7 +346,7 @@ class TestDeadlines:
         n = 4
 
         async def scenario():
-            service = make_service(max_batch=n, max_delay_s=0.5)
+            service = make_service(max_batch=n)
             service.coalescer.chunk_points = 1  # 1 request = 1 chunk
             injector = FaultInjector()
             chunks: list[int] = []
@@ -376,7 +377,7 @@ class TestDeadlines:
         """A deadline-less member keeps the batch uncancellable; the
         expired member still gets its typed rejection afterwards."""
         async def scenario():
-            service = make_service(max_batch=2, max_delay_s=0.05)
+            service = make_service(max_batch=2)
             injector = FaultInjector()
             injector.sleeps("sweep.shard", 0.15, times=None)
             try:
@@ -553,7 +554,7 @@ class TestContractUnderStorm:
         async def scenario():
             service = make_service(max_inflight=4, max_queue=2,
                                    tenant_rate=1000.0, tenant_burst=20.0,
-                                   max_batch=4, max_delay_s=0.01)
+                                   max_batch=4)
             injector = FaultInjector()
             injector.raises("sweep.shard", times=3)
             injector.sleeps("sweep.shard", 0.05, times=3)

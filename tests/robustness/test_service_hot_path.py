@@ -1,11 +1,12 @@
 """The fixed costs a served request pays on top of its sweep.
 
-Three properties of the serving hot path (`docs/serving.md`):
+Four properties of the serving hot path (`docs/serving.md`):
 
-* an idle coalescer flushes a bucket at the end of the current loop
-  turn, so a lone request waits for nothing; while a batch is running,
-  new requests wait for it (at most ``max_delay_s``) and then share one
-  batch;
+* the coalescer flushes a bucket at the end of the current loop turn,
+  so a lone request waits for nothing and requests of one turn share
+  one batch;
+* served batches and degraded answers are computed on the event loop's
+  thread, with no executor round trip;
 * the registry keys a model once, at registration, from a private
   snapshot of its circuit, so no request hashes the circuit and editing
   the caller's circuit afterwards changes nothing served until the name
@@ -17,7 +18,7 @@ Three properties of the serving hot path (`docs/serving.md`):
 from __future__ import annotations
 
 import asyncio
-import math
+import threading
 import time
 
 import pytest
@@ -28,6 +29,7 @@ from repro.obs import trace as obs_trace
 from repro.runtime import ProgramCache
 from repro.runtime import cache as runtime_cache
 from repro.service import AWEService, ModelRegistry, ServiceConfig
+from repro.service.policies import OPEN
 from repro.service.server import PHASES
 from repro.testing import FaultInjector
 
@@ -52,29 +54,19 @@ def pole_request(g1: float = 1.0, **extra) -> dict:
             "values": {"G1": g1}, **extra}
 
 
-def stalled_first_batch(seconds: float) -> tuple[FaultInjector, list]:
-    """An injector whose first evaluated chunk stalls ``seconds``; the
-    returned list records every chunk as it starts."""
-    chunks: list[int] = []
+def recording_threads(site: str) -> tuple[FaultInjector, list]:
+    """An injector that records the thread each ``site`` fires on."""
+    threads: list[int] = []
     injector = FaultInjector()
-    injector.on("sweep.moments", lambda p: chunks.append(p["offset"]),
+    injector.on(site, lambda p: threads.append(threading.get_ident()),
                 times=None)
-    injector.sleeps("sweep.moments", seconds, times=1)
-    return injector, chunks
-
-
-async def until_evaluating(chunks: list, timeout: float = 5.0) -> None:
-    """Wait until the stalled batch has started evaluating."""
-    give_up = time.monotonic() + timeout
-    while not chunks:
-        assert time.monotonic() < give_up, "no batch started evaluating"
-        await asyncio.sleep(0.002)
+    return injector, threads
 
 
 class TestFlushWhenIdle:
     def test_lone_request_on_idle_service_waits_for_nothing(self):
         async def scenario():
-            service = make_service(max_delay_s=0.5)
+            service = make_service()
             try:
                 await service.registry.ensure("fig1")
                 t0 = time.perf_counter()
@@ -85,12 +77,12 @@ class TestFlushWhenIdle:
 
         resp, wall = asyncio.run(scenario())
         assert resp["batch_size"] == 1
-        assert resp["queue_s"] < 0.05  # not the 0.5 s bound
+        assert resp["queue_s"] < 0.05
         assert wall < 0.25
 
     def test_same_turn_requests_share_one_batch(self):
         async def scenario():
-            service = make_service(max_delay_s=0.5)
+            service = make_service()
             try:
                 await service.registry.ensure("fig1")
                 return await asyncio.gather(
@@ -110,7 +102,7 @@ class TestColdBurst:
         turn and share one batch; cancelling one of them leaves the
         compile and the others alone."""
         async def scenario():
-            service = make_service(max_delay_s=0.5)
+            service = make_service()
             injector = FaultInjector().sleeps("service.compile", 0.2)
             try:
                 with injector.armed():
@@ -133,65 +125,33 @@ class TestColdBurst:
         assert all(r["queue_s"] < 0.05 for r in served)
 
 
-class TestBusyEvaluator:
-    def test_arrivals_during_a_stall_share_one_batch_after_it(self):
-        stall, max_delay = 0.3, 1.0
+class TestOnTheLoop:
+    def test_batches_and_degraded_answers_run_on_the_loop_thread(self):
+        """No executor hop: a served batch's chunk and an order-1
+        degraded answer are both computed on the event loop's thread."""
+        batch_hook, batch_threads = recording_threads("sweep.moments")
+        degraded_hook, degraded_threads = recording_threads("pade.fast")
 
         async def scenario():
-            service = make_service(max_delay_s=max_delay)
-            injector, chunks = stalled_first_batch(stall)
+            service = make_service()
             try:
-                await service.registry.ensure("fig1")
-                with injector.armed():
-                    busy = asyncio.ensure_future(
-                        service.handle_eval(pole_request(0.5)))
-                    await until_evaluating(chunks)
-                    waiting = []
-                    for i in range(3):  # three separate loop turns
-                        waiting.append(asyncio.ensure_future(
-                            service.handle_eval(pole_request(1.0 + i))))
-                        await asyncio.sleep(0.01)
-                    first = await busy
-                    return first, await asyncio.gather(*waiting)
+                entry = await service.registry.ensure("fig1")
+                with batch_hook.armed():
+                    served = await service.handle_eval(pole_request())
+                for _ in range(entry.breaker.config.min_samples):
+                    entry.breaker.record(False)
+                assert entry.breaker.state == OPEN
+                with degraded_hook.armed():
+                    degraded = await service.handle_eval(pole_request())
+                return threading.get_ident(), served, degraded
             finally:
                 await service.drain()
 
-        first, waited = asyncio.run(scenario())
-        assert first["batch_size"] == 1
-        assert [r["batch_size"] for r in waited] == [3, 3, 3]
-        for resp in waited:
-            # they waited for the stalled batch, not for max_delay_s
-            assert 0.1 < resp["queue_s"] < max_delay / 2
-            assert math.isfinite(resp["value"])
-
-    def test_a_stall_longer_than_max_delay_flushes_at_the_bound(self):
-        stall, max_delay = 0.6, 0.05
-
-        async def scenario():
-            service = make_service(max_delay_s=max_delay)
-            injector, chunks = stalled_first_batch(stall)
-            try:
-                await service.registry.ensure("fig1")
-                with injector.armed():
-                    busy = asyncio.ensure_future(
-                        service.handle_eval(pole_request(0.5)))
-                    await until_evaluating(chunks)
-                    waited = await asyncio.gather(
-                        *[service.handle_eval(pole_request(1.0 + i))
-                          for i in range(2)])
-                    still_stalled = not busy.done()
-                    await busy
-                    return waited, still_stalled
-            finally:
-                await service.drain()
-
-        waited, still_stalled = asyncio.run(scenario())
-        assert still_stalled  # served while the first batch still ran
-        assert [r["batch_size"] for r in waited] == [2, 2]
-        # the bound runs from the first member's arrival; the second
-        # joined the bucket a moment later (a GC pause can make it ms)
-        assert max(r["queue_s"] for r in waited) >= max_delay * 0.9
-        assert all(r["queue_s"] < stall / 2 for r in waited)
+        loop_thread, served, degraded = asyncio.run(scenario())
+        assert served["degraded"] is False
+        assert degraded["degraded"] is True and degraded["order"] == 1
+        assert batch_threads and set(batch_threads) == {loop_thread}
+        assert degraded_threads and set(degraded_threads) == {loop_thread}
 
 
 class TestKeyedOnce:

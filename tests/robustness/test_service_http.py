@@ -24,7 +24,7 @@ CACHE = ProgramCache()
 
 
 def make_service(**overrides) -> AWEService:
-    config = ServiceConfig(**{**dict(port=0, max_delay_s=0.01), **overrides})
+    config = ServiceConfig(**{**dict(port=0), **overrides})
     registry = ModelRegistry(cache=CACHE)
     registry.register("fig1", fig1_circuit(), "out",
                       symbols=["G1", "C2"], order=2)

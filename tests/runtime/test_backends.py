@@ -13,6 +13,8 @@ built, else the ufunc kernel — bit-identical either way).
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -21,6 +23,7 @@ from repro import awesymbolic
 from repro.circuits.library import small_signal_741
 from repro.core import metrics
 from repro.errors import ApproximationError
+from repro.obs import trace as obs_trace
 from repro.runtime import BACKENDS, RuntimeStats, resolve_backend
 from repro.runtime.batched import _resolve_sharding, batched_sweep
 from repro.testing.faults import FaultInjector
@@ -206,6 +209,27 @@ class TestProcessBackendEdges:
         assert stats.worker_busy
         assert all(key.startswith("pid-") for key in stats.worker_busy)
         assert all(busy >= 0.0 for busy in stats.worker_busy.values())
+
+    def test_traced_worker_spans_are_adopted_under_the_sweep(
+            self, fig1_model):
+        """``Tracer.adopt`` end to end: each worker process records its
+        shard's spans and the parent grafts them under ``sweep.total``."""
+        grids = {"C1": np.linspace(0.5e-12, 5e-12, 8)}
+        with obs_trace.tracing() as tracer:
+            sweep_with(fig1_model.model, grids, metrics.dc_gain, "process",
+                       shards=2)
+        spans = tracer.snapshot()
+        by_id = {span["span_id"]: span for span in spans}
+        adopted = [span for span in spans
+                   if span["name"] == "sweep.shard" and span["tid"] < 0]
+        assert adopted  # synthetic lanes: recorded in another process
+        for shard in adopted:
+            assert shard["attrs"]["pid"] not in (None, os.getpid())
+            parent, chain = shard["parent_id"], []
+            while parent is not None:
+                chain.append(by_id[parent]["name"])
+                parent = by_id[parent]["parent_id"]
+            assert chain[-1] == "sweep.total"
 
     def test_serialized_model_process_sweep(self, fig1_model, tmp_path):
         """A JSON round-tripped model sweeps identically on the process

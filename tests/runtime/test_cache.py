@@ -98,10 +98,9 @@ class TestDiskLayer:
         # rebuilt model evaluates identically
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 7),
                  "C2": np.linspace(0.1e-12, 3e-12, 5)}
-        np.testing.assert_allclose(
+        np.testing.assert_array_equal(
             reloaded.model.sweep(grids, metrics.dominant_pole_hz),
-            original.model.sweep(grids, metrics.dominant_pole_hz),
-            rtol=1e-9)
+            original.model.sweep(grids, metrics.dominant_pole_hz))
 
     def test_stale_key_rejected(self, tmp_path):
         cache = ProgramCache(disk_dir=tmp_path)

@@ -128,8 +128,7 @@ class TestDeadline:
             registry = ModelRegistry()
             registry.register("fig1", fig1_circuit(), "out",
                               symbols=["G1", "C2"], order=2)
-            service = AWEService(ServiceConfig(max_delay_s=0.001),
-                                 registry=registry)
+            service = AWEService(ServiceConfig(), registry=registry)
             try:
                 return await service.handle_eval(
                     {"model": "fig1", "values": {"G1": 1.5}})

@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.circuits.library import fig1_circuit, small_signal_741
+from repro.circuits.library import fig1_circuit
 from repro.core.awesymbolic import awesymbolic
 from repro.core.serialize import model_to_dict
 from repro.partition import condense_blocks, partition
@@ -119,14 +119,6 @@ class TestDiskLayer:
         assert h["disk_entries"] == len(part.numeric_blocks)
         assert h["disk_bytes"] > 0
         assert h["hit_rate"] == pytest.approx(0.5)
-
-    def test_parallel_condense_matches_serial_exactly(self):
-        ss = small_signal_741()
-        part = partition(ss.circuit, ["go_Q14", "Ccomp"], output="out")
-        serial = condense_blocks(part, 4, workers=1)
-        threaded = condense_blocks(part, 4, workers=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.Y, b.Y)
 
 
 class TestEndToEnd:

@@ -1,9 +1,9 @@
 """Differential harness: batched runtime vs per-point oracle vs numeric AWE.
 
 The batched sweep's contract is *equality*, not approximation: every grid
-point must match what the legacy per-point loop produces — values to
-tight tolerance, NaN placement bit-for-bit — and the per-point loop in
-turn matches a full numeric AWE re-analysis at the same element values.
+point must match what the legacy per-point loop produces — equal values,
+NaN in the same places — and the per-point loop in turn matches a full
+numeric AWE re-analysis at the same element values.
 These tests pin all three levels on the paper's circuits.
 """
 
@@ -22,19 +22,12 @@ from repro.errors import ApproximationError
 from repro.runtime import RuntimeStats, batched_sweep
 
 
-def assert_same_surface(batched, legacy, rtol=1e-9, atol=1e-12):
-    """Batched == legacy: same dtype family, same NaN mask, close values.
-
-    ``atol`` absorbs pure cancellation noise around exact zeros (e.g. a
-    crosstalk victim's DC gain is 0 up to ~1e-16 of float cancellation,
-    where summation order legitimately differs between the two paths).
-    """
+def assert_same_surface(batched, legacy):
+    """Batched == legacy: same dtype family, equal values, NaN in the
+    same places (``assert_array_equal`` compares NaN positions)."""
     assert batched.shape == legacy.shape
     assert np.iscomplexobj(batched) == np.iscomplexobj(legacy)
-    b = np.asarray(batched, dtype=complex)
-    l = np.asarray(legacy, dtype=complex)
-    np.testing.assert_array_equal(np.isnan(b.real), np.isnan(l.real))
-    np.testing.assert_allclose(b, l, rtol=rtol, atol=atol, equal_nan=True)
+    np.testing.assert_array_equal(np.asarray(batched), np.asarray(legacy))
 
 
 CASES = [
@@ -295,7 +288,7 @@ def test_hypothesis_grids_match(n1, n2, lo1, hi1, lo2, hi2):
              "C2": np.linspace(lo2 * 1e-12, hi2 * 1e-12, n2)}
     batched = res.model.sweep(grids, metrics.dominant_pole_hz)
     legacy = res.model.sweep_per_point(grids, metrics.dominant_pole_hz)
-    assert_same_surface(batched, legacy, rtol=1e-10)
+    assert_same_surface(batched, legacy)
 
 
 class TestEdgeGrids:
@@ -370,7 +363,7 @@ class TestLoadedModelRuntime:
                  "C2": np.linspace(0.1e-12, 3e-12, 7)}
         reference = fig1_model.model.sweep(grids, metrics.dominant_pole_hz)
         via_loaded = loaded.sweep(grids, metrics.dominant_pole_hz)
-        np.testing.assert_allclose(via_loaded, reference, rtol=1e-9)
+        np.testing.assert_array_equal(via_loaded, reference)
         via_fn = batched_sweep(loaded, grids, metrics.dominant_pole_hz)
-        np.testing.assert_allclose(via_fn, reference, rtol=1e-9)
+        np.testing.assert_array_equal(via_fn, reference)
         assert loaded.compile_seconds > 0.0

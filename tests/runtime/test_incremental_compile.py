@@ -56,7 +56,7 @@ class TestOrderInKey:
         circuit = fig1_circuit()
         plain = cache.key_for(circuit, "out", ["C1", "C2"], order=2)
         tuned = cache.key_for(circuit, "out", ["C1", "C2"], order=2,
-                              condense_cache=object(), condense_workers=4)
+                              condense_cache=object())
         assert plain == tuned
 
 

@@ -260,7 +260,7 @@ def test_coalesced_small_batch_equals_rom(n):
         registry = ModelRegistry()
         registry.register("fig1", fig1_circuit(), "out",
                           symbols=["G1", "C2"], order=2)
-        service = AWEService(ServiceConfig(max_batch=n, max_delay_s=0.5),
+        service = AWEService(ServiceConfig(max_batch=n),
                              registry=registry)
         try:
             model = (await registry.ensure("fig1")).model
