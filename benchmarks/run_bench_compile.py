@@ -8,7 +8,7 @@ provides, per circuit, on the paper's workloads:
   keeps no process-wide memo, so nothing is reused;
 * **warm** — the same compile served by a :class:`ProgramCache` disk hit
   (a fresh cache instance on a populated directory, i.e. the
-  cross-process restart case);
+  cross-process restart case), which loads the stored model tape;
 * **incremental** — a Padé-order bump inside a live
   :class:`~repro.core.awesymbolic.CompileSession`, which extends the
   previous moment recursion instead of restarting (741 only: the
@@ -19,10 +19,12 @@ CI box is one-sided).  Every timed compile lowers and execs its moment
 program itself: the compiler keeps no process-wide program memo that an
 earlier run could hand it.
 
-Every workload is also checked **bit-identical** across regimes and
-against the reference (kernel-free) implementation via serialized-model
-equality; ``identical`` must be true in the payload or the regression
-gate fails.
+Every workload is also checked **bit-identical** across regimes:
+the cold and incremental compiles against the reference (kernel-free)
+implementation by a digest of their moment polynomials, and the warm
+load against the cold compile by its model tape's content hash (a disk
+hit carries no polynomials); ``identical`` must be true in the payload
+or the regression gate fails.
 
 ``benchmarks/check_compile_regression.py`` compares this payload against
 the committed baseline and fails CI on a >25 % cold-compile regression
@@ -45,7 +47,6 @@ from pathlib import Path
 from repro.circuits.library import (fig1_circuit, small_signal_741,
                                     small_signal_ota)
 from repro.core.awesymbolic import CompileSession, awesymbolic
-from repro.core.serialize import model_to_dict
 from repro.runtime.cache import CondensationCache, ProgramCache
 from repro.symbolic import polykernel
 
@@ -60,28 +61,47 @@ WORKLOADS = (
 )
 
 
+def _terms(poly) -> list:
+    return [[list(exps), coeff] for exps, coeff in poly.sorted_terms()]
+
+
 def _dump(result) -> str:
-    return json.dumps(model_to_dict(result), sort_keys=True)
+    """Canonical JSON of a compile's symbols, elements and moment
+    polynomials (floats round-trip exactly)."""
+    sm = result.moments
+    return json.dumps({
+        "title": result.partition.circuit.title,
+        "output": sm.output,
+        "order": result.model.order,
+        "symbols": [[s.name, s.nominal] for s in sm.space.symbols],
+        "elements": [[se.name, se.symbol.name, se.transform]
+                     for se in result.partition.symbolic],
+        "numerators": [_terms(n) for n in sm.numerators],
+        "det": _terms(sm.det),
+    }, sort_keys=True)
 
 
-def bench_cold(circuit, symbols, order, repeats: int) -> tuple[float, str]:
+def bench_cold(circuit, symbols, order,
+               repeats: int) -> tuple[float, str, str]:
+    """Best-of-N cold compile; its polynomial digest and tape hash."""
     best = float("inf")
-    digest = ""
+    digest = tape_hash = ""
     for _ in range(repeats):
         t0 = time.perf_counter()
         res = awesymbolic(circuit, "out", symbols=symbols, order=order)
         best = min(best, time.perf_counter() - t0)
-        digest = _dump(res)
-    return best, digest
+        digest, tape_hash = _dump(res), res.model.tape.content_hash
+    return best, digest, tape_hash
 
 
 def bench_warm(circuit, symbols, order, repeats: int,
                tmpdir: Path) -> tuple[float, str]:
-    """Disk-hit rebuild: fresh ProgramCache instances on a populated dir."""
+    """Disk-hit load: fresh ProgramCache instances on a populated dir;
+    the loaded model's tape hash."""
     seed = ProgramCache(disk_dir=tmpdir)
     seed.get_or_build(circuit, "out", symbols=symbols, order=order)
     best = float("inf")
-    digest = ""
+    tape_hash = ""
     for _ in range(repeats):
         cache = ProgramCache(disk_dir=tmpdir)  # empty memory, warm disk
         t0 = time.perf_counter()
@@ -90,8 +110,8 @@ def bench_warm(circuit, symbols, order, repeats: int,
         best = min(best, time.perf_counter() - t0)
         if cache.stats.disk_hits != 1:
             raise AssertionError("warm measurement was not a disk hit")
-        digest = _dump(res)
-    return best, digest
+        tape_hash = res.model.tape.content_hash
+    return best, tape_hash
 
 
 def bench_incremental(circuit, symbols, order_from, order_to,
@@ -133,10 +153,11 @@ def run(repeats: int = REPEATS) -> dict:
         with polykernel.disabled():
             reference = _dump(awesymbolic(circuit, "out", symbols=symbols,
                                           order=order))
-        cold_s, cold_digest = bench_cold(circuit, symbols, order, repeats)
+        cold_s, cold_digest, cold_hash = bench_cold(circuit, symbols, order,
+                                                    repeats)
         with tempfile.TemporaryDirectory() as td:
-            warm_s, warm_digest = bench_warm(circuit, symbols, order,
-                                             repeats, Path(td))
+            warm_s, warm_hash = bench_warm(circuit, symbols, order,
+                                           repeats, Path(td))
         with tempfile.TemporaryDirectory() as td:
             condense = bench_condensation(circuit, symbols, order, Path(td))
 
@@ -148,7 +169,7 @@ def run(repeats: int = REPEATS) -> dict:
             "warm_speedup": cold_s / warm_s,
             "condensation": condense,
             "identical": cold_digest == reference
-            and warm_digest == reference,
+            and warm_hash == cold_hash,
         }
         if order_from is not None and symbols is not None:
             inc_s, inc_digest = bench_incremental(circuit, symbols,

@@ -4,16 +4,15 @@ Commands:
 
 * ``analyze`` — run AWE / AWEsymbolic on a netlist file and print the
   reduced-order model, metrics, and (with symbols) the symbolic forms.
-* ``evaluate`` — evaluate or sweep a saved compiled model; ``--strict``
+* ``evaluate`` — evaluate or sweep a saved model tape; ``--strict``
   fails on the first degenerate grid point, the default (``--lenient``)
   quarantines it to NaN and reports it.
 * ``sweep`` — end-to-end netlist → compiled model → batched metric
   sweep in one invocation (routed through the program cache).
 * ``trace`` — run the compile pipeline (and optionally a sweep) under
   the tracer and write a Chrome/Perfetto trace JSON.
-* ``profile`` — op-level profile of a saved model's (or ``.tape``
-  artifact's) compiled moment program: top-k hot ops with symbolic
-  provenance.
+* ``profile`` — op-level profile of a saved model tape's compiled
+  moment program: top-k hot ops with symbolic provenance.
 * ``doctor`` — health-check a sweep (quarantine list, conditioning
   summaries) and/or a program-cache directory.  Exit status encodes
   severity: 0 healthy, 1 warnings, 2 corrupt cache entries.
@@ -234,16 +233,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="re-evaluate the compiled model at an "
                               "off-nominal element value (repeatable)")
     analyze.add_argument("--save", type=Path, default=None, metavar="FILE",
-                         help="save the compiled symbolic model as JSON")
+                         help="save the compiled model as a .tape "
+                              "artifact (the file `repro compile "
+                              "--emit-tape` writes)")
     analyze.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
                          help="cache derived symbolic programs here; "
                               "repeat runs skip the symbolic solve")
 
     evaluate = sub.add_parser("evaluate", parents=[obs_parent],
-                              help="evaluate a saved compiled model "
+                              help="evaluate a saved model tape "
                                    "(no circuit needed)")
-    evaluate.add_argument("model", type=Path,
-                          help="saved model JSON or .tape artifact")
+    evaluate.add_argument("model", type=Path, help=".tape artifact")
     evaluate.add_argument("--at", action="append", default=[],
                           metavar="NAME=VALUE",
                           help="element value override (repeatable)")
@@ -277,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: trace.json)")
 
     profile = sub.add_parser("profile", parents=[obs_parent],
-                             help="op-level profile of a saved model's "
-                                  "compiled moment program")
-    profile.add_argument("model", type=Path,
-                         help="saved model JSON or .tape artifact")
+                             help="op-level profile of a saved model "
+                                  "tape's compiled moment program")
+    profile.add_argument("model", type=Path, help=".tape artifact")
     profile.add_argument("--sweep", action="append", default=[],
                          metavar="NAME=START:STOP:N",
                          help="grid batch to profile over (repeatable)")
@@ -295,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="health-check a sweep and/or a program "
                                  "cache directory")
     doctor.add_argument("model", type=Path, nargs="?", default=None,
-                        help="saved model JSON or .tape artifact to "
-                             "sweep-check")
+                        help=".tape artifact to sweep-check")
     doctor.add_argument("--sweep", action="append", default=[],
                         metavar="NAME=START:STOP:N",
                         help="grid to exercise the model over (repeatable)")
@@ -516,7 +514,7 @@ def cmd_analyze(args) -> int:
         res = awesymbolic(circuit, args.output, symbols=symbols,
                           n_symbols=max(args.auto_symbols, 1),
                           order=args.order)
-    print(res.partition.summary())
+    _print_partition(res)
     print(f"compiled model: {res.model.n_ops} ops per evaluation")
     if res.first_order is not None:
         print(f"symbolic first-order pole: {res.first_order.pole.cancel()}")
@@ -524,11 +522,24 @@ def cmd_analyze(args) -> int:
     for spec in args.at:
         _print_model(res.rom(_parse_at(spec)), label=f"at {spec}")
     if args.save is not None:
-        from .core.serialize import model_to_json
-
-        args.save.write_text(model_to_json(res, indent=2))
+        res.model.tape.save(args.save)
         print(f"saved compiled model to {args.save}")
     return 0
+
+
+def _print_partition(res) -> None:
+    """The partition summary of a compiled result (a loaded one, from
+    a program-cache disk hit, has none)."""
+    if res.partition is not None:
+        print(res.partition.summary())
+
+
+def _load_model(path):
+    """A saved model tape, verified and loaded."""
+    from .core.compiled_model import TapeModel
+    from .symbolic.tape import load_tape
+
+    return TapeModel(load_tape(path))
 
 
 def _parse_at(spec: str) -> dict:
@@ -643,7 +654,7 @@ def _build_cached_model(args):
 
 def cmd_compile(args) -> int:
     res = _build_cached_model(args)
-    print(res.partition.summary())
+    _print_partition(res)
     # the model's one program: fused (schema 2), one register-machine
     # pass yields every moment (docs/artifacts.md)
     tape = res.model.tape
@@ -660,10 +671,7 @@ def cmd_sweep(args) -> int:
     if not args.sweep:
         raise ReproError("sweep needs at least one --sweep NAME=START:STOP:N")
     if args.tape is not None:
-        from .core.compiled_model import TapeModel
-        from .symbolic.tape import load_tape
-
-        model = TapeModel(load_tape(args.tape))
+        model = _load_model(args.tape)
         print(f"tape model: {model.title!r}, output {model.output!r}, "
               f"{model.n_ops} ops per evaluation")
         return _run_sweep(model, args)
@@ -671,7 +679,7 @@ def cmd_sweep(args) -> int:
         raise ReproError("sweep needs a netlist and --output "
                          "(or --tape FILE)")
     res = _build_cached_model(args)
-    print(res.partition.summary())
+    _print_partition(res)
     print(f"compiled model: {res.model.n_ops} ops per evaluation")
     return _run_sweep(res.model, args)
 
@@ -687,14 +695,13 @@ def cmd_trace(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .core.serialize import model_from_json
     from .obs.profile import profile_program
     from .runtime.batched import grid_columns
 
     if not args.sweep:
         raise ReproError("profile needs at least one --sweep "
                          "NAME=START:STOP:N to form the grid batch")
-    loaded = model_from_json(args.model.read_text())
+    loaded = _load_model(args.model)
     grids = dict(_parse_sweep(s) for s in args.sweep)
     _, shape, cols = grid_columns(loaded, grids)
     prof = profile_program(loaded.compiled_moments.fn, cols,
@@ -708,9 +715,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .core.serialize import model_from_json
-
-    loaded = model_from_json(args.model.read_text())
+    loaded = _load_model(args.model)
     print(f"saved model: {loaded.title!r}, output {loaded.output!r}, "
           f"symbols {list(loaded.element_slots)}")
     if args.sweep:
@@ -757,10 +762,9 @@ def cmd_doctor(args) -> int:
             raise ReproError("doctor needs at least one --sweep range to "
                              "exercise the model")
         from .core.metrics import resolve_metric
-        from .core.serialize import model_from_json
 
         metric = resolve_metric(args.metric)
-        loaded = model_from_json(args.model.read_text())
+        loaded = _load_model(args.model)
         grids = dict(_parse_sweep(s) for s in args.sweep)
         z = loaded.sweep(grids, metric, shards=args.shards,
                          max_workers=args.workers,
@@ -833,7 +837,7 @@ def cmd_doctor(args) -> int:
             worst = max(worst, 1)
         checked = True
     if not checked:
-        raise ReproError("doctor needs a saved model (with --sweep) "
+        raise ReproError("doctor needs a saved model tape (with --sweep) "
                          "and/or --cache-dir")
     return worst
 

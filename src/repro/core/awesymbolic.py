@@ -25,7 +25,8 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..partition import (CircuitPartition, MomentRecursion, SymbolicMoments,
                          condense_blocks, partition)
-from .compiled_model import CompiledAWEModel
+from ..symbolic.tape import OpTape
+from .compiled_model import CompiledAWEModel, TapeModel
 from .select import select_symbols
 from .symbolic_pade import SymbolicFirstOrder, SymbolicSecondOrder
 
@@ -37,28 +38,43 @@ DEFAULT_EXTRA_MOMENTS = 2
 class AWESymbolicResult:
     """Everything an AWEsymbolic run produces.
 
+    A *compiled* result comes from :func:`awesymbolic` (or a
+    :class:`CompileSession`).  A *loaded* result (:meth:`from_tape`: a
+    program-cache disk hit, a registered ``.tape``) has only the model:
+    its ``partition``, ``moments`` and closed forms are ``None``, so it
+    cannot answer ``pole_sensitivities`` or ``rom_closed_form``.
+
     Attributes:
-        partition: the numeric/symbolic split.
-        moments: symbolic moments (rational functions of the symbols).
-        model: the compiled fast-evaluation model.
+        partition: the numeric/symbolic split (``None`` when loaded).
+        moments: symbolic moments (rational functions of the symbols;
+            ``None`` when loaded).
+        model: the fast-evaluation model (a :class:`CompiledAWEModel`,
+            or the :class:`TapeModel` of a loaded tape).
         first_order: closed-form single-pole symbolic model (when built).
         second_order: closed-form two-pole symbolic model (when built).
         selected_automatically: True when symbols came from sensitivities.
     """
 
-    partition: CircuitPartition
-    moments: SymbolicMoments
-    model: CompiledAWEModel
+    partition: CircuitPartition | None
+    moments: SymbolicMoments | None
+    model: TapeModel
     first_order: SymbolicFirstOrder | None
     second_order: SymbolicSecondOrder | None
     selected_automatically: bool
 
+    @classmethod
+    def from_tape(cls, tape: OpTape) -> "AWESymbolicResult":
+        """The loaded result of a verified model tape."""
+        return cls(partition=None, moments=None, model=TapeModel(tape),
+                   first_order=None, second_order=None,
+                   selected_automatically=False)
+
     @property
     def symbols(self) -> list[str]:
-        return [se.name for se in self.partition.symbolic]
+        return list(self.model.element_slots)
 
     def rom(self, element_values=None, order=None, require_stable=True):
-        """Shortcut for :meth:`CompiledAWEModel.rom`."""
+        """Shortcut for :meth:`TapeModel.rom`."""
         return self.model.rom(element_values, order=order,
                               require_stable=require_stable)
 

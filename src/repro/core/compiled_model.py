@@ -3,12 +3,14 @@
 There is one model surface.  A :class:`TapeModel` evaluates a *model
 tape* — the compiled moment program (:mod:`repro.symbolic.tape`) plus
 the metadata mapping element values onto its inputs — and owns the
-element slots, :meth:`~TapeModel.moments_at`, :meth:`~TapeModel.rom`
-and the batched :meth:`~TapeModel.sweep`.  ``.tape`` artifacts and
-saved-model JSON load into it; :class:`CompiledAWEModel` is the
-:class:`TapeModel` of its own model tape, adding only what the symbolic
-form knows: the partition, the moment polynomials, the closed-form
-poles, the sensitivities and the per-point sweep oracle.
+element slots, :meth:`~TapeModel.moments_at`, :meth:`~TapeModel.rom`,
+the batched :meth:`~TapeModel.sweep` and its per-point oracle.  The
+model tape is the one on-disk form of a compiled model: ``.tape``
+artifacts (``repro compile --emit-tape``, ``repro analyze --save``) and
+program-cache entries load into a :class:`TapeModel`.
+:class:`CompiledAWEModel` is the :class:`TapeModel` of its own model
+tape, adding only what the symbolic form knows: the partition, the
+moment polynomials, the closed-form poles and the sensitivities.
 
 A model has one program: the fused moment program of its tape
 (:func:`~repro.partition.composite.moment_tape`), built once and run by
@@ -63,6 +65,36 @@ def model_tape(program: OpTape, *, title: str, output: str, order: int,
                   fused=program.fused)
 
 
+def model_slots(tape: OpTape) -> dict[str, tuple]:
+    """``element name -> (symbol position, value transform)`` from a
+    model tape's meta, checked without executing the program.
+
+    Raises:
+        TapeError: ``tape`` is a bare program (no model metadata), or
+            its element table is malformed or names a transform this
+            build does not know.
+    """
+    meta = tape.meta
+    if meta.get("kind") != MODEL_KIND:
+        raise TapeError(
+            "this op tape is a bare program, not a model artifact "
+            "(missing awesymbolic-moments metadata); build it with "
+            "tape_from_model or `repro compile --emit-tape`")
+    slots: dict[str, tuple] = {}
+    try:
+        for name, pos, tname in meta.get("elements", []):
+            if not 0 <= int(pos) < tape.n_inputs:
+                raise TapeError(f"op tape element {name!r} has no input "
+                                f"register {pos!r}")
+            if tname not in TRANSFORMS:
+                raise TapeError(
+                    f"op tape names unknown transform {tname!r}")
+            slots[str(name)] = (int(pos), TRANSFORMS[tname])
+    except (TypeError, ValueError) as exc:
+        raise TapeError(f"malformed model-tape elements: {exc}") from None
+    return slots
+
+
 @dataclass(frozen=True)
 class PoleSensitivityResult:
     """Poles/zeros and their derivatives w.r.t. one element's natural value."""
@@ -83,8 +115,7 @@ class PoleSensitivityResult:
 class TapeModel:
     """A sweep-ready, circuit-free model over a *model* tape.
 
-    ``.tape`` artifacts and saved-model JSON
-    (:func:`~repro.core.serialize.model_from_dict`) load into it, and a
+    ``.tape`` artifacts and program-cache entries load into it, and a
     :class:`CompiledAWEModel` is one.  It exposes ``compiled_moments`` /
     ``element_slots`` / ``order`` / ``sweep``, so it is a full citizen
     of the batched runtime and the serving registry; the program is
@@ -96,12 +127,8 @@ class TapeModel:
 
     def __init__(self, tape: OpTape,
                  fn: CompiledFunction | None = None) -> None:
+        slots = model_slots(tape)
         meta = tape.meta
-        if meta.get("kind") != MODEL_KIND:
-            raise TapeError(
-                "this op tape is a bare program, not a model artifact "
-                "(missing awesymbolic-moments metadata); build it with "
-                "tape_from_model or `repro compile --emit-tape`")
         if tape.fused is None:
             tape = fuse_moments(tape)
         self.tape = tape
@@ -118,14 +145,6 @@ class TapeModel:
         #: per-sweep evaluation by RuntimeStats (the Table 1 split)
         self.compile_seconds = time.perf_counter() - t0
         self.space = fn.space
-        slots: dict[str, tuple] = {}
-        for name, pos, tname in meta.get("elements", []):
-            try:
-                transform = TRANSFORMS[tname]
-            except KeyError:
-                raise TapeError(
-                    f"op tape names unknown transform {tname!r}") from None
-            slots[str(name)] = (int(pos), transform)
         #: ``element name -> (symbol position, value transform)`` — the
         #: lookup table the batched runtime builds argument columns from
         self.element_slots = slots
@@ -235,6 +254,65 @@ class TapeModel:
                              backend=backend, cancel=cancel,
                              chunk_points=chunk_points)
 
+    def sweep_per_point(self, grids: Mapping[str, np.ndarray],
+                        metric: Callable[[ReducedOrderModel], float],
+                        order: int | None = None,
+                        require_stable: bool = True,
+                        strict: bool = False) -> np.ndarray:
+        """Reference per-point sweep (the batched runtime's correctness oracle).
+
+        Walks the cartesian grid one :meth:`rom` call at a time.  Kept
+        deliberately simple; ``tests/runtime/test_differential.py`` pins
+        :meth:`sweep` to this path bit for bit.
+
+        Failure semantics mirror the batched path so the two stay
+        differentially identical: a point whose reduction or metric
+        raises a library error is quarantined to NaN (recorded in the
+        result's ``diagnostics``), or re-raised with ``strict=True``.
+        """
+        self._check_order(self.order if order is None else int(order))
+        names = list(grids)
+        for name in names:
+            self.slot(name)
+        axes = [np.asarray(grids[n], dtype=float) for n in names]
+        shape = tuple(len(a) for a in axes)
+        diagnostics = SweepDiagnostics(strict=strict)
+        out = np.full(shape, np.nan, dtype=complex)
+        for flat, idx in enumerate(np.ndindex(*shape)):
+            values = {n: float(a[i]) for n, a, i in zip(names, axes, idx)}
+            try:
+                model = self.rom(values, order=order,
+                                 require_stable=require_stable)
+            except PartitionError as exc:
+                diagnostics.quarantine_error(flat, "moments", exc)
+                self._locate_quarantined(diagnostics, idx, values)
+                continue
+            except ApproximationError as exc:
+                diagnostics.quarantine_error(flat, "pade", exc)
+                self._locate_quarantined(diagnostics, idx, values)
+                continue
+            diagnostics.record_drop(model.dropped_unstable)
+            try:
+                out[idx] = metric(model)
+            except ApproximationError as exc:
+                diagnostics.quarantine_error(flat, "metric", exc)
+                self._locate_quarantined(diagnostics, idx, values)
+        diagnostics.points = int(out.size)
+        diagnostics.nan_points = int(np.isnan(out.real).sum())
+        if np.all((out.imag == 0.0) | np.isnan(out.imag)):
+            # .real.copy() is 0-d safe, unlike ascontiguousarray
+            return SweepResult(out.real.copy(), diagnostics)
+        return SweepResult(out, diagnostics)
+
+    @staticmethod
+    def _locate_quarantined(diagnostics: SweepDiagnostics,
+                            idx: tuple[int, ...],
+                            values: Mapping[str, float]) -> None:
+        """Attach grid coordinates to the record just quarantined."""
+        point = diagnostics.quarantined[-1]
+        point.grid_index = tuple(int(i) for i in idx)
+        point.values = dict(values)
+
     def __repr__(self) -> str:
         return (f"TapeModel({self.title!r}, output={self.output!r}, "
                 f"order={self.order}, {self.tape.n_ops} ops)")
@@ -245,8 +323,8 @@ class CompiledAWEModel(TapeModel):
 
     The :class:`TapeModel` of its own model tape (the one
     :func:`~repro.symbolic.tape.tape_from_model` returns), plus the
-    partition, the symbolic moments, the closed-form order-1/2 poles,
-    the symbolic sensitivities and the per-point sweep oracle.
+    partition, the symbolic moments, the closed-form order-1/2 poles
+    and the symbolic sensitivities.
     """
 
     def __init__(self, partition: CircuitPartition, moments: SymbolicMoments,
@@ -327,68 +405,6 @@ class CompiledAWEModel(TapeModel):
                 d_poles=d_poles * chain, zeros=zeros,
                 d_zeros=d_zeros * chain)
         return out
-
-    # ------------------------------------------------------------------
-    # the per-point oracle
-    # ------------------------------------------------------------------
-    def sweep_per_point(self, grids: Mapping[str, np.ndarray],
-                        metric: Callable[[ReducedOrderModel], float],
-                        order: int | None = None,
-                        require_stable: bool = True,
-                        strict: bool = False) -> np.ndarray:
-        """Reference per-point sweep (the batched runtime's correctness oracle).
-
-        Walks the cartesian grid one :meth:`rom` call at a time.  Kept
-        deliberately simple; ``tests/runtime/test_differential.py`` pins
-        :meth:`sweep` to this path bit for bit.
-
-        Failure semantics mirror the batched path so the two stay
-        differentially identical: a point whose reduction or metric
-        raises a library error is quarantined to NaN (recorded in the
-        result's ``diagnostics``), or re-raised with ``strict=True``.
-        """
-        self._check_order(self.order if order is None else int(order))
-        names = list(grids)
-        for name in names:
-            self.slot(name)
-        axes = [np.asarray(grids[n], dtype=float) for n in names]
-        shape = tuple(len(a) for a in axes)
-        diagnostics = SweepDiagnostics(strict=strict)
-        out = np.full(shape, np.nan, dtype=complex)
-        for flat, idx in enumerate(np.ndindex(*shape)):
-            values = {n: float(a[i]) for n, a, i in zip(names, axes, idx)}
-            try:
-                model = self.rom(values, order=order,
-                                 require_stable=require_stable)
-            except PartitionError as exc:
-                diagnostics.quarantine_error(flat, "moments", exc)
-                self._locate_quarantined(diagnostics, idx, values)
-                continue
-            except ApproximationError as exc:
-                diagnostics.quarantine_error(flat, "pade", exc)
-                self._locate_quarantined(diagnostics, idx, values)
-                continue
-            diagnostics.record_drop(model.dropped_unstable)
-            try:
-                out[idx] = metric(model)
-            except ApproximationError as exc:
-                diagnostics.quarantine_error(flat, "metric", exc)
-                self._locate_quarantined(diagnostics, idx, values)
-        diagnostics.points = int(out.size)
-        diagnostics.nan_points = int(np.isnan(out.real).sum())
-        if np.all((out.imag == 0.0) | np.isnan(out.imag)):
-            # .real.copy() is 0-d safe, unlike ascontiguousarray
-            return SweepResult(out.real.copy(), diagnostics)
-        return SweepResult(out, diagnostics)
-
-    @staticmethod
-    def _locate_quarantined(diagnostics: SweepDiagnostics,
-                            idx: tuple[int, ...],
-                            values: Mapping[str, float]) -> None:
-        """Attach grid coordinates to the record just quarantined."""
-        point = diagnostics.quarantined[-1]
-        point.grid_index = tuple(int(i) for i in idx)
-        point.values = dict(values)
 
     def __repr__(self) -> str:
         return (f"CompiledAWEModel(order={self.order}, "

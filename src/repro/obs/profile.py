@@ -9,8 +9,8 @@ by a timestamp), :func:`profile_program` samples the program over
 grid-batch arguments and aggregates per-op wall time, keeping each op's
 symbolic provenance (the expression it computes) for the hot-op report.
 Every compiled program carries its tape, so any program profiles —
-freshly compiled, loaded from saved-model JSON, or rebuilt from a
-``.tape`` artifact.
+freshly compiled, or loaded from a ``.tape`` artifact or a program-cache
+entry.
 
 The profiler stays dependency-free: it only needs the duck-typed
 ``instrumented()`` / ``eval_raw()`` surface, so :mod:`repro.obs` never

@@ -3,7 +3,7 @@
 The compiled straight-line programs emitted by
 :mod:`repro.symbolic.compile` are numpy-vectorized: passing arrays sweeps
 a whole grid in one call.  This module sweeps grids that way, where the
-reference :meth:`CompiledAWEModel.sweep_per_point` walks the cartesian
+reference :meth:`TapeModel.sweep_per_point` walks the cartesian
 grid point by point.  A batched sweep:
 
 1. maps every grid axis through the element→symbol value transforms and
@@ -323,7 +323,9 @@ def vector_poles_residues(moments: np.ndarray, order: int,
         for out, re1, re2, im in ((poles, p1, p2, pi), (residues, r1, r2, ri)):
             out.real[0], out.real[1] = re1 * a, re2 * a
             out.imag[0] = im * a
-            out.imag[1] = -out.imag[0]
+            # 0.0 - x, not -x: a real pole's zero stays +0.0, as in
+            # the per-point path, and every nonzero x negates exactly
+            out.imag[1] = 0.0 - out.imag[0]
     ok &= np.isfinite(residues).all(axis=0)
     return poles, residues, ok
 
@@ -933,7 +935,7 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
     """Evaluate ``metric`` over the cartesian product of element-value grids.
 
     Drop-in vectorized replacement for the per-point
-    :meth:`CompiledAWEModel.sweep_per_point` loop: same arguments, same output
+    :meth:`TapeModel.sweep_per_point` loop: same arguments, same output
     (including NaN placement at degenerate Padé points), orders of
     magnitude faster on large grids.
 
@@ -948,8 +950,8 @@ def batched_sweep(model, grids: Mapping[str, np.ndarray],
 
     Args:
         model: a :class:`~repro.core.compiled_model.CompiledAWEModel` or
-            a loaded :class:`~repro.core.compiled_model.TapeModel` (``.tape``
-            artifact or saved-model JSON).
+            a loaded :class:`~repro.core.compiled_model.TapeModel` (a
+            ``.tape`` artifact or a program-cache entry).
         grids: ``{element_name: 1-D value array}``; output has one axis
             per grid in the given order.
         metric: scalar metric of a reduced-order model.  Metrics listed

@@ -9,12 +9,15 @@ skip straight to evaluation:
 * **in-memory LRU** keyed on ``(circuit fingerprint, symbol set, output,
   order, extra options)`` — hits return the live
   :class:`~repro.core.awesymbolic.AWESymbolicResult`;
-* **optional on-disk layer** storing the serialized evaluatable core via
-  :func:`~repro.core.serialize.model_to_dict`.  A disk hit rebuilds the
-  compiled model from the saved polynomials (re-partitioning the circuit,
-  which is cheap, but skipping the symbolic solve).  Entries record the
-  key they were saved under; any mismatch — a stale file, a changed
-  partition, a tampered entry — is rejected and the model is rebuilt.
+* **optional on-disk layer** storing the model tape
+  (:mod:`repro.symbolic.tape`, the same artifact ``repro compile
+  --emit-tape`` writes) under the key of the recipe that built it.  A
+  disk hit verifies the tape and loads it — no partition, no symbolic
+  solve, no lowering — into a *loaded* result
+  (:meth:`~repro.core.awesymbolic.AWESymbolicResult.from_tape`), which
+  has the model but no partition, polynomials or closed forms.  Entries
+  record the key they were saved under; a stale, foreign or tampered
+  entry is rejected and the model is rebuilt.
 
 Both disk layers are typed wrappers over one
 :class:`~repro.runtime.store.ArtifactStore` (atomic publish, sha256
@@ -56,12 +59,13 @@ import numpy as np
 from ..circuits.circuit import Circuit
 from ..core.awesymbolic import (AWESymbolicResult, CompileSession,
                                 awesymbolic)
-from ..core.compiled_model import CompiledAWEModel
-from ..partition.ports import NumericBlockExpansion
-from ..core.serialize import FORMAT_VERSION, model_to_dict
+from ..core.compiled_model import model_slots
+from ..errors import TapeError
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..obs import trace as _trace
+from ..partition.ports import NumericBlockExpansion
+from ..symbolic.tape import OpTape, tape_from_dict
 from .store import ArtifactStore, BadEntry
 
 __all__ = [
@@ -75,10 +79,10 @@ __all__ = [
 ]
 
 #: on-disk payload schema; bumped whenever the payload envelope changes
-#: (3: every entry carries a sha256 digest sidecar).  Entries with any
-#: other value (including pre-versioning files that have none) are
-#: quarantined and rebuilt.
-CACHE_SCHEMA = 3
+#: (3: every entry carries a sha256 digest sidecar; 4: a program entry
+#: is a model tape).  Entries with any other value (including
+#: pre-versioning files that have none) are quarantined and rebuilt.
+CACHE_SCHEMA = 4
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -100,8 +104,7 @@ class CacheStats:
 
     ``stale_rejects`` counts every disk entry that failed validation;
     ``quarantined`` counts the subset whose file was moved into the
-    quarantine sidecar (rejects can also come from payloads that parse
-    but no longer match the live circuit, which leave no file to move).
+    quarantine sidecar (the rest vanished before the move).
     """
 
     hits: int = 0
@@ -220,8 +223,8 @@ class _StoreCache:
 
 class ProgramCache(_StoreCache):
     """LRU cache of compiled AWEsymbolic results, with an optional disk
-    layer of ``awesym-<key32>.json`` entries (arguments as
-    :class:`_StoreCache`)."""
+    layer of ``awesym-<key32>.json`` entries, each a model tape in the
+    envelope (arguments as :class:`_StoreCache`)."""
 
     _PREFIX = "awesym-"
 
@@ -249,12 +252,12 @@ class ProgramCache(_StoreCache):
         """Cache key for one ``awesymbolic`` invocation.
 
         The key covers everything that changes the compiled program: the
-        serialization format, the on-disk :data:`CACHE_SCHEMA`, the
-        circuit content fingerprint, the output node, the symbol set and
-        the **Padé order** — bumping the order (or the schema, on
-        upgrade) is a guaranteed cache miss rather than a wrong-order
-        model reuse (regression-tested).  Performance-only options
-        (:data:`_NON_SEMANTIC_OPTIONS`) are ignored.
+        on-disk :data:`CACHE_SCHEMA`, the circuit content fingerprint,
+        the output node, the symbol set and the **Padé order** — bumping
+        the order (or the schema, on upgrade) is a guaranteed cache miss
+        rather than a wrong-order model reuse (regression-tested).
+        Performance-only options (:data:`_NON_SEMANTIC_OPTIONS`) are
+        ignored.
 
         ``symbols=None`` (automatic selection) keys on the selection
         parameters instead of the element list; the circuit fingerprint
@@ -265,7 +268,6 @@ class ProgramCache(_StoreCache):
         sym_part = ("symbols=" + ",".join(symbols) if symbols is not None
                     else f"auto={options.get('n_symbols', 2)}")
         parts = [
-            f"format={FORMAT_VERSION}",
             f"schema={CACHE_SCHEMA}",
             f"circuit={circuit_fingerprint(circuit)}",
             f"output={output}",
@@ -310,53 +312,24 @@ class ProgramCache(_StoreCache):
     # disk layer
     # ------------------------------------------------------------------
     def save_disk(self, key: str, result: AWESymbolicResult) -> Path | None:
-        """Serialize ``result``'s evaluatable core under ``key``."""
-        return self._publish(key, {"model": model_to_dict(result)})
+        """Store ``result``'s model tape under ``key``."""
+        return self._publish(key, {"tape": result.model.tape.to_dict()})
 
-    def load_disk(self, key: str) -> dict | None:
-        """Verified disk payload for ``key`` (None on a miss; an entry
+    def load_disk(self, key: str) -> OpTape | None:
+        """Verified model tape for ``key`` (None on a miss; an entry
         that fails validation is quarantined, so it cannot shadow the
         rebuilt one)."""
         return self._read(key)
 
-    def _payload(self, payload: dict) -> dict:
-        if not isinstance(payload.get("model"), dict):
-            raise BadEntry("corrupt", "missing model payload")
-        return payload
-
-    def _rebuild_from_disk(self, circuit: Circuit, output: str, order: int,
-                           payload: dict) -> AWESymbolicResult | None:
-        """Reassemble a live result from a disk payload.
-
-        Re-partitions the circuit (cheap) and reloads the symbolic moment
-        polynomials (skipping the expensive symbolic solve).  The
-        closed-form order-1/2 models are not persisted, so a rebuilt
-        result carries ``first_order = second_order = None``.
-        """
-        from ..partition import partition as make_partition
-        from ..partition.composite import SymbolicMoments
-        from ..core.serialize import _poly_from_jsonable
-
-        model_dict = payload.get("model", {})
-        if model_dict.get("format") != FORMAT_VERSION:
-            return None
-        element_names = [e["element"] for e in model_dict.get("elements", [])]
-        if not element_names or int(model_dict.get("order", -1)) != order:
-            return None
-        part = make_partition(circuit, element_names, output=output)
-        saved_names = [s["name"] for s in model_dict["symbols"]]
-        if list(part.space.names) != saved_names:
-            return None
-        sm = SymbolicMoments(
-            space=part.space, output=output,
-            numerators=tuple(_poly_from_jsonable(part.space, n)
-                             for n in model_dict["numerators"]),
-            det=_poly_from_jsonable(part.space, model_dict["det"]),
-            partition=part)
-        model = CompiledAWEModel(part, sm, order)
-        return AWESymbolicResult(partition=part, moments=sm, model=model,
-                                 first_order=None, second_order=None,
-                                 selected_automatically=False)
+    def _payload(self, payload: dict) -> OpTape:
+        """The entry's model tape: schema, structure, integrity hash and
+        model meta checked, nothing executed."""
+        try:
+            tape = tape_from_dict(payload.get("tape"))
+            model_slots(tape)
+        except TapeError as exc:
+            raise BadEntry("corrupt", str(exc)) from None
+        return tape
 
     # ------------------------------------------------------------------
     # the main entry point
@@ -392,10 +365,10 @@ class ProgramCache(_StoreCache):
                      **kwargs) -> AWESymbolicResult:
         """Cached :func:`~repro.core.awesymbolic.awesymbolic`.
 
-        Memory hit: the stored result.  Disk hit: the compiled model
-        rebuilt from the saved polynomials.  Otherwise a fresh build —
-        incremental when a live session for the same problem at another
-        Padé order exists — stored in both layers.
+        Memory hit: the stored result.  Disk hit: the loaded result of
+        the stored model tape.  Otherwise a fresh build — incremental
+        when a live session for the same problem at another Padé order
+        exists — stored in both layers.
         """
         reg = _metrics.registry()
         key = self.key_for(circuit, output, symbols, order, **kwargs)
@@ -408,19 +381,17 @@ class ProgramCache(_StoreCache):
                 _recorder.record("cache", outcome="memory-hit",
                                  key=key[:16])
                 return result
-            payload = self.load_disk(key)
-            if payload is not None:
-                rebuilt = self._rebuild_from_disk(circuit, output, order,
-                                                  payload)
-                if rebuilt is not None:
-                    lookup.set(outcome="disk-hit")
-                    reg.counter("repro_cache_disk_hits_total",
-                                "program cache disk hits").inc()
-                    _recorder.record("cache", outcome="disk-hit",
-                                     key=key[:16])
-                    self.put(key, rebuilt)
-                    return rebuilt
-                self.stats.stale_rejects += 1
+            rejects = self.stats.stale_rejects
+            tape = self.load_disk(key)
+            if tape is not None:
+                result = AWESymbolicResult.from_tape(tape)
+                lookup.set(outcome="disk-hit")
+                reg.counter("repro_cache_disk_hits_total",
+                            "program cache disk hits").inc()
+                _recorder.record("cache", outcome="disk-hit", key=key[:16])
+                self.put(key, result)
+                return result
+            if self.stats.stale_rejects > rejects:
                 reg.counter("repro_cache_stale_rejects_total",
                             "disk entries rejected as stale/corrupt").inc()
             lookup.set(outcome="miss")

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from ..circuits import Circuit
+from ..core.awesymbolic import AWESymbolicResult
 from ..obs import metrics as _metrics
 from ..obs import recorder as _recorder
 from ..runtime.cache import ProgramCache, default_cache
@@ -62,23 +63,13 @@ class RegisteredRecipe:
     options: dict = field(default_factory=dict)
 
 
-class _TapeResult:
-    """Adapter giving a rebuilt tape model the compiled-result shape the
-    registry stores (``entry.model`` reads ``result.model``)."""
-
-    __slots__ = ("model",)
-
-    def __init__(self, model) -> None:
-        self.model = model
-
-
 @dataclass
 class ModelEntry:
     """One warm model: compiled program + health machinery."""
 
     key: str
     recipe: RegisteredRecipe
-    result: object  #: AWESymbolicResult (compiled, evaluatable)
+    result: AWESymbolicResult  #: compiled, or loaded from a tape
     breaker: CircuitBreaker
     compiled_at: float = field(default_factory=time.monotonic)
     last_used: float = field(default_factory=time.monotonic)
@@ -143,18 +134,19 @@ class ModelRegistry:
 
         The tape (see :mod:`repro.symbolic.tape`) is loaded and
         integrity-verified immediately — a corrupt artifact is refused at
-        registration, not at first request — and the rebuilt
-        :class:`~repro.core.compiled_model.TapeModel` goes straight into the
+        registration, not at first request — and its loaded result
+        (:meth:`~repro.core.awesymbolic.AWESymbolicResult.from_tape`, the
+        same a program-cache disk hit returns) goes straight into the
         warm pool: loading *is* the compile, so the first request pays
         nothing.  The entry's identity is the tape content hash; if the
         warm handle is later evicted, :meth:`ensure` re-loads from
         ``path``.  Returns the registry key.
         """
-        from ..core.compiled_model import TapeModel
         from ..symbolic.tape import load_tape
 
         tape = load_tape(path)
-        model = TapeModel(tape)
+        result = AWESymbolicResult.from_tape(tape)
+        model = result.model
         if name is None:
             name = (os.path.splitext(os.path.basename(path))[0]
                     or model.title)
@@ -166,7 +158,7 @@ class ModelRegistry:
             options={"tape_path": str(path)})
         self._recipes[name] = recipe
         entry = ModelEntry(
-            key=key, recipe=recipe, result=_TapeResult(model),
+            key=key, recipe=recipe, result=result,
             breaker=CircuitBreaker(self.breaker_config,
                                    clock=self._clock, name=name))
         self._store(key, entry)
@@ -271,9 +263,8 @@ class ModelRegistry:
         if tape_path is not None:
             # tape-backed entry evicted from the warm pool: re-warming is
             # a load + integrity check, never a compile
-            from ..core.compiled_model import TapeModel
             from ..symbolic.tape import load_tape
-            return _TapeResult(TapeModel(load_tape(tape_path)))
+            return AWESymbolicResult.from_tape(load_tape(tape_path))
         return self.cache.get_or_build(
             recipe.circuit, recipe.output, symbols=recipe.symbols,
             order=recipe.order, **recipe.options)

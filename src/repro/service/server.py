@@ -146,8 +146,12 @@ class AWEService:
             thread_name_prefix="repro-serve")
         self.retry_budget = RetryBudget(self.config.retry_rate,
                                         self.config.retry_burst, clock=clock)
+        # batches run on the event loop, so a shard retry must not
+        # back off with a sleep: it would stall every request; the
+        # retry budget caps the retries instead
         self.resilience = dataclasses.replace(
-            DEFAULT_RESILIENCE, retry_budget=self.retry_budget.spend)
+            DEFAULT_RESILIENCE, retry_budget=self.retry_budget.spend,
+            backoff_seconds=0.0)
         self.coalescer = Coalescer(
             max_batch=self.config.max_batch, resilience=self.resilience,
             clock=clock)

@@ -343,40 +343,24 @@ def compile_exprs(space: SymbolSpace, roots: Sequence[Expr],
 
 
 def lower_rationals(space: SymbolSpace, rationals: Sequence[Rational | Poly],
-                    output_names: Sequence[str] | None = None,
-                    strategy: str = "expanded") -> OpTape:
+                    output_names: Sequence[str] | None = None) -> OpTape:
     """Lower polynomials / rational functions sharing one builder (full
     CSE) to the op tape of one program.
 
-    ``strategy`` selects the polynomial lowering: ``"expanded"`` (sum of
-    monomials, maximal term sharing across outputs) or ``"horner"``
-    (nested multiplication, fewer operations per polynomial).  The same
-    polynomials give the same tape in every process.
+    Polynomials lower in expanded form (sum of monomials, maximal term
+    sharing across outputs).  The same polynomials give the same tape in
+    every process.
     """
-    if strategy not in ("expanded", "horner"):
-        raise SymbolicError(f"unknown compile strategy {strategy!r}")
     builder = ExprBuilder()
-    lower = (builder.from_poly if strategy == "expanded"
-             else builder.from_poly_horner)
-    roots = []
-    for item in rationals:
-        if isinstance(item, Poly):
-            roots.append(lower(item))
-        else:
-            num = lower(item.num)
-            if item.is_polynomial():
-                den_val = item.den.constant_value()
-                roots.append(num if den_val == 1.0
-                             else builder.mul(builder.const(1.0 / den_val), num))
-            else:
-                roots.append(builder.div(num, lower(item.den)))
+    roots = [builder.from_poly(item) if isinstance(item, Poly)
+             else builder.from_rational(item) for item in rationals]
     return lower_exprs(space, roots, output_names)
 
 
 def compile_rationals(space: SymbolSpace, rationals: Sequence[Rational | Poly],
                       output_names: Sequence[str] | None = None,
-                      strategy: str = "expanded") -> CompiledFunction:
+                      ) -> CompiledFunction:
     """Compile polynomials / rational functions into one callable:
     :func:`lower_rationals`, then the program generated from the tape."""
-    return lower_rationals(space, rationals, output_names,
-                           strategy).build_function(space)
+    return lower_rationals(space, rationals,
+                           output_names).build_function(space)

@@ -304,37 +304,6 @@ class ExprBuilder:
             terms.append(self.mul(*factors) if factors else self.const(coeff))
         return self.add(*terms)
 
-    def from_poly_horner(self, poly: Poly) -> Expr:
-        """Convert a polynomial to nested Horner form.
-
-        Recursively factors on the polynomial's first used symbol:
-        ``p = c0(rest) + x (c1(rest) + x (c2(rest) + ...))``.  Usually
-        fewer multiplications than the expanded sum-of-monomials form (no
-        repeated powers), at the cost of deeper nesting.
-        """
-        free = poly.free_symbols()
-        if not free:
-            return self.const(poly.constant_value() if poly.terms else 0.0)
-        pivot = free[0]
-        coeffs = poly.as_univariate(pivot)
-        if set(coeffs) == {0}:
-            return self.from_poly_horner(coeffs[0])
-        x = self.sym(pivot)
-        degree = max(coeffs)
-        acc: Expr | None = None
-        for k in range(degree, -1, -1):
-            term = coeffs.get(k)
-            term_expr = (self.from_poly_horner(term)
-                         if term is not None else None)
-            if acc is None:
-                acc = term_expr if term_expr is not None else self.const(0.0)
-            else:
-                acc = self.mul(x, acc)
-                if term_expr is not None:
-                    acc = self.add(term_expr, acc)
-        assert acc is not None
-        return acc
-
     def from_rational(self, rat: Rational) -> Expr:
         num = self.from_poly(rat.num)
         if rat.is_polynomial():

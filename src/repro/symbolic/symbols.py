@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from ..errors import SymbolicError
 
 #: element-value -> symbol-value transforms by name — the one table the
-#: partition (element type -> name), saved models and model tapes share.
+#: partition (element type -> name) and model tapes share.
 #: Resistance is stamped as conductance, hence ``"inverse"``.
 TRANSFORMS: dict[str, Callable[[float], float]] = {
     "identity": lambda v: v,

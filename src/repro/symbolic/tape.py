@@ -294,10 +294,15 @@ class OpTape:
             self._hash = hashlib.sha256(canon.encode()).hexdigest()
         return self._hash
 
-    def to_json(self, indent: int | None = None) -> str:
+    def to_dict(self) -> dict:
+        """The artifact as a JSON-safe dict: :meth:`payload` plus its
+        integrity hash (what :func:`tape_from_dict` loads)."""
         body = self.payload()
         body["integrity"] = f"sha256:{self.content_hash}"
-        return json.dumps(body, indent=indent, sort_keys=True)
+        return body
+
+    def to_json(self, indent: int | None = None) -> str:
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def save(self, path) -> str:
         """Write the artifact atomically; returns its content hash."""
@@ -720,6 +725,11 @@ def tape_from_dict(data) -> OpTape:
     if not isinstance(data, dict):
         raise TapeError("op tape artifact must be a JSON object")
     schema = data.get("schema")
+    if schema is None:
+        raise TapeError(
+            "not an op tape (no schema field); a saved-model JSON from an "
+            "older build must be re-saved with `repro analyze --save` or "
+            "`repro compile --emit-tape`")
     if schema not in SUPPORTED_TAPE_SCHEMAS:
         supported = "-".join(str(s) for s in
                              (SUPPORTED_TAPE_SCHEMAS[0],

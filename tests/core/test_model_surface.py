@@ -17,7 +17,6 @@ import pytest
 from repro import Circuit, awesymbolic
 from repro.circuits.library import fig1_circuit
 from repro.core.compiled_model import CompiledAWEModel, TapeModel
-from repro.core.serialize import model_from_dict, model_to_dict
 from repro.errors import ApproximationError, PartitionError
 from repro.symbolic.symbols import TRANSFORMS
 from repro.symbolic.tape import load_tape, tape_from_model
@@ -121,18 +120,20 @@ class TestOneSurface:
 
     def test_saved_model_and_tape_name_the_same_transforms(self, tmp_path):
         """A resistor symbol is stamped as conductance: "inverse" in the
-        saved-model JSON and in the model tape's meta alike."""
+        saved artifact's meta and in the compiled model's tape alike."""
         ckt = Circuit("rc")
         ckt.V("Vin", "in", "0", ac=1.0)
         ckt.R("R1", "in", "out", 1e3)
         ckt.C("C2", "out", "0", 1e-9)
         res = awesymbolic(ckt, "out", symbols=["R1", "C2"], order=1)
-        saved = model_to_dict(res)
-        assert [e["transform"] for e in saved["elements"]] == \
+        path = tmp_path / "rc.tape"
+        res.model.tape.save(path)
+        saved = json.loads(path.read_text())
+        assert [e[2] for e in saved["meta"]["elements"]] == \
             ["inverse", "identity"]
         assert [e[2] for e in res.model.tape.meta["elements"]] == \
             ["inverse", "identity"]
-        loaded = model_from_dict(json.loads(json.dumps(saved)))
+        loaded = TapeModel(load_tape(path))
         assert loaded.tape.meta == res.model.tape.meta
         values = {"R1": 1.7e3}
         assert loaded.moments_at(values).tobytes() == \

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core.serialize import model_to_json
 
 NETLIST = str(Path(__file__).resolve().parents[2]
               / "examples" / "netlists" / "fig1.sp")
@@ -32,8 +31,8 @@ def _span_names(trace_file):
 
 @pytest.fixture(scope="module")
 def model_file(fig1_model, tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "fig1.json"
-    path.write_text(model_to_json(fig1_model))
+    path = tmp_path_factory.mktemp("models") / "fig1.tape"
+    fig1_model.model.tape.save(path)
     return path
 
 

@@ -125,7 +125,7 @@ class TestProgramEntries:
         path = writer._disk_path(writer.key_for(circuit, "out",
                                                 ["C1", "C2"], 2))
         payload = json.loads(path.read_text())
-        payload["model"]["det"][0][1] *= 1.5  # one coefficient, 1.5x
+        payload["tape"]["consts"][0] *= 1.5  # one constant, 1.5x
         path.write_text(json.dumps(payload))  # still valid JSON
 
         reader = ProgramCache(disk_dir=tmp_path)

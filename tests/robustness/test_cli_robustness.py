@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.serialize import model_to_json
 
 DEGENERATE_SWEEP = ["--sweep", "G2=0:4:8", "--sweep", "C2=0.5:3:6"]
 CLEAN_SWEEP = ["--sweep", "G2=0.5:4:8", "--sweep", "C2=0.5:3:6"]
@@ -15,8 +14,8 @@ CLEAN_SWEEP = ["--sweep", "G2=0.5:4:8", "--sweep", "C2=0.5:3:6"]
 
 @pytest.fixture(scope="module")
 def model_file(fig1_model, tmp_path_factory):
-    path = tmp_path_factory.mktemp("models") / "fig1.json"
-    path.write_text(model_to_json(fig1_model))
+    path = tmp_path_factory.mktemp("models") / "fig1.tape"
+    fig1_model.model.tape.save(path)
     return path
 
 

@@ -16,10 +16,11 @@ import pytest
 
 from repro.circuits.library import fig1_circuit
 from repro.core.awesymbolic import awesymbolic
-from repro.core.serialize import model_to_dict
 from repro.partition import condense_blocks, partition
 from repro.runtime import CondensationCache
 from repro.testing import FaultInjector, InjectedFault
+
+from ..digest import compiled_digest
 
 
 @pytest.fixture()
@@ -85,18 +86,17 @@ class TestCorruptEntries:
 
     def test_compile_through_damaged_cache_is_bit_identical(self, tmp_path):
         circuit = fig1_circuit()
-        ref = json.dumps(model_to_dict(
-            awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3)),
-            sort_keys=True)
+        ref = compiled_digest(
+            awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3))
         cache = CondensationCache(disk_dir=tmp_path)
         awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3,
                     condense_cache=cache)
         for path in tmp_path.glob("condense-*.json"):
             path.write_text("garbage")
         fresh = CondensationCache(disk_dir=tmp_path)
-        got = json.dumps(model_to_dict(
+        got = compiled_digest(
             awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3,
-                        condense_cache=fresh)), sort_keys=True)
+                        condense_cache=fresh))
         assert got == ref
 
 

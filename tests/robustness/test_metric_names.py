@@ -17,7 +17,6 @@ from repro.circuits.library import fig1_circuit
 from repro.cli import main
 from repro.core import metrics
 from repro.core.awesymbolic import awesymbolic
-from repro.core.serialize import model_to_json
 from repro.errors import ApproximationError
 from repro.obs import metrics as obs_metrics
 from repro.runtime import ProgramCache
@@ -104,8 +103,8 @@ def test_rejected_names_leave_breaker_closed_and_retry_nothing():
 @pytest.fixture(scope="module")
 def saved_model(tmp_path_factory):
     res = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"], order=2)
-    path = tmp_path_factory.mktemp("model") / "model.json"
-    path.write_text(model_to_json(res))
+    path = tmp_path_factory.mktemp("model") / "model.tape"
+    res.model.tape.save(path)
     return path
 
 

@@ -6,7 +6,8 @@ Four properties of the serving hot path (`docs/serving.md`):
   so a lone request waits for nothing and requests of one turn share
   one batch;
 * served batches and degraded answers are computed on the event loop's
-  thread, with no executor round trip;
+  thread, with no executor round trip, and a failed shard attempt is
+  retried without a backoff sleep;
 * the registry keys a model once, at registration, from a private
   snapshot of its circuit, so no request hashes the circuit and editing
   the caller's circuit afterwards changes nothing served until the name
@@ -152,6 +153,37 @@ class TestOnTheLoop:
         assert degraded["degraded"] is True and degraded["order"] == 1
         assert batch_threads and set(batch_threads) == {loop_thread}
         assert degraded_threads and set(degraded_threads) == {loop_thread}
+
+
+    def test_faulted_batch_never_sleeps_on_the_loop(self, monkeypatch):
+        """A shard attempt that raises is retried at once: the batch runs
+        on the loop, so a backoff sleep would stall every request.  The
+        retry budget, not a sleep, caps the retries."""
+        from repro.runtime import resilience
+
+        delays: list[float] = []
+        backoff = resilience.backoff_delay
+
+        def record(*args):
+            delays.append(backoff(*args))
+            return delays[-1]
+
+        monkeypatch.setattr(resilience, "backoff_delay", record)
+        injector = FaultInjector().raises("sweep.shard", times=None)
+
+        async def scenario():
+            service = make_service()
+            try:
+                await service.registry.ensure("fig1")
+                with injector.armed():
+                    return await service.handle_eval(pole_request())
+            finally:
+                await service.drain()
+
+        resp = asyncio.run(scenario())
+        assert resp["value"] != resp["value"]  # NaN: every attempt failed
+        assert delays and injector.fired("sweep.shard") > len(delays)
+        assert delays == [0.0] * len(delays)
 
 
 class TestKeyedOnce:

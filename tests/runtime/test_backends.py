@@ -232,10 +232,13 @@ class TestProcessBackendEdges:
             assert chain[-1] == "sweep.total"
 
     def test_serialized_model_process_sweep(self, fig1_model, tmp_path):
-        """A JSON round-tripped model sweeps identically on the process
-        backend (the spec is built from the reloaded program source)."""
-        from repro.core.serialize import model_from_json, model_to_json
-        loaded = model_from_json(model_to_json(fig1_model))
+        """A model loaded from its saved tape sweeps identically on the
+        process backend (the spec is built from the reloaded program)."""
+        from repro.core.compiled_model import TapeModel
+        from repro.symbolic.tape import load_tape
+        path = tmp_path / "fig1.tape"
+        fig1_model.model.tape.save(path)
+        loaded = TapeModel(load_tape(path))
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 6),
                  "C2": np.linspace(0.1e-12, 3e-12, 6)}
         base = loaded.sweep(grids, metrics.dominant_pole_hz, shards=2,

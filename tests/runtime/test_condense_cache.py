@@ -15,9 +15,10 @@ import pytest
 
 from repro.circuits.library import fig1_circuit
 from repro.core.awesymbolic import awesymbolic
-from repro.core.serialize import model_to_dict
 from repro.partition import condense_blocks, partition
 from repro.runtime import CACHE_SCHEMA, CondensationCache
+
+from ..digest import compiled_digest
 
 
 @pytest.fixture()
@@ -124,13 +125,12 @@ class TestDiskLayer:
 class TestEndToEnd:
     def test_cached_condensation_compiles_identical_model(self, tmp_path):
         circuit = fig1_circuit()
-        ref = json.dumps(model_to_dict(
-            awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3)),
-            sort_keys=True)
+        ref = compiled_digest(
+            awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3))
         cache = CondensationCache(disk_dir=tmp_path)
         for _ in range(2):  # cold fill, then pure-hit compile
-            got = json.dumps(model_to_dict(
+            got = compiled_digest(
                 awesymbolic(circuit, "out", symbols=["C1", "C2"], order=3,
-                            condense_cache=cache)), sort_keys=True)
+                            condense_cache=cache))
             assert got == ref
         assert cache.stats.hits > 0

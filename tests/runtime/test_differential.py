@@ -24,10 +24,12 @@ from repro.runtime import RuntimeStats, batched_sweep
 
 def assert_same_surface(batched, legacy):
     """Batched == legacy: same dtype family, equal values, NaN in the
-    same places (``assert_array_equal`` compares NaN positions)."""
+    same places (``assert_array_equal`` compares NaN positions), and the
+    same bytes — signed zeros and NaN payloads included."""
     assert batched.shape == legacy.shape
     assert np.iscomplexobj(batched) == np.iscomplexobj(legacy)
     np.testing.assert_array_equal(np.asarray(batched), np.asarray(legacy))
+    assert np.asarray(batched).tobytes() == np.asarray(legacy).tobytes()
 
 
 CASES = [
@@ -355,10 +357,13 @@ class TestComplexMetricDtype:
 
 
 class TestLoadedModelRuntime:
-    def test_loaded_model_sweeps_batched(self, fig1_model):
-        from repro.core.serialize import model_from_json, model_to_json
+    def test_loaded_model_sweeps_batched(self, fig1_model, tmp_path):
+        from repro.core.compiled_model import TapeModel
+        from repro.symbolic.tape import load_tape
 
-        loaded = model_from_json(model_to_json(fig1_model))
+        path = tmp_path / "fig1.tape"
+        fig1_model.model.tape.save(path)
+        loaded = TapeModel(load_tape(path))
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 9),
                  "C2": np.linspace(0.1e-12, 3e-12, 7)}
         reference = fig1_model.model.sweep(grids, metrics.dominant_pole_hz)
@@ -367,3 +372,19 @@ class TestLoadedModelRuntime:
         via_fn = batched_sweep(loaded, grids, metrics.dominant_pole_hz)
         np.testing.assert_array_equal(via_fn, reference)
         assert loaded.compile_seconds > 0.0
+
+    @pytest.mark.parametrize("metric", [metrics.dominant_pole_hz,
+                                        metrics.phase_margin],
+                             ids=lambda m: m.__name__)
+    def test_loaded_model_keeps_the_per_point_oracle(self, fig1_model,
+                                                     metric):
+        """The oracle reads only the model tape: a loaded model's
+        ``sweep_per_point`` equals its ``sweep`` byte for byte."""
+        from repro.core.compiled_model import TapeModel
+        from repro.symbolic.tape import tape_from_json
+
+        loaded = TapeModel(tape_from_json(fig1_model.model.tape.to_json()))
+        grids = {"C1": np.linspace(0.5e-12, 5e-12, 9),
+                 "C2": np.linspace(0.1e-12, 3e-12, 7)}
+        assert_same_surface(loaded.sweep(grids, metric),
+                            loaded.sweep_per_point(grids, metric))

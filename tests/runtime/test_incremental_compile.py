@@ -8,27 +8,20 @@ Three contracts:
 * the miss is then compiled *incrementally* through a live
   :class:`CompileSession` that extends the previous moment recursion —
   and the result is byte-identical to a cold build at the new order;
-* a changed coefficient or lowering strategy compiles to a different
-  program (the compiler keeps no program memo; equal content lowering to
-  equal tapes is checked in ``tests/symbolic/test_reproducible_compile.py``).
+* a changed coefficient compiles to a different program (the compiler
+  keeps no program memo; equal content lowering to equal tapes is
+  checked in ``tests/symbolic/test_reproducible_compile.py``).
 """
 
 from __future__ import annotations
 
-import json
-
-import pytest
-
 from repro.circuits.library import fig1_circuit
 from repro.core.awesymbolic import CompileSession, awesymbolic
-from repro.core.serialize import model_to_dict
 from repro.runtime import ProgramCache
 from repro.symbolic import Poly, SymbolSpace
 from repro.symbolic.compile import compile_rationals
 
-
-def digest(result) -> str:
-    return json.dumps(model_to_dict(result), sort_keys=True)
+from ..digest import compiled_digest
 
 
 class TestOrderInKey:
@@ -71,7 +64,7 @@ class TestSessionReuse:
         session = next(iter(cache._sessions.values()))
         assert session.compiles == 2
         assert session.incremental_compiles == 1
-        assert digest(bumped) == digest(
+        assert compiled_digest(bumped) == compiled_digest(
             awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"], order=3))
 
     def test_auto_selection_never_uses_a_session(self):
@@ -105,7 +98,7 @@ class TestCompileSessionDirect:
         assert session.incremental_compiles == 1
         cold = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"],
                            order=3)
-        assert digest(bumped) == digest(cold)
+        assert compiled_digest(bumped) == compiled_digest(cold)
 
     def test_truncating_recompile_matches_cold(self):
         session = CompileSession(fig1_circuit(), "out",
@@ -114,7 +107,7 @@ class TestCompileSessionDirect:
         down = session.compile(order=2)
         cold = awesymbolic(fig1_circuit(), "out", symbols=["C1", "C2"],
                            order=2)
-        assert digest(down) == digest(cold)
+        assert compiled_digest(down) == compiled_digest(cold)
 
 
 class TestProgramMemo:
@@ -129,12 +122,3 @@ class TestProgramMemo:
         first = compile_rationals(self.SP, self._polys(2.0))
         other = compile_rationals(self.SP, self._polys(2.0 + 1e-9))
         assert other is not first
-
-    def test_strategy_keys_separately(self):
-        expanded = compile_rationals(self.SP, self._polys(3.0),
-                                     strategy="expanded")
-        horner = compile_rationals(self.SP, self._polys(3.0),
-                                   strategy="horner")
-        assert horner is not expanded
-        vals = {"a": 1.3, "b": -0.7}
-        assert expanded(vals) == pytest.approx(horner(vals), rel=1e-12)

@@ -5,23 +5,23 @@ The fast kernels (interned monomials, packed numpy products) promise
 merely close.  The unit tests exercise the kernel primitives against the
 reference ``Poly`` operators on randomized inputs with exact equality;
 the differential tests compile the paper's circuits with the kernels on
-and off and require the serialized models to match byte for byte.
+and off and require the compiled polynomials' digests to match byte for
+byte.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.core.awesymbolic import awesymbolic
-from repro.core.serialize import model_to_dict
 from repro.circuits.library import (fig1_circuit, small_signal_741,
                                     small_signal_ota)
 from repro.symbolic import Poly, SymbolSpace, polykernel
 from repro.symbolic.polykernel import (MonomialTable, add_ix_into, deindexed,
                                        indexed, mul_ix, mul_packed_terms)
+
+from ..digest import compiled_digest
 
 
 def random_poly(space, n_terms, seed, max_exp=3):
@@ -166,7 +166,7 @@ class TestKernelOps:
 
 def _compiled_digest(circuit, symbols, order):
     res = awesymbolic(circuit, "out", symbols=symbols, order=order)
-    return json.dumps(model_to_dict(res), sort_keys=True)
+    return compiled_digest(res)
 
 
 class TestCompileBitIdentity:

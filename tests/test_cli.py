@@ -98,6 +98,22 @@ class TestSaveEvaluate:
         assert "saved model" in out
         assert "-500000" in out  # pole at doubled C
 
+    def test_save_writes_the_emitted_tape(self, linear_netlist, tmp_path,
+                                          capsys):
+        """One artifact: a cold ``analyze --save``, a disk-hit one and
+        ``compile --emit-tape`` write the same bytes."""
+        build = [str(linear_netlist), "-o", "out", "--symbols", "C1",
+                 "--order", "1"]
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        emitted = tmp_path / "lowpass.tape"
+        assert main(["analyze", *build, *cache, "--save", str(cold)]) == 0
+        assert main(["analyze", *build, *cache, "--save", str(warm)]) == 0
+        assert "disk 1 hits" in capsys.readouterr().out
+        assert main(["compile", *build, "--emit-tape", str(emitted)]) == 0
+        assert cold.read_bytes() == warm.read_bytes() == \
+            emitted.read_bytes()
+
     def test_evaluate_bad_override(self, linear_netlist, tmp_path, capsys):
         saved = tmp_path / "model.json"
         main(["analyze", str(linear_netlist), "-o", "out",
@@ -149,8 +165,8 @@ class TestCompileTape:
 
 
 class TestProfile:
-    """``profile`` reads saved-model JSON and ``.tape`` artifacts alike,
-    telling them apart by content."""
+    """``profile`` reads the model tape that ``analyze --save`` (the
+    ``json`` case) and ``compile --emit-tape`` (``tape``) write."""
 
     @pytest.fixture
     def inputs(self, linear_netlist, tmp_path, capsys):
@@ -183,7 +199,8 @@ class TestProfile:
         bogus.write_text("{}")
         rc = main(["profile", str(bogus), "--sweep", "C1=0.5n:2n:4"])
         assert rc == 1
-        assert "saved-model format" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not an op tape" in err and "repro analyze --save" in err
 
 
 class TestMisc:
