@@ -754,9 +754,14 @@ def cmd_doctor(args) -> int:
       orphaned temp files from interrupted cache writes;
     * ``2`` — corrupt or wrong-schema cache entries (data that cannot be
       trusted, as opposed to merely untidy).
+
+    The report is written in one piece after every check has run, so a
+    reader that stops early (``| head -1``) cannot cut the checks, or
+    the exit status, short.
     """
     worst = 0
     checked = False
+    lines: list[str] = []
     if args.model is not None:
         if not args.sweep:
             raise ReproError("doctor needs at least one --sweep range to "
@@ -770,10 +775,10 @@ def cmd_doctor(args) -> int:
                          max_workers=args.workers,
                          backend=getattr(args, "backend", None))
         diag = z.diagnostics
-        print(diag.summary())
+        lines.append(diag.summary())
         if args.json is not None:
             args.json.write_text(diag.to_json(indent=2) + "\n")
-            print(f"wrote {args.json}")
+            lines.append(f"wrote {args.json}")
         if not diag.ok:
             worst = max(worst, 1)
         checked = True
@@ -787,18 +792,19 @@ def cmd_doctor(args) -> int:
         reports = [layer.scan_disk(fix=args.fix) for _, layer in layers]
         bad = [r for report in reports for r in report
                if r["status"] != "ok"]
-        print(f"cache {args.cache_dir}: {len(reports[0])} program entries, "
-              f"{len(reports[1])} condensation entries, "
-              f"{len(bad)} unhealthy")
+        lines.append(f"cache {args.cache_dir}: {len(reports[0])} program "
+                      f"entries, {len(reports[1])} condensation entries, "
+                      f"{len(bad)} unhealthy")
         for label, layer in layers:
             health = layer.health()
             rate = health["hit_rate"]
             budget = health.get("max_disk_bytes")
             budget_s = "unbounded" if budget is None else f"{budget} budget"
-            print(f"  {label}: {health['disk_entries']} entries, "
-                  f"{health['disk_bytes']} bytes ({budget_s}), "
-                  f"schema {health['schema']}, hit rate "
-                  f"{'n/a' if rate is None else f'{rate:.0%}'} this process")
+            lines.append(
+                f"  {label}: {health['disk_entries']} entries, "
+                f"{health['disk_bytes']} bytes ({budget_s}), "
+                f"schema {health['schema']}, hit rate "
+                f"{'n/a' if rate is None else f'{rate:.0%}'} this process")
         # the per-user kernel store lives outside --cache-dir and
         # rebuilds a bad kernel at load: never graded; --fix quarantines
         # its unverified kernels and deletes the tape-*.c sources that
@@ -806,11 +812,11 @@ def cmd_doctor(args) -> int:
         native = native_store()
         health = native.health()
         native_report = native.scan(fix=args.fix)
-        print(f"  native kernel store {native.directory}: "
-              f"{health['disk_entries']} entries, {health['disk_bytes']} "
-              f"bytes ({health['max_disk_bytes']} budget), "
-              f"{sum(r['status'] != 'ok' for r in native_report)} "
-              f"unverified")
+        lines.append(
+            f"  native kernel store {native.directory}: "
+            f"{health['disk_entries']} entries, {health['disk_bytes']} "
+            f"bytes ({health['max_disk_bytes']} budget), "
+            f"{sum(r['status'] != 'ok' for r in native_report)} unverified")
         if args.fix:
             statuses = [r["status"] for r in native_report]
             temps = statuses.count("orphan-tmp")
@@ -819,10 +825,11 @@ def cmd_doctor(args) -> int:
                 with contextlib.suppress(OSError):
                     source.unlink()
                     sources += 1
-            print(f"  native kernel store --fix: "
-                  f"{len(statuses) - statuses.count('ok') - temps} kernels "
-                  f"quarantined, {temps} temp files and {sources} C "
-                  f"sources removed")
+            lines.append(
+                f"  native kernel store --fix: "
+                f"{len(statuses) - statuses.count('ok') - temps} kernels "
+                f"quarantined, {temps} temp files and {sources} C "
+                f"sources removed")
         for r in bad:
             line = f"  {r['file']}: {r['status']}"
             if r["detail"]:
@@ -830,7 +837,7 @@ def cmd_doctor(args) -> int:
             if args.fix:
                 line += " -> quarantined" if r["status"] != "orphan-tmp" \
                     else " -> removed"
-            print(line)
+            lines.append(line)
         if any(r["status"] in ("corrupt", "schema") for r in bad):
             worst = 2
         elif bad:
@@ -839,6 +846,7 @@ def cmd_doctor(args) -> int:
     if not checked:
         raise ReproError("doctor needs a saved model tape (with --sweep) "
                          "and/or --cache-dir")
+    sys.stdout.write("".join(line + "\n" for line in lines))
     return worst
 
 
@@ -1196,14 +1204,25 @@ def main(argv: list[str] | None = None) -> int:
     if trace_path is not None or metrics_dir is not None:
         from .obs import trace as obs_trace
         tracer = obs_trace.start_tracing()
+    status = 1
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader closed the pipe (``repro doctor | head -1``): point
+        # stdout at /dev/null so no later write or exit flush raises
+        # again.  A command that returned keeps its status; one cut
+        # short exits 1.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     finally:
         if tracer is not None:
             _finalize_obs(tracer, trace_path, metrics_dir)
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

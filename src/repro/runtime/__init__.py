@@ -32,9 +32,9 @@ from .backends import (BACKENDS, INLINE_MAX_POINTS, resolve_backend,
 from .native import NativeUnavailable, build_native_kernel, native_kernel_for
 from .batched import (CANCEL_CHUNK_POINTS, VECTOR_METRICS, batched_sweep,
                       grid_columns, vector_metric, vector_poles_residues)
-from .cache import (CACHE_SCHEMA, CacheStats, CondensationCache,
-                    ProgramCache, cached_awesymbolic, circuit_fingerprint,
-                    default_cache)
+from .cache import (CACHE_SCHEMA, CONDENSE_SCHEMA, CacheStats,
+                    CondensationCache, ProgramCache, cached_awesymbolic,
+                    circuit_fingerprint, default_cache)
 from .cancel import CancelToken, Deadline
 from .resilience import DEFAULT_RESILIENCE, ResilienceConfig, run_shards
 from .stats import RuntimeStats
@@ -42,6 +42,7 @@ from .stats import RuntimeStats
 __all__ = [
     "BACKENDS",
     "CACHE_SCHEMA",
+    "CONDENSE_SCHEMA",
     "INLINE_MAX_POINTS",
     "NativeUnavailable",
     "CANCEL_CHUNK_POINTS",

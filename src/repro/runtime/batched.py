@@ -24,9 +24,13 @@ grid point by point.  A batched sweep:
    Hankel solves plus batched companion-matrix eigenvalues) is an exact
    lane-wise transcription of the scalar attempt inside
    :func:`repro.awe.stability.stable_reduction`, and which retries the
-   lanes an attempt rejects at q-1, ..., 1 inside the chunk.  The
-   metric then runs once per settled order, using a registered
-   vectorized implementation when one exists;
+   lanes an attempt rejects at q-1, ..., 1 inside the chunk.  Under
+   ``require_stable`` an attempt rejects a lane whose denominator has a
+   decisively negative coefficient (:data:`TAU`) before its
+   eigenvalues, and a lane with an unstable pole before its residues,
+   so LAPACK runs only on lanes that can settle.  The metric then runs
+   once per settled order, using a registered vectorized implementation
+   when one exists;
 4. falls back per point *only* where the closed form is degenerate or
    the fast Padé is unstable (orders 1-2), or where no order settles
    (above 2) — the fallback is
@@ -414,7 +418,19 @@ def _eigvals_lanes(comp: np.ndarray) -> np.ndarray:
         return w
 
 
-def vector_poles_residues_general(moments: np.ndarray, order: int,
+#: sign margin of the stable ladder's pre-rejection.  A polynomial whose
+#: roots all lie in the open left half-plane has only positive
+#: coefficients, so a denominator ``1 + b1 s + ... + bq s^q`` with a
+#: coefficient below ``-TAU * max(1, max|b|)`` has a root with Re >= 0.
+#: That is far outside the companion eigensolver's backward error, so
+#: ``eigvals`` would report a pole with Re >= 0 too: the lane is rejected
+#: without it.  Lanes inside the margin take the eigenvalue test.
+TAU = 1e-6
+
+
+def vector_poles_residues_general(moments: np.ndarray, order: int, *,
+                                  require_stable: bool = False,
+                                  scales: np.ndarray | None = None,
                                   ) -> tuple[np.ndarray, np.ndarray,
                                              np.ndarray, np.ndarray]:
     """The order-``q`` attempt of
@@ -433,22 +449,34 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
     in complex.  A lane's values therefore do not depend on the lanes
     stacked with it.
 
+    With ``require_stable``, a lane whose model the scalar loop would
+    discard as unstable comes back ``failed`` before the LAPACK work it
+    no longer needs: a denominator coefficient below ``-TAU`` (relative,
+    see :data:`TAU`) rejects it before ``eigvals``, and a pole with
+    ``Re >= 0`` before the residue solve.  Every ``ok`` lane is then an
+    ``ok`` and stable lane of the plain attempt, with the same bytes.
+
     Args:
         moments: ``(>= 2*order, n_points)`` float array (all rows enter
             the conditioning-scale estimate, as in the scalar path).
         order: number of poles ``q`` (any ``q >= 1``).
+        require_stable: fail the lanes whose poles are not all in the
+            open left half-plane.
+        scales: the lanes' :func:`_moment_scales`, which do not depend
+            on ``order``; computed from ``moments`` when None.
 
     Returns:
         ``(poles, residues, ok, failed)``: ``poles``/``residues`` of shape
         ``(order, n_points)`` complex; ``ok`` marks the lanes where the
         scalar attempt returns exactly these poles and residues (stable
-        or not), ``failed`` those where it raises
-        :class:`ApproximationError` (singular Hankel system, non-finite
-        denominator, a pole at the origin, repeated poles), so the
-        stable-order ladder retries them one order lower.  Lanes in
-        neither mask — a zero leading coefficient, which ``np.roots``
-        trims, a non-finite companion matrix, no ``dgeev`` convergence,
-        non-finite poles or residues — must take the per-point path.
+        or not, unless ``require_stable``), ``failed`` those where it
+        raises :class:`ApproximationError` (singular Hankel system,
+        non-finite denominator, a pole at the origin, repeated poles) or
+        is unstable when stability is required, so the stable-order
+        ladder retries them one order lower.  Lanes in neither mask — a
+        zero leading coefficient, which ``np.roots`` trims, a non-finite
+        companion matrix, no ``dgeev`` convergence, non-finite poles or
+        residues — must take the per-point path.
     """
     q = int(order)
     rows, n = moments.shape
@@ -460,7 +488,7 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
     ok = np.zeros(n, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                      under="ignore"):
-        a = _moment_scales(moments)
+        a = _moment_scales(moments) if scales is None else scales
         # m'_k = m_k a^k as one (n, rows) power whose inner loop runs over
         # the exponents, like scale_moments' 1-D ``a ** arange``: a power
         # with a scalar exponent of 2 squares instead, an ulp apart
@@ -479,12 +507,23 @@ def vector_poles_residues_general(moments: np.ndarray, order: int,
         comp[:, np.arange(1, q), np.arange(q - 1)] = 1.0
         finite = np.isfinite(comp[:, 0, :]).all(axis=1)
         lanes, comp = lanes[finite], comp[finite]
+        if require_stable:
+            bl = b[lanes]
+            unstable = (bl.min(axis=1)
+                        < -TAU * np.maximum(1.0, np.abs(bl).max(axis=1)))
+            failed[lanes[unstable]] = True
+            lanes, comp = lanes[~unstable], comp[~unstable]
         w = _eigvals_lanes(comp)
         converged = np.isfinite(w).all(axis=1)
         lanes, w = lanes[converged], w[converged]
         origin = (np.abs(w) < 1e-300).any(axis=1)
         failed[lanes[origin]] = True
         lanes, w = lanes[~origin], w[~origin]
+        if require_stable:
+            # the unscaled poles' real parts, as the scalar model's
+            unstable = ~(w.real * a[lanes, None] < 0.0).all(axis=1)
+            failed[lanes[unstable]] = True
+            lanes, w = lanes[~unstable], w[~unstable]
         # residues: m'_k = -sum_i r_i / p_i^(k+1), k = 0..q-1, with the
         # Vandermonde rows in float where np.roots returns float poles
         real = (w.imag == 0.0).all(axis=1)
@@ -521,19 +560,22 @@ def _stable_ladder(moments: np.ndarray, order: int, require_stable: bool,
     final order (0 where no attempt settled it: the ladder ran dry, or
     an attempt could not decide), and the lane's model is the first
     ``settled`` rows of its ``(order, n)`` poles and residues.
+
+    The moment scales are computed once, for every attempt; with
+    ``require_stable`` an attempt fails its unstable lanes itself, so
+    LAPACK runs only where a lane can still settle.
     """
     n = moments.shape[1]
     poles = np.zeros((order, n), dtype=complex)
     residues = np.zeros_like(poles)
     settled = np.zeros(n, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scales = _moment_scales(moments)
     lanes = np.arange(n)
     for q in range(order, 0, -1):
-        p, r, ok, failed = vector_poles_residues_general(moments[:, lanes],
-                                                         q)
-        if require_stable:
-            unstable = ok & ~np.all(p.real < 0.0, axis=0)
-            ok &= ~unstable
-            failed |= unstable
+        p, r, ok, failed = vector_poles_residues_general(
+            moments[:, lanes], q, require_stable=require_stable,
+            scales=scales[lanes])
         done = lanes[ok]
         poles[:q, done] = p[:, ok]
         residues[:q, done] = r[:, ok]

@@ -22,9 +22,10 @@ skip straight to evaluation:
 Both disk layers are typed wrappers over one
 :class:`~repro.runtime.store.ArtifactStore` (atomic publish, sha256
 digest, quarantine, LRU byte budget, ``repro doctor`` scan).  They add a
-JSON envelope — :data:`CACHE_SCHEMA` and the key the entry was saved
-under — and check it before the store checks the digest, so a bad entry
-is quarantined as ``schema``, ``stale`` or ``corrupt``.
+JSON envelope — the layer's schema (:data:`CACHE_SCHEMA` for program
+entries, :data:`CONDENSE_SCHEMA` for condensations) and the key the entry
+was saved under — and check it before the store checks the digest, so a
+bad entry is quarantined as ``schema``, ``stale`` or ``corrupt``.
 
 Keys are content hashes: the circuit fingerprint covers every element's
 type, name, terminals and value, so *any* circuit edit invalidates the
@@ -70,6 +71,7 @@ from .store import ArtifactStore, BadEntry
 
 __all__ = [
     "CACHE_SCHEMA",
+    "CONDENSE_SCHEMA",
     "CacheStats",
     "CondensationCache",
     "ProgramCache",
@@ -78,11 +80,18 @@ __all__ = [
     "default_cache",
 ]
 
-#: on-disk payload schema; bumped whenever the payload envelope changes
-#: (3: every entry carries a sha256 digest sidecar; 4: a program entry
+#: on-disk schema of a program entry; bumped whenever its payload
+#: changes (3: every entry carries a sha256 digest sidecar; 4: the entry
 #: is a model tape).  Entries with any other value (including
 #: pre-versioning files that have none) are quarantined and rebuilt.
 CACHE_SCHEMA = 4
+
+#: on-disk schema of a condensation entry, versioned apart from the
+#: program entries' so a change to one format keeps the other's entries.
+#: Its payload last changed with the digest sidecar (program schema 3);
+#: it is 4 because both formats shared :data:`CACHE_SCHEMA` until then,
+#: so the entries written under that value stay hits.
+CONDENSE_SCHEMA = 4
 
 
 def circuit_fingerprint(circuit: Circuit) -> str:
@@ -164,13 +173,17 @@ class _StoreCache:
             self._entries.popitem(last=False)
             self.stats.evictions += 1
 
+    def _schema(self) -> int:
+        """The schema this layer writes, keys and accepts."""
+        raise NotImplementedError
+
     def _disk_path(self, key: str) -> Path | None:
         return None if self._store is None else self._store.path(key)
 
     def _publish(self, key: str, body: dict) -> Path | None:
         if self._store is None:
             return None
-        envelope = {"schema": CACHE_SCHEMA, "cache_key": key,
+        envelope = {"schema": self._schema(), "cache_key": key,
                     "saved_at": time.time(), **body}
         return self._store.publish(key, json.dumps(envelope).encode())
 
@@ -184,11 +197,12 @@ class _StoreCache:
         payload = json.loads(data)
         if not isinstance(payload, dict):
             raise BadEntry("corrupt", "entry is not a JSON object")
-        if payload.get("schema") != CACHE_SCHEMA:
+        schema = self._schema()
+        if payload.get("schema") != schema:
             # written by another code version: the envelope may not
             # mean what we think it means
             raise BadEntry("schema", f"schema {payload.get('schema')!r}, "
-                                     f"expected {CACHE_SCHEMA}")
+                                     f"expected {schema}")
         if key is not None and payload.get("cache_key") != key:
             # stale or foreign entry (e.g. copied over): never trust it
             raise BadEntry("stale", "saved under another key")
@@ -210,7 +224,7 @@ class _StoreCache:
                  "max_disk_bytes": self.max_disk_bytes})
         lookups = self.stats.hits + self.stats.misses
         return {
-            "schema": CACHE_SCHEMA,
+            "schema": self._schema(),
             "memory_entries": len(self._entries),
             **disk,
             "hits": self.stats.hits,
@@ -237,6 +251,9 @@ class ProgramCache(_StoreCache):
         # only — automatic selection can change with the order)
         self._sessions: OrderedDict[str, CompileSession] = OrderedDict()
         self.session_maxsize = 4
+
+    def _schema(self) -> int:
+        return CACHE_SCHEMA
 
     # ------------------------------------------------------------------
     # keys
@@ -268,7 +285,7 @@ class ProgramCache(_StoreCache):
         sym_part = ("symbols=" + ",".join(symbols) if symbols is not None
                     else f"auto={options.get('n_symbols', 2)}")
         parts = [
-            f"schema={CACHE_SCHEMA}",
+            f"schema={self._schema()}",
             f"circuit={circuit_fingerprint(circuit)}",
             f"output={output}",
             sym_part,
@@ -446,17 +463,21 @@ class CondensationCache(_StoreCache):
                  max_disk_bytes: int | None = None) -> None:
         super().__init__(maxsize, disk_dir, max_disk_bytes)
 
+    def _schema(self) -> int:
+        return CONDENSE_SCHEMA
+
     def key_for(self, block: Circuit, ports: Sequence[str]) -> str:
         """Content key of one condensation problem (block + port list).
 
         The expansion order is deliberately *not* part of the key — one
         entry per block holds the highest order computed so far and
-        serves every lower order by truncation.  :data:`CACHE_SCHEMA` is
-        keyed so a schema bump cold-starts cleanly.
+        serves every lower order by truncation.  :data:`CONDENSE_SCHEMA`
+        is keyed so a bump of it cold-starts cleanly; a bump of the
+        program entries' :data:`CACHE_SCHEMA` keeps these entries.
         """
         parts = [
             "condense-v1",
-            f"schema={CACHE_SCHEMA}",
+            f"schema={self._schema()}",
             f"block={circuit_fingerprint(block)}",
             "ports=" + ",".join(ports),
         ]

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 DEGENERATE_SWEEP = ["--sweep", "G2=0:4:8", "--sweep", "C2=0.5:3:6"]
 CLEAN_SWEEP = ["--sweep", "G2=0.5:4:8", "--sweep", "C2=0.5:3:6"]
@@ -99,6 +105,34 @@ class TestDoctor:
         rc = main(["doctor", "--cache-dir", str(cache_dir)])
         assert rc == 1  # untidy (crashed writer), but no data is at risk
         assert "orphan-tmp" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("orphans,status", [(0, 0), (2000, 2)])
+    def test_closed_pipe_keeps_the_graded_status(self, tmp_path, orphans,
+                                                 status):
+        """``repro doctor --cache-dir D | head -1``: the reader closes the
+        pipe after one line.  Doctor exits with its graded status and
+        writes nothing to stderr, whether its report fitted in the pipe
+        (a healthy cache) or was cut short by the closed pipe (2,000
+        orphaned temp files and a corrupt entry: a report larger than
+        the pipe's buffer)."""
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        if orphans:
+            (cache_dir / "awesym-feedface.json").write_text("{broken")
+        for i in range(orphans):
+            (cache_dir / f"awesym-{i:032x}.json.tmp.1").write_text("")
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED="1")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "doctor", "--cache-dir",
+             str(cache_dir)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == status
+        assert first.startswith(b"cache ")
+        assert err == b""
 
     def test_doctor_needs_a_target(self, capsys):
         rc = main(["doctor"])

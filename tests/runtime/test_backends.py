@@ -69,6 +69,23 @@ class TestBitIdentity:
             assert stats.backend == backend
             assert stats.points == np.asarray(base).size
 
+    def test_741_order4_all_backends_identical(self, grids_741):
+        """Order 4 runs the stable-order ladder, whose sign pre-rejection
+        settles most lanes one or two orders lower: worker processes must
+        settle every lane alike, byte for byte."""
+        model = awesymbolic(small_signal_741().circuit, "out",
+                            symbols=["go_Q14", "Ccomp"], order=4).model
+        base, _ = sweep_with(model, grids_741, metrics.dominant_pole_hz,
+                             "serial", order=4)
+        base = np.asarray(base)
+        assert np.isfinite(base).all()
+        for backend in ("thread", "process"):
+            other, stats = sweep_with(model, grids_741,
+                                      metrics.dominant_pole_hz, backend,
+                                      order=4)
+            assert np.asarray(other).tobytes() == base.tobytes()
+            assert stats.backend == backend
+
     def test_rc_all_backends_identical(self, fig1_model):
         grids = {"C1": np.linspace(0.5e-12, 5e-12, 9),
                  "C2": np.linspace(0.1e-12, 3e-12, 9)}

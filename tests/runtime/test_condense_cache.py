@@ -16,7 +16,8 @@ import pytest
 from repro.circuits.library import fig1_circuit
 from repro.core.awesymbolic import awesymbolic
 from repro.partition import condense_blocks, partition
-from repro.runtime import CACHE_SCHEMA, CondensationCache
+import repro.runtime.cache as cache_mod
+from repro.runtime import CONDENSE_SCHEMA, CondensationCache
 
 from ..digest import compiled_digest
 
@@ -108,7 +109,7 @@ class TestDiskLayer:
         condense_blocks(part, 2, cache=cache)
         files = list(tmp_path.glob("condense-*.json"))
         assert files
-        assert all(json.loads(f.read_text())["schema"] == CACHE_SCHEMA
+        assert all(json.loads(f.read_text())["schema"] == CONDENSE_SCHEMA
                    for f in files)
 
     def test_health_reports_entries_and_hit_rate(self, part, tmp_path):
@@ -116,10 +117,26 @@ class TestDiskLayer:
         condense_blocks(part, 2, cache=cache)
         condense_blocks(part, 2, cache=cache)
         h = cache.health()
-        assert h["schema"] == CACHE_SCHEMA
+        assert h["schema"] == CONDENSE_SCHEMA
         assert h["disk_entries"] == len(part.numeric_blocks)
         assert h["disk_bytes"] > 0
         assert h["hit_rate"] == pytest.approx(0.5)
+
+    def test_program_schema_bump_keeps_condensation_entries(
+            self, part, tmp_path, monkeypatch):
+        """Each disk layer versions its own format: a bump of the program
+        entries' schema leaves a condensation entry written before it a
+        disk hit, graded ``ok`` by the scan."""
+        condense_blocks(part, 3, cache=CondensationCache(disk_dir=tmp_path))
+        monkeypatch.setattr(cache_mod, "CACHE_SCHEMA",
+                            cache_mod.CACHE_SCHEMA + 1)
+        reader = CondensationCache(disk_dir=tmp_path)
+        report = reader.scan_disk()
+        assert len(report) == len(part.numeric_blocks)
+        assert all(r["status"] == "ok" for r in report)
+        condense_blocks(part, 3, cache=reader)
+        assert reader.stats.disk_hits == len(part.numeric_blocks)
+        assert reader.health()["schema"] == CONDENSE_SCHEMA
 
 
 class TestEndToEnd:

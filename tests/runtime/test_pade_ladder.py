@@ -6,21 +6,27 @@ stack of moment columns, and :func:`repro.runtime.batched._stable_ladder`
 runs that function's order-dropping retries over the stack.  Both must
 reproduce the scalar path lane for lane and bit for bit: poles, residues,
 orders dropped, and whether a lane settles at all.  So no lane's values
-may depend on the lanes stacked with it.
+may depend on the lanes stacked with it.  With ``require_stable`` the
+attempt rejects lanes before the LAPACK calls their model no longer
+needs; what it keeps must be exactly the plain attempt's stable lanes.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro import awesymbolic
+from repro.awe.pade import pade_coefficients
+from repro.awe.scaling import moment_scale, scale_moments
 from repro.awe.stability import stable_reduction
 from repro.circuits.library import small_signal_741
 from repro.errors import ApproximationError
-from repro.runtime.batched import (_stable_ladder, grid_columns,
+from repro.runtime.batched import (TAU, _stable_ladder, grid_columns,
                                    vector_poles_residues_general)
 
 #: moment rows of every slab: enough for order 5
@@ -120,7 +126,13 @@ sign = st.sampled_from([-1.0, 1.0])
 def model_lane(draw) -> np.ndarray:
     """Moments of a random 1-5 pole model: real poles and conjugate
     pairs, stable or not."""
-    size = draw(st.integers(1, 5))
+    return model_moments(*draw(model_poles(draw(st.integers(1, 5)))))
+
+
+@st.composite
+def model_poles(draw, size: int) -> tuple[list, list]:
+    """``size`` random poles and their residues: real poles and
+    conjugate pairs, stable or not."""
     poles, residues = [], []
     while len(poles) < size:
         re = -draw(magnitude) * (1.0 if draw(st.booleans()) else -0.05)
@@ -133,7 +145,33 @@ def model_lane(draw) -> np.ndarray:
         else:
             poles.append(complex(re))
             residues.append(complex(res))
-    return model_moments(poles, residues)
+    return poles, residues
+
+
+@st.composite
+def marginal_lane(draw) -> np.ndarray:
+    """Moments of a model with near-marginal poles, on either side of
+    the imaginary axis: one or two conjugate pairs
+    ``|p| (±10^-k ± j√(1 - 10^-2k))``, or a real pole at ``±10^-k |p|``,
+    each with its own ``|p|``, sign and k in 1..14, among random poles
+    (at most five in all).  A lone pair, or two, give Padé denominators
+    whose odd coefficients lie within ~``10^-k`` of zero: inside the
+    pre-rejection's margin :data:`TAU` for k > 6."""
+    poles, residues = [], []
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        mag = draw(magnitude)
+        re = draw(sign) * 10.0 ** -draw(st.integers(1, 14)) * mag
+        im = math.sqrt(mag * mag - re * re)
+        res, res_im = draw(sign) * draw(magnitude), draw(sign) * draw(magnitude)
+        poles += [complex(re, im), complex(re, -im)]
+        residues += [complex(res, res_im), complex(res, -res_im)]
+    if not poles:
+        poles.append(draw(sign) * 10.0 ** -draw(st.integers(1, 14))
+                     * draw(magnitude) + 0j)
+        residues.append(draw(sign) * draw(magnitude) + 0j)
+    more_poles, more_residues = draw(model_poles(
+        draw(st.integers(0, 5 - len(poles)))))
+    return model_moments(poles + more_poles, residues + more_residues)
 
 
 @st.composite
@@ -159,13 +197,82 @@ def degenerate_lane(draw) -> np.ndarray:
 
 
 @given(lanes=st.lists(st.one_of(model_lane(), model_lane(),
-                                degenerate_lane()),
+                                degenerate_lane(), marginal_lane()),
                       min_size=1, max_size=12),
        order=st.integers(1, 5), require_stable=st.booleans())
 def test_ladder_matches_stable_reduction_on_random_slabs(lanes, order,
                                                          require_stable):
     moments = np.stack(lanes, axis=1)
     assert_ladder_matches_scalar(moments, order, require_stable)
+
+
+def sign_margin(lane: np.ndarray, order: int) -> float | None:
+    """The scalar attempt's smallest denominator coefficient relative to
+    ``max(1, max|b|)``, None where its Hankel solve fails."""
+    m = scale_moments(lane, moment_scale(lane))
+    try:
+        b = pade_coefficients(m, order)[1][1:]
+    except ApproximationError:
+        return None
+    return float(b.min() / max(1.0, np.abs(b).max()))
+
+
+@settings(max_examples=400)
+@given(lanes=st.lists(st.one_of(marginal_lane(), model_lane(),
+                                degenerate_lane()),
+                      min_size=1, max_size=12))
+def test_require_stable_keeps_exactly_the_stable_lanes(lanes):
+    """The pre-rejection never discards a lane ``eigvals`` finds stable,
+    and never changes a byte of one it keeps: at every order, the
+    ``require_stable`` attempt's ``ok`` lanes are the plain attempt's
+    ``ok`` and stable lanes, and each lane it fails is one the plain
+    attempt fails, finds unstable or leaves undecided."""
+    moments = np.stack(lanes, axis=1)
+    for order in range(1, 6):
+        for lane in lanes:
+            margin = sign_margin(lane, order)
+            if margin is not None and -TAU <= margin < 0.0:
+                event("a negative coefficient within TAU")
+        poles, residues, ok, failed = vector_poles_residues_general(
+            moments, order)
+        sp, sr, sok, sfailed = vector_poles_residues_general(
+            moments, order, require_stable=True)
+        stable = ok & np.all(poles.real < 0.0, axis=0)
+        assert np.array_equal(sok, stable), order
+        for i in np.flatnonzero(stable):
+            assert sp[:, i].tobytes() == poles[:, i].tobytes(), (order, i)
+            assert sr[:, i].tobytes() == residues[:, i].tobytes(), (order, i)
+        assert not (sfailed & stable).any(), order
+        assert not (failed & ~sfailed).any(), order
+
+
+def test_require_stable_runs_lapack_only_where_lanes_can_settle(
+        slab_741, monkeypatch):
+    """On the 741's order-4 slab, a ladder that tests stability only
+    after each attempt runs ``eigvals`` and the residue solve on 2,718
+    lane-attempts to settle 1,024 lanes.  A decisively negative
+    denominator coefficient rejects a lane before ``eigvals``, and an
+    unstable pole before its residues, so eigenvalues run on at most
+    half as many lane-attempts (1,197) and residues only on the lanes
+    that settle."""
+    real_eigvals, real_solve = np.linalg.eigvals, np.linalg.solve
+    lanes = {"eigvals": 0, "residues": 0}
+
+    def eigvals(a):
+        lanes["eigvals"] += len(a) if a.ndim == 3 else 1
+        return real_eigvals(a)
+
+    def solve(a, b):
+        if np.iscomplexobj(a):  # the Vandermonde residue solve
+            lanes["residues"] += len(a) if a.ndim == 3 else 1
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    _, _, settled = _stable_ladder(slab_741, 4, True)
+    assert (settled > 0).sum() == slab_741.shape[1] == 1024
+    assert lanes["eigvals"] <= 1359
+    assert lanes["residues"] == 1024
 
 
 def test_nonconverging_lane_is_left_to_the_per_point_path(slab_741,
